@@ -9,8 +9,9 @@
 
 Output on stdout is deterministic byte-for-byte across runs and across
 --threads values; bench writes its wall-clock timings to stderr so the
-stdout report stays stable.  Usage errors exit 2, verification failures
-exit 1.
+stdout report stays stable.  Usage and input errors print one line to
+stderr and exit 2; an expand input outside the algebra and verification
+failures exit 1.
 """
 
 from __future__ import annotations
@@ -63,10 +64,12 @@ def _build_mode(args) -> CoefficientMode:
 
 def _parse_clusters(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = (int(part) for part in text.split(".."))
     except ValueError:
         raise SystemExit(_usage_error("--clusters expects LO..HI"))
+    if lo > hi:
+        raise SystemExit(_usage_error(f"--clusters range {text} is empty (LO > HI)"))
+    return lo, hi
 
 
 def _emit_poly(f, mode, args, extra: dict | None = None) -> None:
@@ -121,9 +124,17 @@ def cmd_pairs(args, mode) -> int:
 
 
 def cmd_expand(args, mode) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    f = laurent.from_json(data, mode)
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        return _usage_error(f"cannot read {args.file}: {exc.strerror}")
+    except ValueError as exc:
+        return _usage_error(f"{args.file} is not valid JSON: {exc}")
+    try:
+        f = laurent.from_json(data, mode)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _usage_error(f"{args.file} is not a Laurent polynomial: {exc}")
     try:
         expansion = greedy.greedy_expand(mode, f)
     except greedy.NotInAlgebra as exc:

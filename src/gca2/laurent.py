@@ -5,12 +5,25 @@ coefficients are plain integers in numeric mode and CoeffPoly in symbolic
 mode.  Two polynomials are equal iff their term dictionaries are equal.
 Instances are never mutated after construction.
 
-Exact division eliminates the *minimal* monomial of the remainder under the
-graded-lex order (degree first, then e1).  Every divisor that appears in
-this artifact (cluster variables, greedy elements, powers of an exchange
-polynomial) is pointed, i.e. has a unique minimal monomial with coefficient
-1, which makes each elimination step division-free; the procedure is valid
-and deterministic for any divisor.
+Multiplication packs each monomial into one int, key = e1*width + (e2 - lo2),
+where width is one more than the e2 span of the product, worked out from the
+two operands on every call; keys then add like exponent vectors, and divmod
+unpacks them (floor division keeps negative e1 exact).  Keys are Python ints
+with no fixed field width, so packing never wraps, whatever the exponents.
+
+Exact division shifts f and g into the polynomial cone and eliminates the
+*minimal* monomial of the remainder under the graded-lex order (degree
+first, then e1), keyed as (e1+e2)*width + e1 in an int heap (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Over an integral domain, Z[generators]
+included, an exact quotient of the shifted f by the shifted g has total
+degree at most deg(f) - deg(g) and no negative exponent; a quotient term
+that breaks either bound raises NotDivisible, so the elimination stops on
+every input.  Every divisor that appears in this artifact (cluster
+variables, greedy elements, powers of an exchange polynomial) is pointed,
+i.e. has a unique minimal monomial with coefficient 1, which makes each
+step division-free; any other nonzero divisor costs one exact coefficient
+division per quotient term.
 
 JSON form: {"terms": [{"e": [e1, e2], "c": <coefficient JSON>}, ...]} with
 terms sorted by (e1, e2) ascending; see coeffring for the coefficient JSON.
@@ -38,19 +51,11 @@ class SymbolicModeUnsupported(TypeError):
     """Operation defined only for concrete integer coefficients."""
 
 
-def _is_zero(c) -> bool:
-    return not c if isinstance(c, CoeffPoly) else c == 0
-
-
-def _grlex(e) -> tuple[int, int]:
-    return (e[0] + e[1], e[0])
-
-
 class LaurentPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if not _is_zero(c)}
+        self.terms = {e: c for e, c in (terms or {}).items() if c}
 
     # -- constructors -------------------------------------------------------
 
@@ -81,11 +86,11 @@ class LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, 0) + c
-            if _is_zero(s):
-                out.pop(e, None)
-            else:
+            if s:
                 out[e] = s
-        return LaurentPoly(out)
+            else:
+                out.pop(e, None)
+        return _from_terms(out)
 
     __radd__ = __add__
 
@@ -109,16 +114,30 @@ class LaurentPoly:
             small, big = self.terms, other.terms
         else:
             small, big = other.terms, self.terms
-        out: dict = {}
+        if not small:
+            return LaurentPoly()
+        if len(small) == 1:
+            ((a1, a2), c1), = small.items()
+            return _from_terms({(a1 + b1, a2 + b2): c1 * c2
+                                for (b1, b2), c2 in big.items()})
+        lo_s = min(e2 for _, e2 in small)
+        lo_b = min(e2 for _, e2 in big)
+        lo2 = lo_s + lo_b
+        width = max(e2 for _, e2 in small) + max(e2 for _, e2 in big) - lo2 + 1
+        packed = [(b1 * width + b2 - lo_b, c2) for (b1, b2), c2 in big.items()]
+        acc: dict[int, object] = {}
+        get = acc.get
         for (a1, a2), c1 in small.items():
-            for (b1, b2), c2 in big.items():
-                e = (a1 + b1, a2 + b2)
-                s = out.get(e, 0) + c1 * c2
-                if _is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return LaurentPoly(out)
+            ka = a1 * width + a2 - lo_s
+            for kb, c2 in packed:
+                k = ka + kb
+                acc[k] = get(k, 0) + c1 * c2
+        out = {}
+        for k, c in acc.items():
+            if c:
+                e1, r = divmod(k, width)
+                out[(e1, r + lo2)] = c
+        return _from_terms(out)
 
     __rmul__ = __mul__
 
@@ -153,9 +172,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no support")
         return (min(e1 for e1, _ in self.terms), min(e2 for _, e2 in self.terms))
 
-    def shifted(self, s1: int, s2: int) -> "LaurentPoly":
-        return LaurentPoly({(e1 + s1, e2 + s2): c for (e1, e2), c in self.terms.items()})
-
     def swap_vars(self) -> "LaurentPoly":
         return LaurentPoly({(e2, e1): c for (e1, e2), c in self.terms.items()})
 
@@ -169,37 +185,57 @@ class LaurentPoly:
             return LaurentPoly.zero()
         fm1, fm2 = self.min_exponents()
         gm1, gm2 = other.min_exponents()
-        f = self.shifted(-fm1, -fm2).terms
-        g = other.shifted(-gm1, -gm2).terms
-        g_low = min(g, key=_grlex)
-        g_low_c = g[g_low]
-        g_rest = [(e, c) for e, c in g.items() if e != g_low]
-        gl1, gl2 = g_low
+        deg_f = max(e1 + e2 for e1, e2 in self.terms) - fm1 - fm2
+        deg_g = max(e1 + e2 for e1, e2 in other.terms) - gm1 - gm2
+        deg_q = deg_f - deg_g
+        # Every exponent below is shifted to the polynomial cone, and the
+        # quotient-degree bound keeps each e1 in [0, deg_f], so width > e1
+        # and key = (e1+e2)*width + e1 orders monomials graded-lex.
+        width = deg_f + 1
+        rem = {(e1 - fm1 + e2 - fm2) * width + e1 - fm1: c
+               for (e1, e2), c in self.terms.items()}
+        g = {(e1 - gm1 + e2 - gm2) * width + e1 - gm1: c
+             for (e1, e2), c in other.terms.items()}
+        g_low = min(g)
+        g_low_c = g.pop(g_low)
+        unit = g_low_c == 1
+        g_rest = [(k - g_low, -c) for k, c in g.items()]
+        gd, gl1 = divmod(g_low, width)
+        gl2 = gd - gl1
+        s1, s2 = fm1 - gm1, fm2 - gm2
         quot: dict = {}
-        rem = dict(f)
-        heap = [(_grlex(e), e) for e in rem]
+        heap = list(rem)
         heapq.heapify(heap)
-        while rem:
-            while True:
-                _, e = heapq.heappop(heap)
-                if e in rem:
-                    break
-            c = rem.pop(e)
-            q1, q2 = e[0] - gl1, e[1] - gl2
+        pop, push, get = heapq.heappop, heapq.heappush, rem.get
+        while heap:
+            k = pop(heap)
+            c = rem.pop(k)
+            if not c:
+                continue
+            d, e1 = divmod(k, width)
+            q1, q2 = e1 - gl1, d - e1 - gl2
             if q1 < 0 or q2 < 0:
                 raise NotDivisible("quotient support escapes the polynomial cone")
-            qc = c if g_low_c == 1 else cf_exact_div(c, g_low_c)
-            quot[(q1, q2)] = qc
-            for (b1, b2), gc in g_rest:
-                ee = (q1 + b1, q2 + b2)
-                s = rem.get(ee, 0) - qc * gc
-                if _is_zero(s):
-                    rem.pop(ee, None)
+            if q1 + q2 > deg_q:
+                raise NotDivisible("quotient degree exceeds deg(f) - deg(g)")
+            qc = c if unit else cf_exact_div(c, g_low_c)
+            quot[(q1 + s1, q2 + s2)] = qc
+            for kb, gc in g_rest:
+                kk = k + kb
+                r = get(kk)
+                if r is None:
+                    push(heap, kk)
+                    rem[kk] = qc * gc
                 else:
-                    if ee not in rem:
-                        heapq.heappush(heap, (_grlex(ee), ee))
-                    rem[ee] = s
-        return LaurentPoly(quot).shifted(fm1 - gm1, fm2 - gm2)
+                    rem[kk] = r + qc * gc
+        return _from_terms(quot)
+
+
+def _from_terms(terms: dict) -> LaurentPoly:
+    """Wrap a term dict already free of zero coefficients, without copying."""
+    f = LaurentPoly.__new__(LaurentPoly)
+    f.terms = terms
+    return f
 
 
 def _coerce(x) -> LaurentPoly | None:
@@ -293,10 +329,10 @@ def _dense(d: dict[int, object], lo: int = 0) -> list:
 def _uni_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        if _is_zero(ca):
+        if not ca:
             continue
         for j, cb in enumerate(b):
-            if _is_zero(cb):
+            if not cb:
                 continue
             out[i + j] = out[i + j] + ca * cb
     return out
@@ -306,14 +342,14 @@ def _uni_mul_sparse(sl: dict[int, object], b: list) -> dict[int, object]:
     out: dict[int, object] = {}
     for e, c in sl.items():
         for j, cb in enumerate(b):
-            if _is_zero(cb):
+            if not cb:
                 continue
             k = e + j
             s = out.get(k, 0) + c * cb
-            if _is_zero(s):
-                out.pop(k, None)
-            else:
+            if s:
                 out[k] = s
+            else:
+                out.pop(k, None)
     return out
 
 
@@ -330,7 +366,7 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> dict[int, object]:
     quot = [0] * (deg_q + 1)
     for i in range(deg_q + 1):
         c = work[i]
-        if _is_zero(c):
+        if not c:
             continue
         if not b0 == 1:
             try:
@@ -341,9 +377,9 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> dict[int, object]:
         for j in range(1, deg_b + 1):
             work[i + j] = work[i + j] - c * b[j]
         work[i] = 0
-    if any(not _is_zero(c) for c in work):
+    if any(work):
         raise NotLaurent("univariate division leaves a remainder")
-    return {lo + i: c for i, c in enumerate(quot) if not _is_zero(c)}
+    return {lo + i: c for i, c in enumerate(quot) if c}
 
 
 @dataclass(frozen=True)
@@ -388,6 +424,8 @@ def to_json(f: LaurentPoly, mode: CoefficientMode) -> dict:
 def from_json(data: dict, mode: CoefficientMode) -> LaurentPoly:
     terms = {}
     for rec in data["terms"]:
+        if len(rec["e"]) != 2:
+            raise ValueError(f"exponent {rec['e']!r} needs two entries")
         e1, e2 = rec["e"]
         terms[(int(e1), int(e2))] = coeff_from_json(rec["c"], mode)
     return LaurentPoly(terms)

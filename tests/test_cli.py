@@ -114,6 +114,21 @@ def test_usage_errors_exit_2():
     assert run_cli([*NUMERIC])[0] == 2                        # no command
 
 
+def test_input_errors_exit_2_with_one_line(tmp_path):
+    one_elem = tmp_path / "one_elem.json"
+    one_elem.write_text('{"terms": [{"e": [1], "c": [{"n": "1"}]}]}')
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text('{"terms": [')
+    for argv in ([*NUMERIC, "greedy", "2", "2", "--clusters=5..2"],
+                 [*NUMERIC, "expand", str(tmp_path / "missing.json")],
+                 [*NUMERIC, "expand", str(one_elem)],
+                 [*NUMERIC, "expand", str(bad_json)]):
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_byte_identical_across_runs_and_threads():
     base = run_cli([*NUMERIC, "--format", "json", "var", "5"])
     again = run_cli([*NUMERIC, "--threads", "4", "--format", "json", "var", "5"])

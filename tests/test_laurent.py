@@ -1,8 +1,10 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import expected_x3
+from conftest import expected_x3, pmul
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode, NotDivisible
 from gca2.laurent import (LaurentPoly, NotLaurent, NotPointed,
@@ -16,10 +18,10 @@ X2 = LaurentPoly.var(2)
 P1 = lp_add(lp_add(LaurentPoly.monomial(0, 0), X2), lp_pow(X2, 2))  # 1+x2+x2^2
 
 
-def rand_laurent(rng, symbolic=False):
+def rand_laurent(rng, symbolic=False, n=None, e1=(-4, 4), e2=(-4, 4), base=(0, 0)):
     terms = {}
-    for _ in range(rng.randint(1, 6)):
-        e = (rng.randint(-4, 4), rng.randint(-4, 4))
+    for _ in range(rng.randint(1, 6) if n is None else n):
+        e = (base[0] + rng.randint(*e1), base[1] + rng.randint(*e2))
         if symbolic:
             c = CoeffPoly.const(rng.randint(-5, 5))
             if rng.random() < 0.5:
@@ -62,6 +64,74 @@ def test_exact_div_roundtrip_random():
                 continue
             assert lp_exact_div(lp_mul(f, g), g) == f
             done += 1
+
+
+def test_mul_matches_independent_oracle():
+    """Packed-key products equal conftest.pmul, which shares no library code."""
+    rng = random.Random(2024)
+    big = 2 ** 40
+    shapes = [
+        # (terms, e1 range, e2 range, base) for each operand
+        ((6, (-4, 4), (-4, 4), (0, 0)), (6, (-4, 4), (-4, 4), (0, 0))),
+        ((8, (-6, -1), (0, 1), (0, 0)), (3, (-2, 2), (-9, 9), (0, 0))),
+        ((1, (-5, 5), (-5, 5), (0, 0)), (7, (-5, 5), (-5, 5), (0, 0))),
+        ((5, (0, 3), (0, 3), (big, -big)), (5, (-3, 0), (-3, 0), (-big, big))),
+        ((4, (-2, 2), (0, big), (0, 0)), (4, (-big, big), (-2, 2), (big, 0))),
+    ]
+    for symbolic in (False, True):
+        for sa, sb in shapes:
+            for _ in range(40):
+                a = rand_laurent(rng, symbolic, *sa)
+                b = rand_laurent(rng, symbolic, *sb)
+                expect = pmul(a.terms, b.terms)
+                assert (a * b).terms == expect
+                assert (b * a).terms == expect
+    # empty operands, constants, and coefficients that cancel to zero
+    f = rand_laurent(rng)
+    assert (f * LaurentPoly.zero()).terms == {}
+    assert (LaurentPoly.zero() * f).terms == {}
+    assert (f * 0).terms == {}
+    assert (3 * f).terms == pmul({(0, 0): 3}, f.terms)
+    assert (X1 - X2) * (X1 + X2) == LaurentPoly({(2, 0): 1, (0, 2): -1})
+    g = LaurentPoly({(-1, 0): 1, (0, -1): -1, (1, 1): 2})
+    h = LaurentPoly({(1, 0): 1, (0, 1): 1, (-1, -1): 2})
+    assert (g * h).terms == pmul(g.terms, h.terms)
+    assert all(c for c in (g * h).terms.values())
+
+
+def test_exact_div_of_oracle_products():
+    rng = random.Random(99)
+    big = 2 ** 40
+    for symbolic in (False, True):
+        for base in ((0, 0), (-7, 3), (big, -big)):
+            for _ in range(120):
+                f = rand_laurent(rng, symbolic, base=base)
+                g = rand_laurent(rng, symbolic, e1=(-3, 3), e2=(-5, 2))
+                if g:
+                    prod = LaurentPoly(pmul(f.terms, g.terms))
+                    assert prod.exact_div(g) == f
+
+
+def test_exact_div_rejects_non_divisible_without_hanging():
+    """A pointed divisor once let the lowest remainder term grow forever."""
+    code = (
+        "from gca2.coeffring import NotDivisible\n"
+        "from gca2.laurent import LaurentPoly\n"
+        "x1, x2 = LaurentPoly.var(1), LaurentPoly.var(2)\n"
+        "try:\n"
+        "    (x1 * x1 + x1 + 1 + x2).exact_div(x1 + 1)\n"
+        "except NotDivisible:\n"
+        "    print('NotDivisible')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20)
+    assert proc.stdout.strip() == "NotDivisible", proc.stderr
+    with pytest.raises(NotDivisible):
+        lp_exact_div(X1 * X1 + X2 * X2, X1 + X2)  # remainder 2*x2^2
+    with pytest.raises(NotDivisible):
+        lp_exact_div(X1 + X2, X1 * X1 + X2)  # divisor of higher degree
+    with pytest.raises(NotDivisible):
+        lp_exact_div(3 * X1, 2 * X1)  # non-unit lowest coefficient
 
 
 def test_eval_univariate():
