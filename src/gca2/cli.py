@@ -7,11 +7,10 @@
     gca2 --p1 1,1,1 --p2 1,1,1,1 verify all
     gca2 --p1 1,1,1 --p2 1,1,1,1 bench --cells 4x2,6x3,8x3
 
-Output on stdout is deterministic byte-for-byte across runs and across
---threads values; bench writes its wall-clock timings to stderr so the
-stdout report stays stable.  Usage and input errors print one line to
-stderr and exit 2; an expand input outside the algebra and verification
-failures exit 1.
+Output on stdout is deterministic byte-for-byte across runs; bench writes
+its wall-clock timings to stderr so the stdout report stays stable.  Usage
+and input errors print one line to stderr and exit 2; an expand input
+outside the algebra and verification failures exit 1.
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ def cmd_expand(args, mode) -> int:
 
 def cmd_verify(args, mode) -> int:
     try:
-        lines, ok = verify.run_suites([args.suite], threads=args.threads)
+        lines, ok = verify.run_suites([args.suite])
     except KeyError:
         return _usage_error(
             f"unknown suite {args.suite!r}; choose from "
@@ -198,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--d1", type=int, help="degree of P1 (symbolic mode)")
     parser.add_argument("--d2", type=int, help="degree of P2 (symbolic mode)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--threads", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("var", help="cluster variable x_k")

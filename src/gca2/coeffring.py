@@ -86,20 +86,21 @@ class CoeffPoly:
 
     @classmethod
     def rho(cls, t: int, d: int) -> "CoeffPoly":
-        """Coefficient of z^t in a degree-d monic palindromic P, as a CoeffPoly."""
-        if not 0 <= t <= d:
-            raise ValueError(f"coefficient index {t} out of range for degree {d}")
-        if t == 0 or t == d:
-            return cls.const(1)
-        return cls.generator(GeneratorId.canonical(RHO, t, d))
+        """Coefficient of z^t in a degree-d monic palindromic P1, as a CoeffPoly."""
+        return cls._coefficient(RHO, t, d)
 
     @classmethod
     def vrho(cls, t: int, d: int) -> "CoeffPoly":
+        """Coefficient of z^t in a degree-d monic palindromic P2, as a CoeffPoly."""
+        return cls._coefficient(VRHO, t, d)
+
+    @classmethod
+    def _coefficient(cls, family: str, t: int, d: int) -> "CoeffPoly":
         if not 0 <= t <= d:
             raise ValueError(f"coefficient index {t} out of range for degree {d}")
         if t == 0 or t == d:
             return cls.const(1)
-        return cls.generator(GeneratorId.canonical(VRHO, t, d))
+        return cls.generator(GeneratorId.canonical(family, t, d))
 
     # -- ring structure ----------------------------------------------------
 
@@ -310,19 +311,7 @@ def _mono_sort_key(m: Mono):
     return (sum(e for _, e in m), tuple((g, e) for g, e in m))
 
 
-# -- named operation aliases -----------------------------------------
-
-def cf_add(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    return CoeffPoly._coerce(a) + b
-
-
-def cf_mul(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    return CoeffPoly._coerce(a) * b
-
+# -- exact division of either coefficient type -------------------------------
 
 def cf_exact_div(a: Coeff, b: Coeff) -> Coeff:
     if isinstance(a, int) and isinstance(b, int):
@@ -333,12 +322,6 @@ def cf_exact_div(a: Coeff, b: Coeff) -> Coeff:
             raise NotDivisible(f"{a} is not divisible by {b}")
         return q
     return CoeffPoly._coerce(a).exact_div(b)
-
-
-def cf_eval(a: Coeff, assignment: Mapping[GeneratorId, int]) -> int:
-    if isinstance(a, int):
-        return a
-    return a.eval(assignment)
 
 
 # -- coefficient mode ------------------------------------------------------
@@ -397,12 +380,10 @@ class CoefficientMode:
         return CoeffPoly.vrho(t, self.d2)
 
     def p1_coeffs(self) -> tuple:
-        return self.p1 if self.is_numeric else tuple(
-            CoeffPoly.rho(t, self.d1) for t in range(self.d1 + 1))
+        return tuple(self.rho(t) for t in range(self.d1 + 1))
 
     def p2_coeffs(self) -> tuple:
-        return self.p2 if self.is_numeric else tuple(
-            CoeffPoly.vrho(t, self.d2) for t in range(self.d2 + 1))
+        return tuple(self.vrho(t) for t in range(self.d2 + 1))
 
 
 # -- JSON ------------------------------------------------------------------
@@ -438,6 +419,10 @@ def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
         n = int(rec["n"])
         rho_arr = rec.get("rho", [])
         vrho_arr = rec.get("vrho", [])
+        for family, arr, d in ((RHO, rho_arr, mode.d1), (VRHO, vrho_arr, mode.d2)):
+            if len(arr) > max(d - 1, 0):
+                raise ValueError(f"{family} exponent array {arr!r} has more than "
+                                 f"{max(d - 1, 0)} entries (degree {d})")
         if mode.is_numeric:
             if any(rho_arr) or any(vrho_arr):
                 raise ValueError("symbolic coefficient in numeric mode")

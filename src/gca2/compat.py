@@ -18,13 +18,20 @@ horizontal edges just before v.  A grading S1 is compatible with S2 iff it
 vanishes on shadow minus remote shadow, and the pair conditions hold for
 edges of the remote shadow against the support of S2.  Everything here is
 exhaustively cross-checked against the raw definition in the test suite.
+
+The horizontal side is the vertical side run on the transpose.  Reading
+D(a1, a2) backwards with East and North swapped gives D(a2, a1)
+(DyckPath.transpose): h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k},
+so HGC for S1 on the path is VGC for S1 reversed on the transpose.  Each
+_h routine calls its _v twin there and maps the answer back; a remote-shadow
+block key (k, ell) of the transpose becomes (a1+1-k, a1-ell), the owner h_j
+and the depth d of its edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
 
 from .dyckpath import HORIZONTAL, VERTICAL, DyckPath, EdgeRef, Subpath
 
@@ -61,20 +68,25 @@ class ShadowReport:
     rsh_partition: dict      # (j, depth) or (k, height) -> tuple of EdgeRef
 
 
+# -- the transpose -------------------------------------------------------------
+
+def _tr(path: DyckPath, e: EdgeRef) -> EdgeRef:
+    """Image of the edge e of path on path.transpose()."""
+    if e.kind == HORIZONTAL:
+        return EdgeRef(VERTICAL, path.a1 + 1 - e.index)
+    return EdgeRef(HORIZONTAL, path.a2 + 1 - e.index)
+
+
+def _tr_sub(path: DyckPath, sub: Subpath) -> Subpath:
+    """Image of a subpath of path on path.transpose(): the ends swap."""
+    return Subpath(_tr(path, sub.end), _tr(path, sub.start),
+                   sub.include_end, sub.include_start)
+
+
 # -- shadow statistics ------------------------------------------------------
 
-def fstat_h(path: DyckPath, s1: Grading, sub: Subpath) -> int:
-    """f_{S1}(sub) = sum of S1 over horizontal edges minus vertical count."""
-    total = 0
-    for p in path.positions(sub):
-        if path.kinds[p] == HORIZONTAL:
-            total += s1[path.indices[p] - 1]
-        else:
-            total -= 1
-    return total
-
-
 def fstat_v(path: DyckPath, s2: Grading, sub: Subpath) -> int:
+    """f_{S2}(sub) = sum of S2 over vertical edges minus horizontal count."""
     total = 0
     for p in path.positions(sub):
         if path.kinds[p] == VERTICAL:
@@ -84,45 +96,34 @@ def fstat_v(path: DyckPath, s2: Grading, sub: Subpath) -> int:
     return total
 
 
-# -- first-zero walks (shared by compatibility and local shadows) -----------
+def fstat_h(path: DyckPath, s1: Grading, sub: Subpath) -> int:
+    """f_{S1}(sub) = sum of S1 over horizontal edges minus vertical count."""
+    return fstat_v(path.transpose(), s1[::-1], _tr_sub(path, sub))
 
-def _first_zero_forward(path: DyckPath, s1: Grading, j: int) -> int | None:
-    """Distance from h_j to the nearest e with f_{S1}(h_j e) = 0, else None."""
-    start = path.pos_h[j - 1]
-    f = 0
+
+# -- first-zero walk (shared by compatibility and local shadows) -------------
+
+def _first_zero(path: DyckPath, s: Grading, kind: str, i: int) -> int | None:
+    """Steps to the nearest zero of f_{S1}(h_i e) walking forward from h_i, or of
+    f_{S2}(e v_i) walking backward from v_i, as kind says; None if there is none."""
     n = path.n
+    if kind == HORIZONTAL:
+        p, step = path.pos_h[i - 1], 1
+    else:
+        p, step = path.pos_v[i - 1], -1
+    f = 0
     kinds = path.kinds
     indices = path.indices
     for t in range(n):
-        p = start + t
-        if p >= n:
-            p -= n
-        if kinds[p] == HORIZONTAL:
-            f += s1[indices[p] - 1]
+        if kinds[p] == kind:
+            f += s[indices[p] - 1]
         else:
             f -= 1
         if f == 0:
             return t
-    return None
-
-
-def _first_zero_backward(path: DyckPath, s2: Grading, k: int) -> int | None:
-    """Distance back from v_k to the nearest e with f_{S2}(e v_k) = 0."""
-    start = path.pos_v[k - 1]
-    f = 0
-    n = path.n
-    kinds = path.kinds
-    indices = path.indices
-    for t in range(n):
-        p = start - t
-        if p < 0:
-            p += n
-        if kinds[p] == VERTICAL:
-            f += s2[indices[p] - 1]
-        else:
-            f -= 1
-        if f == 0:
-            return t
+        p += step
+        if p == n:  # a backward walk wraps by going negative, indexing from the end
+            p = 0
     return None
 
 
@@ -133,12 +134,13 @@ def is_compatible(path: DyckPath, s1: Grading, s2: Grading) -> bool:
         raise ValueError("grading length does not match the path")
     if path.a1 == 0 or path.a2 == 0:
         return True
-    fz1 = [_first_zero_forward(path, s1, j) for j in range(1, path.a1 + 1)]
-    fz2 = [_first_zero_backward(path, s2, k) for k in range(1, path.a2 + 1)]
+    fz1 = [_first_zero(path, s1, HORIZONTAL, j) for j in range(1, path.a1 + 1)]
+    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
     return _pairs_ok(path, fz1, fz2, range(1, path.a1 + 1), range(1, path.a2 + 1))
 
 
 def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
+    """True when every (h_j, v_k) with j in hs and k in vs has a witness."""
     n = path.n
     for j in hs:
         zh = fz1[j - 1]
@@ -153,60 +155,20 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 
 # -- local shadows and shadow reports ----------------------------------------
 
-def local_shadow_h(path: DyckPath, s1: Grading, j: int):
-    """Minimal path h_j..e with zero statistic, or WHOLE_LOOP."""
-    t = _first_zero_forward(path, s1, j)
-    if t is None:
-        return WHOLE_LOOP
-    start = path.pos_h[j - 1]
-    return Subpath(path.edge_at(start), path.edge_at(start + t))
-
-
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
-    t = _first_zero_backward(path, s2, k)
+    """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
+    t = _first_zero(path, s2, VERTICAL, k)
     if t is None:
         return WHOLE_LOOP
     end = path.pos_v[k - 1]
     return Subpath(path.edge_at(end - t), path.edge_at(end))
 
 
-def _depth_run(path: DyckPath, d: int) -> list[EdgeRef]:
-    """Vertical edges of depth d, in path order (just after h_d)."""
-    return [EdgeRef(VERTICAL, k) for k in range(1, path.a2 + 1)
-            if path.depth(k) == d]
-
-
-def _height_run(path: DyckPath, ell: int) -> list[EdgeRef]:
-    """Horizontal edges of height ell, in path order."""
-    return [EdgeRef(HORIZONTAL, j) for j in range(1, path.a1 + 1)
-            if path.height(j) == ell]
-
-
-def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
-    local_paths: dict = {}
-    local_sets: dict = {}
-    shadow: set[EdgeRef] = set()
-    all_v = frozenset(EdgeRef(VERTICAL, k) for k in range(1, path.a2 + 1))
-    for j in range(1, path.a1 + 1):
-        h = EdgeRef(HORIZONTAL, j)
-        sub = local_shadow_h(path, s1, j)
-        local_paths[h] = sub
-        if sub is WHOLE_LOOP:
-            local_sets[h] = all_v
-        else:
-            local_sets[h] = frozenset(e for e in path.subpath_edges(sub)
-                                      if e.kind == VERTICAL)
-        shadow |= local_sets[h]
-    remote = set(shadow)
-    for d in range(1, path.a1 + 1):
-        cut = s1[d - 1]
-        if cut:
-            for v in _depth_run(path, d)[:cut]:
-                remote.discard(v)
-    partition = _partition(path, remote, local_sets,
-                           key_of=lambda v: path.depth(v.index),
-                           forward=True)
-    return ShadowReport(frozenset(shadow), frozenset(remote), local_paths, partition)
+def local_shadow_h(path: DyckPath, s1: Grading, j: int):
+    """Minimal path h_j..e with zero statistic, or WHOLE_LOOP."""
+    tp = path.transpose()
+    sub = local_shadow_v(tp, s1[::-1], path.a1 + 1 - j)
+    return sub if sub is WHOLE_LOOP else _tr_sub(tp, sub)
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
@@ -228,22 +190,35 @@ def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     for ell in range(1, path.a2 + 1):
         cut = s2[ell - 1]
         if cut:
-            run = _height_run(path, ell - 1)
-            before = [h for h in run if path.pos(h) < path.pos_v[ell - 1]]
-            for h in reversed(before[-cut:] if cut <= len(before) else before):
-                remote.discard(h)
-    partition = _partition(path, remote, local_sets,
-                           key_of=lambda h: path.height(h.index),
-                           forward=False)
+            # horizontal edges of height ell - 1 before v_ell, in path order
+            before = [EdgeRef(HORIZONTAL, j) for j in range(1, path.a1 + 1)
+                      if path.height(j) == ell - 1 and path.pos_h[j - 1] < path.pos_v[ell - 1]]
+            remote.difference_update(before[-cut:])
+    partition = _partition(path, remote, local_sets)
     return ShadowReport(frozenset(shadow), frozenset(remote), local_paths, partition)
 
 
-def _partition(path, remote, local_sets, key_of, forward) -> dict:
-    """Group remote-shadow edges by (owner index, depth/height).
+def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
+    """Report of S1 reversed on the transpose, mapped back; keys become (j, d)."""
+    tp = path.transpose()
+    rep = shadow_report_v(tp, s1[::-1])
+    a1 = path.a1
+    local_paths = {_tr(tp, e): sub if sub is WHOLE_LOOP else _tr_sub(tp, sub)
+                   for e, sub in reversed(rep.local_paths.items())}
+    blocks = [((a1 + 1 - k, a1 - ell), tuple(_tr(tp, e) for e in reversed(edges)))
+              for (k, ell), edges in rep.rsh_partition.items()]
+    blocks.sort(key=lambda block: path.pos(block[1][0]))
+    return ShadowReport(frozenset(_tr(tp, e) for e in rep.shadow),
+                        frozenset(_tr(tp, e) for e in rep.remote_shadow),
+                        local_paths, dict(blocks))
 
-    The owner of an edge e is the support edge whose local shadow contains e
-    at the shortest path distance (forward: owner comes before e, backward:
-    owner comes after e).
+
+def _partition(path, remote, local_sets) -> dict:
+    """Group remote-shadow edges of a vertical grading by (owner index, height).
+
+    The owner of an edge e is the vertical edge whose local shadow contains e
+    at the shortest backward path distance.  Blocks and their edges come in
+    path order.
     """
     n = path.n
     blocks: dict = {}
@@ -255,11 +230,11 @@ def _partition(path, remote, local_sets, key_of, forward) -> dict:
             if e not in members:
                 continue
             po = path.pos(owner)
-            dist = (pe - po) % n if forward else (po - pe) % n
+            dist = (po - pe) % n
             if best_dist is None or dist < best_dist:
                 best_dist = dist
                 best = owner
-        blocks.setdefault((best.index, key_of(e)), []).append(e)
+        blocks.setdefault((best.index, path.height(e.index)), []).append(e)
     return {key: tuple(edges) for key, edges in blocks.items()}
 
 
@@ -279,27 +254,6 @@ def _between(a: int, lo: int, hi: int) -> list[int]:
             break
         out.append((t - 1) % a + 1)
     return out
-
-
-def rsh_block_size_h(path: DyckPath, s1: Grading, j: int, d: int) -> int:
-    """|rsh(S1)_{j;d}| by the min-of-min formula; CriterionFails otherwise."""
-    a1 = path.a1
-    if not (1 <= j <= a1 and 1 <= d <= a1) or j == d:
-        raise CriterionFails(f"no block at (j={j}, d={d})")
-    hj = path.h(j)
-    hd1 = path.h(d + 1)
-    between = [EdgeRef(HORIZONTAL, t) for t in _between(a1, j, d + 1)]
-    vals = []
-    for h in between:
-        neg_f_to_end = -fstat_h(path, s1, Subpath(h, hd1, include_end=False))
-        f_from_start = fstat_h(path, s1, Subpath(hj, h, include_end=False))
-        if not (neg_f_to_end > 0 and f_from_start > 0):
-            raise CriterionFails(
-                f"criterion fails at {h} for (j={j}, d={d})")
-        vals.append(min(neg_f_to_end, f_from_start))
-    if not vals:
-        raise CriterionFails(f"no horizontal edges strictly between (j={j}, d={d})")
-    return min(vals)
 
 
 def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
@@ -323,19 +277,27 @@ def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
     return min(vals)
 
 
+def rsh_block_size_h(path: DyckPath, s1: Grading, j: int, d: int) -> int:
+    """|rsh(S1)_{j;d}| by the min-of-min formula; CriterionFails otherwise."""
+    try:
+        return rsh_block_size_v(path.transpose(), s1[::-1], path.a1 + 1 - j, path.a1 - d)
+    except CriterionFails as exc:
+        raise CriterionFails(f"(j={j}, d={d}) read on the transpose: {exc}") from None
+
+
 # -- enumeration --------------------------------------------------------------
 
 def enumerate_bruteforce(a1: int, a2: int, d1: int, d2: int) -> list:
     """All compatible pairs, ordered lexicographically by (S2, S1)."""
     path = DyckPath.build(a1, a2)
     s2_list = list(product(range(d2 + 1), repeat=a2))
-    fz2 = {s2: [_first_zero_backward(path, s2, k) for k in range(1, a2 + 1)]
+    fz2 = {s2: [_first_zero(path, s2, VERTICAL, k) for k in range(1, a2 + 1)]
            for s2 in s2_list}
     hs = range(1, a1 + 1)
     vs = range(1, a2 + 1)
     out = []
     for s1 in product(range(d1 + 1), repeat=a1):
-        fz1 = [_first_zero_forward(path, s1, j) for j in hs]
+        fz1 = [_first_zero(path, s1, HORIZONTAL, j) for j in hs]
         for s2 in s2_list:
             if _pairs_ok(path, fz1, fz2[s2], hs, vs):
                 out.append((s1, s2))
@@ -357,71 +319,37 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     rsh_idx = sorted(e.index for e in report.remote_shadow)
     free = [j for j in range(1, path.a1 + 1) if j not in shadow_idx]
     supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
-    fz2 = [_first_zero_backward(path, s2, k) for k in range(1, path.a2 + 1)]
+    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
     valid = []
     base = [0] * path.a1
     for vals in product(range(d1 + 1), repeat=len(rsh_idx)):
         for j, val in zip(rsh_idx, vals):
             base[j - 1] = val
         s1 = tuple(base)
-        fz1 = {j: _first_zero_forward(path, s1, j) for j in rsh_idx}
-        ok = True
-        n = path.n
-        for j in rsh_idx:
-            zh = fz1[j]
-            ph = path.pos_h[j - 1]
-            for k in supp:
-                dist = (path.pos_v[k - 1] - ph) % n
-                zv = fz2[k - 1]
-                if (zh is None or zh >= dist) and (zv is None or zv >= dist):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        fz1 = {j - 1: _first_zero(path, s1, HORIZONTAL, j) for j in rsh_idx}
+        if _pairs_ok(path, fz1, fz2, rsh_idx, supp):
             valid.append(vals)
         for j in rsh_idx:
             base[j - 1] = 0
     return free, rsh_idx, valid
 
 
+# compatible_structure_h calls the body by this name, so that a wrapper put on
+# the public name (perfbench/tracer.py) counts each structure once.
+_structure_v = compatible_structure
+
+
 def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
     """Mirror of compatible_structure: {S2 : (S1, S2) compatible} for one S1.
 
-    Returns (free, rsh, valid) over vertical edge indices; edges in the
-    shadow of S1 minus its remote shadow are forced to zero.
+    Returns (free, rsh, valid) over vertical edge indices, computed on the
+    transpose; valid keeps product order, and edges in sh(S1) - rsh(S1) are 0.
     """
-    report = shadow_report_h(path, s1)
-    shadow_idx = {e.index for e in report.shadow}
-    rsh_idx = sorted(e.index for e in report.remote_shadow)
-    free = [k for k in range(1, path.a2 + 1) if k not in shadow_idx]
-    supp = [j for j in range(1, path.a1 + 1) if s1[j - 1] > 0]
-    fz1 = [_first_zero_forward(path, s1, j) for j in range(1, path.a1 + 1)]
-    valid = []
-    base = [0] * path.a2
-    n = path.n
-    for vals in product(range(d2 + 1), repeat=len(rsh_idx)):
-        for k, val in zip(rsh_idx, vals):
-            base[k - 1] = val
-        s2 = tuple(base)
-        fz2 = {k: _first_zero_backward(path, s2, k) for k in rsh_idx}
-        ok = True
-        for k in rsh_idx:
-            zv = fz2[k]
-            pv = path.pos_v[k - 1]
-            for j in supp:
-                dist = (pv - path.pos_h[j - 1]) % n
-                zh = fz1[j - 1]
-                if (zh is None or zh >= dist) and (zv is None or zv >= dist):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            valid.append(vals)
-        for k in rsh_idx:
-            base[k - 1] = 0
-    return free, rsh_idx, valid
+    a2 = path.a2
+    free, rsh_idx, valid = _structure_v(path.transpose(), s1[::-1], d2)
+    return ([a2 + 1 - i for i in reversed(free)],
+            [a2 + 1 - i for i in reversed(rsh_idx)],
+            sorted(vals[::-1] for vals in valid))
 
 
 def enumerate_fast(a1: int, a2: int, d1: int, d2: int) -> list:
@@ -526,19 +454,12 @@ def _is_compatible_nowrap(path: DyckPath, s1: Grading, s2: Grading) -> bool:
     """Variant predicate that skips (h, v) pairs whose path hv wraps."""
     if path.a1 == 0 or path.a2 == 0:
         return True
-    fz1 = [_first_zero_forward(path, s1, j) for j in range(1, path.a1 + 1)]
-    fz2 = [_first_zero_backward(path, s2, k) for k in range(1, path.a2 + 1)]
-    for j in range(1, path.a1 + 1):
-        ph = path.pos_h[j - 1]
-        for k in range(1, path.a2 + 1):
-            pv = path.pos_v[k - 1]
-            if pv < ph:
-                continue  # hv would wrap; vacuous under this reading
-            dist = pv - ph
-            zh, zv = fz1[j - 1], fz2[k - 1]
-            if (zh is None or zh >= dist) and (zv is None or zv >= dist):
-                return False
-    return True
+    fz1 = [_first_zero(path, s1, HORIZONTAL, j) for j in range(1, path.a1 + 1)]
+    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
+    # a pair whose path hv wraps (v before h) is vacuous under this reading
+    return all(_pairs_ok(path, fz1, fz2, [j], [k for k in range(1, path.a2 + 1)
+                                                if path.pos_v[k - 1] > path.pos_h[j - 1]])
+               for j in range(1, path.a1 + 1))
 
 
 def wrap_convention_report(a1: int, a2: int, d1: int, d2: int) -> list:

@@ -44,7 +44,7 @@ class DyckPath:
     """Immutable maximal Dyck path; build once via DyckPath.build(a1, a2)."""
 
     __slots__ = ("a1", "a2", "n", "kinds", "indices", "pos_h", "pos_v",
-                 "prefix_h", "prefix_v")
+                 "prefix_h", "prefix_v", "_transpose")
 
     def __init__(self, a1: int, a2: int):
         if a1 < 0 or a2 < 0:
@@ -81,6 +81,16 @@ class DyckPath:
     @classmethod
     def build(cls, a1: int, a2: int) -> "DyckPath":
         return cls(a1, a2)
+
+    def transpose(self) -> "DyckPath":
+        """D(a2, a1): this path read backwards with East and North swapped.
+
+        The edge at position p lands at position n-1-p, h_j becomes
+        v_{a1+1-j} and v_k becomes h_{a2+1-k}.  Built once per path.
+        """
+        if getattr(self, "_transpose", None) is None:
+            self._transpose = DyckPath(self.a2, self.a1)
+        return self._transpose
 
     # -- edge geometry -------------------------------------------------
 

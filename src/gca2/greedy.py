@@ -154,45 +154,26 @@ def greedy_recursive(mode: CoefficientMode, a1: int, a2: int) -> GreedyTable:
     guard = 1
     c: dict[tuple[int, int], int] = {(0, 0): 1}
 
-    def term_k(p: int, q: int) -> int:
-        if d2 == 0:
+    def alt_sum(p: int, q: int, along_p: bool) -> int:
+        """Truncated alternating sum stepping down p (weights of P2) or q (P1)."""
+        n, d, coeffs, a = (p, d2, p2, a2 - q) if along_p else (q, d1, p1, a1 - p)
+        if d == 0:
             return 0
         total = 0
-        for k in range(1, p + 1):
+        for k in range(1, n + 1):
             sign = 1 if (k - 1) % 2 == 0 else -1
-            for parts in compositions_weighted(k, d2, p):
+            for parts in compositions_weighted(k, d, n):
                 w = sum((i + 1) * e for i, e in enumerate(parts))
-                prev = c.get((p - w, q), 0)
+                prev = c.get((p - w, q) if along_p else (p, q - w), 0)
                 if prev == 0:
                     continue
-                m = multinomial(a2 - q + k - 1, a2 - q - 1, parts)
+                m = multinomial(a + k - 1, a - 1, parts)
                 if m == 0:
                     continue
                 coef = 1
                 for i, e in enumerate(parts):
                     if e:
-                        coef *= p2[i + 1] ** e
-                total += sign * prev * coef * m
-        return total
-
-    def term_l(p: int, q: int) -> int:
-        if d1 == 0:
-            return 0
-        total = 0
-        for l in range(1, q + 1):
-            sign = 1 if (l - 1) % 2 == 0 else -1
-            for parts in compositions_weighted(l, d1, q):
-                w = sum((i + 1) * e for i, e in enumerate(parts))
-                prev = c.get((p, q - w), 0)
-                if prev == 0:
-                    continue
-                m = multinomial(a1 - p + l - 1, a1 - p - 1, parts)
-                if m == 0:
-                    continue
-                coef = 1
-                for i, e in enumerate(parts):
-                    if e:
-                        coef *= p1[i + 1] ** e
+                        coef *= coeffs[i + 1] ** e
                 total += sign * prev * coef * m
         return total
 
@@ -203,8 +184,8 @@ def greedy_recursive(mode: CoefficientMode, a1: int, a2: int) -> GreedyTable:
             q = s - p
             if q > top_q:
                 continue
-            t1 = max(term_k(p, q), 0)
-            t2 = max(term_l(p, q), 0)
+            t1 = max(alt_sum(p, q, True), 0)
+            t2 = max(alt_sum(p, q, False), 0)
             val = t1 if t1 >= t2 else t2
             if a1 >= 0 and a2 >= 0:
                 lhs = a1 * q

@@ -143,7 +143,7 @@ class LaurentPoly:
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            raise ValueError("lp_pow requires n >= 0")
+            raise ValueError("LaurentPoly power requires n >= 0")
         result = LaurentPoly.monomial(0, 0)
         base = self
         while n:
@@ -244,25 +244,6 @@ def _coerce(x) -> LaurentPoly | None:
     if isinstance(x, (int, CoeffPoly)):
         return LaurentPoly.const(x)
     return None
-
-
-# -- named operations ---------------------------------------------------
-
-def lp_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f + g
-
-
-def lp_mul(f, g) -> LaurentPoly:
-    r = _coerce(f) * g
-    return r
-
-
-def lp_pow(f: LaurentPoly, n: int) -> LaurentPoly:
-    return f ** n
-
-
-def lp_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    return f.exact_div(g)
 
 
 def lp_eval_univariate(p: Sequence, arg: LaurentPoly) -> LaurentPoly:

@@ -2,9 +2,7 @@
 
 Each suite returns a list of (name, ok, detail) triples at a scale meant to
 finish in seconds; the pytest suite runs the same properties at the full
-contractual scale.  Checks are pure functions of their inputs, so a runner
-may evaluate them concurrently; results are always reported in definition
-order.
+contractual scale.  Results are reported in definition order.
 """
 
 from __future__ import annotations
@@ -295,26 +293,16 @@ SUITES = {
 }
 
 
-def run_suites(names, threads: int = 1) -> tuple[list[str], bool]:
+def run_suites(names) -> tuple[list[str], bool]:
     """Run the named suites; returns (report lines, all ok)."""
     chosen = list(SUITES) if names == ["all"] else names
     for name in chosen:
         if name not in SUITES:
             raise KeyError(name)
-    results: dict[str, list[Check]] = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(SUITES[name]) for name in chosen}
-            for name in chosen:
-                results[name] = futures[name].result()
-    else:
-        for name in chosen:
-            results[name] = SUITES[name]()
     lines = []
     all_ok = True
     for name in chosen:
-        for check, ok, detail in results[name]:
+        for check, ok, detail in SUITES[name]():
             lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {check} [{detail}]")
             all_ok = all_ok and ok
     return lines, all_ok

@@ -4,7 +4,8 @@ import pytest
 
 from gca2 import compat
 from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
-                         RTooSmall, enumerate_bruteforce, enumerate_fast,
+                         RTooSmall, compatible_structure_h,
+                         enumerate_bruteforce, enumerate_fast,
                          fstat_h, fstat_v, is_compatible, local_shadow_h,
                          local_shadow_v, omega, pair_record, phi_pullback,
                          rsh_block_size_h, rsh_block_size_v, shadow_report_h,
@@ -82,6 +83,41 @@ def test_is_compatible_matches_definition_oracle():
                     brute_compatible(path, s1, s2), (a1, a2, s1, s2)
 
 
+def test_is_compatible_transpose_symmetry():
+    # (S1, S2) on D(a1,a2) is (S2 reversed, S1 reversed) on D(a2,a1)
+    for a1 in range(5):
+        for a2 in range(5):
+            path = DyckPath.build(a1, a2)
+            tp = path.transpose()
+            for s1 in product(range(3), repeat=a1):
+                for s2 in product(range(3), repeat=a2):
+                    assert is_compatible(path, s1, s2) == \
+                        is_compatible(tp, s2[::-1], s1[::-1]), (a1, a2, s1, s2)
+
+
+def test_compatible_structure_h_matches_definition_oracle():
+    # expanding (free, rsh, valid) gives exactly {S2 : (S1, S2) compatible}
+    for a1 in range(5):
+        for a2 in range(5):
+            path = DyckPath.build(a1, a2)
+            for s1 in product(range(3), repeat=a1):
+                oracle = [s2 for s2 in product(range(4), repeat=a2)
+                          if brute_compatible(path, s1, s2)]
+                for d2 in range(4):
+                    free, rsh, valid = compatible_structure_h(path, s1, d2)
+                    got = []
+                    for vals in valid:
+                        for fvals in product(range(d2 + 1), repeat=len(free)):
+                            s2 = [0] * a2
+                            for k, val in zip(rsh + free, vals + fvals):
+                                s2[k - 1] = val
+                            got.append(tuple(s2))
+                    want = [s2 for s2 in oracle if max(s2, default=0) <= d2]
+                    assert valid == sorted(set(valid)), (a1, a2, s1, d2)  # product order
+                    assert len(got) == len(set(got)), (a1, a2, s1, d2)
+                    assert set(got) == set(want), (a1, a2, s1, d2)
+
+
 def test_local_shadow_examples():
     assert local_shadow_h(D52, (2, 1, 0, 0, 0), 1) is WHOLE_LOOP
     sub = local_shadow_h(D52, (0, 1, 0, 0, 0), 2)
@@ -149,21 +185,24 @@ def test_local_shadows_nest_or_are_disjoint():
 
 
 def test_remote_shadow_partition_properties():
+    def check(path, rep):
+        assert rep.remote_shadow <= rep.shadow
+        seen = [e for edges in rep.rsh_partition.values() for e in edges]
+        assert len(seen) == len(set(seen))
+        assert set(seen) == set(rep.remote_shadow)
+        # blocks come in order of their first edge, and edges in path order
+        blocks = list(rep.rsh_partition.values())
+        assert all(list(edges) == sorted(edges, key=path.pos) for edges in blocks)
+        firsts = [path.pos(edges[0]) for edges in blocks]
+        assert firsts == sorted(firsts)
+
     for a1 in range(1, 5):
         for a2 in range(1, 5):
             path = DyckPath.build(a1, a2)
             for s1 in product(range(3), repeat=a1):
-                rep = shadow_report_h(path, s1)
-                assert rep.remote_shadow <= rep.shadow
-                seen = [e for edges in rep.rsh_partition.values() for e in edges]
-                assert len(seen) == len(set(seen))
-                assert set(seen) == set(rep.remote_shadow)
+                check(path, shadow_report_h(path, s1))
             for s2 in product(range(3), repeat=a2):
-                rep = shadow_report_v(path, s2)
-                assert rep.remote_shadow <= rep.shadow
-                seen = [e for edges in rep.rsh_partition.values() for e in edges]
-                assert len(seen) == len(set(seen))
-                assert set(seen) == set(rep.remote_shadow)
+                check(path, shadow_report_v(path, s2))
 
 
 def test_rsh_block_criterion_iff_and_sizes():

@@ -136,6 +136,21 @@ def test_slopes_corollary():
                         assert a1 * (nv - 1) < a2 * nh
 
 
+def test_transpose_reverses_and_swaps_edges():
+    # h_j at position p becomes v_{a1+1-j} at n-1-p; v_k becomes h_{a2+1-k}
+    for a1 in range(25):
+        for a2 in range(25):
+            path = DyckPath.build(a1, a2)
+            tp = path.transpose()
+            assert (tp.a1, tp.a2) == (a2, a1)
+            for p in range(path.n):
+                e = path.edge_at(p)
+                want = (EdgeRef("v", a1 + 1 - e.index) if e.kind == "h"
+                        else EdgeRef("h", a2 + 1 - e.index))
+                assert tp.edge_at(path.n - 1 - p) == want, (a1, a2, p)
+            assert tp.transpose() == path
+
+
 def test_wraparound_indexing():
     path = DyckPath.build(5, 2)
     assert path.h(6) == path.h(1)

@@ -8,14 +8,13 @@ from conftest import expected_x3, pmul
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode, NotDivisible
 from gca2.laurent import (LaurentPoly, NotLaurent, NotPointed,
-                          SymbolicModeUnsupported, from_json, lp_add,
-                          lp_eval_univariate, lp_exact_div, lp_is_positive,
-                          lp_mul, lp_pow, lp_substitute_ratio, lp_to_pointed,
-                          render, to_json)
+                          SymbolicModeUnsupported, from_json,
+                          lp_eval_univariate, lp_is_positive,
+                          lp_substitute_ratio, lp_to_pointed, render, to_json)
 
 X1 = LaurentPoly.var(1)
 X2 = LaurentPoly.var(2)
-P1 = lp_add(lp_add(LaurentPoly.monomial(0, 0), X2), lp_pow(X2, 2))  # 1+x2+x2^2
+P1 = (LaurentPoly.monomial(0, 0) + X2) + X2 ** 2  # 1+x2+x2^2
 
 
 def rand_laurent(rng, symbolic=False, n=None, e1=(-4, 4), e2=(-4, 4), base=(0, 0)):
@@ -35,22 +34,22 @@ def rand_laurent(rng, symbolic=False, n=None, e1=(-4, 4), e2=(-4, 4), base=(0, 0
 
 
 def test_ring_examples():
-    assert lp_mul(X1, LaurentPoly.monomial(-1, 0)) == LaurentPoly.monomial(0, 0)
-    assert lp_pow(LaurentPoly.monomial(0, 0) + X2, 2) == \
+    assert X1 * LaurentPoly.monomial(-1, 0) == LaurentPoly.monomial(0, 0)
+    assert (LaurentPoly.monomial(0, 0) + X2) ** 2 == \
         LaurentPoly({(0, 0): 1, (0, 1): 2, (0, 2): 1})
     f = rand_laurent(random.Random(1))
-    assert lp_add(f, lp_mul(-1, f)) == LaurentPoly.zero()
+    assert f + (-1) * f == LaurentPoly.zero()
     with pytest.raises(ValueError):
-        lp_pow(X1, -1)
+        X1 ** -1
 
 
 def test_exact_div_examples():
     f = LaurentPoly({(1, 1): 1, (0, 2): 1})  # x1 x2 + x2^2
-    assert lp_exact_div(f, X2) == X1 + X2
+    assert f.exact_div(X2) == X1 + X2
     with pytest.raises(NotDivisible):
-        lp_exact_div(X1 + X2, X1 - X2)
+        (X1 + X2).exact_div(X1 - X2)
     with pytest.raises(ZeroDivisionError):
-        lp_exact_div(X1, LaurentPoly.zero())
+        X1.exact_div(LaurentPoly.zero())
 
 
 def test_exact_div_roundtrip_random():
@@ -62,7 +61,7 @@ def test_exact_div_roundtrip_random():
             g = rand_laurent(rng, symbolic)
             if not g:
                 continue
-            assert lp_exact_div(lp_mul(f, g), g) == f
+            assert (f * g).exact_div(g) == f
             done += 1
 
 
@@ -127,11 +126,11 @@ def test_exact_div_rejects_non_divisible_without_hanging():
                           text=True, timeout=20)
     assert proc.stdout.strip() == "NotDivisible", proc.stderr
     with pytest.raises(NotDivisible):
-        lp_exact_div(X1 * X1 + X2 * X2, X1 + X2)  # remainder 2*x2^2
+        (X1 * X1 + X2 * X2).exact_div(X1 + X2)  # remainder 2*x2^2
     with pytest.raises(NotDivisible):
-        lp_exact_div(X1 + X2, X1 * X1 + X2)  # divisor of higher degree
+        (X1 + X2).exact_div(X1 * X1 + X2)  # divisor of higher degree
     with pytest.raises(NotDivisible):
-        lp_exact_div(3 * X1, 2 * X1)  # non-unit lowest coefficient
+        (3 * X1).exact_div(2 * X1)  # non-unit lowest coefficient
 
 
 def test_eval_univariate():
