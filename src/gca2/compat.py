@@ -187,12 +187,10 @@ def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
                                       if e.kind == HORIZONTAL)
         shadow |= local_sets[v]
     remote = set(shadow)
-    for ell in range(1, path.a2 + 1):
-        cut = s2[ell - 1]
+    # the h-edges of height ell - 1 all come before v_ell, in path order
+    for ell, before in enumerate(path.h_by_height()):
+        cut = s2[ell]
         if cut:
-            # horizontal edges of height ell - 1 before v_ell, in path order
-            before = [EdgeRef(HORIZONTAL, j) for j in range(1, path.a1 + 1)
-                      if path.height(j) == ell - 1 and path.pos_h[j - 1] < path.pos_v[ell - 1]]
             remote.difference_update(before[-cut:])
     partition = _partition(path, remote, local_sets)
     return ShadowReport(frozenset(shadow), frozenset(remote), local_paths, partition)

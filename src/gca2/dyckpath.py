@@ -44,7 +44,7 @@ class DyckPath:
     """Immutable maximal Dyck path; build once via DyckPath.build(a1, a2)."""
 
     __slots__ = ("a1", "a2", "n", "kinds", "indices", "pos_h", "pos_v",
-                 "prefix_h", "prefix_v", "_transpose")
+                 "prefix_h", "prefix_v", "_transpose", "_h_by_height")
 
     def __init__(self, a1: int, a2: int):
         if a1 < 0 or a2 < 0:
@@ -91,6 +91,21 @@ class DyckPath:
         if getattr(self, "_transpose", None) is None:
             self._transpose = DyckPath(self.a2, self.a1)
         return self._transpose
+
+    def h_by_height(self) -> tuple[tuple[EdgeRef, ...], ...]:
+        """Entry i: the h-edges of height i (i < a2), in path order.
+
+        An h-edge of height i has exactly i v-edges before it, so entry i
+        comes before v_{i+1}.  Built once per path.
+        """
+        if getattr(self, "_h_by_height", None) is None:
+            groups: list[list[EdgeRef]] = [[] for _ in range(self.a2)]
+            for j in range(1, self.a1 + 1):
+                i = self.height(j)
+                if i < self.a2:
+                    groups[i].append(EdgeRef(HORIZONTAL, j))
+            self._h_by_height = tuple(map(tuple, groups))
+        return self._h_by_height
 
     # -- edge geometry -------------------------------------------------
 

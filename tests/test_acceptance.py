@@ -151,9 +151,11 @@ def test_criterion_06_laurent_phenomenon_contract():
         for k in range(-5, 9):
             ctx.cluster_variable(k)
     # symbolic (2,3) capped at [-4,7] and numeric (3,3) at [-4,7]. Cost of each
-    # excluded endpoint (2 vCPUs, CPython 3.11): numeric (3,3) x_8 99 s and
-    # x_-5 109 s for the last exchange step alone (35,941 terms each);
-    # symbolic (2,3) x_8 and x_-5 still unfinished 300 s after a fresh start.
+    # excluded endpoint (2 vCPUs, CPython 3.11): numeric (3,3) x_8 16 s and
+    # x_-5 20 s for the last exchange step alone (35,941 terms each; about
+    # 9-11 s Horner evaluation, 7-9 s exact division), against a 40 s
+    # criterion; symbolic (2,3) x_8 and x_-5 still unfinished 300 s after a
+    # fresh start.
     ctx = AlgebraContext(CoefficientMode.symbolic(2, 3))
     for k in range(-4, 8):
         ctx.cluster_variable(k)

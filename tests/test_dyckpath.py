@@ -151,6 +151,27 @@ def test_transpose_reverses_and_swaps_edges():
             assert tp.transpose() == path
 
 
+def test_h_by_height_matches_walk_oracle():
+    # entry k-1: the h-edges met with k-1 v-edges behind them, all before v_k
+    for a1 in range(15):
+        for a2 in range(15):
+            path = DyckPath.build(a1, a2)
+            want = []
+            for k in range(1, a2 + 1):
+                seen_v, group = 0, []
+                for p in range(path.n):
+                    e = path.edge_at(p)
+                    if e == EdgeRef("v", k):
+                        break
+                    if e.kind == "v":
+                        seen_v += 1
+                    elif seen_v == k - 1:
+                        group.append(e)
+                want.append(tuple(group))
+            assert path.h_by_height() == tuple(want), (a1, a2)
+            assert path.h_by_height() is path.h_by_height()
+
+
 def test_wraparound_indexing():
     path = DyckPath.build(5, 2)
     assert path.h(6) == path.h(1)

@@ -1,9 +1,11 @@
 """Golden stdout corpus: every case's stdout must replay byte for byte.
 
 `golden/manifest.json` lists the cases: a name, the CLI argv, and the exit
-code.  `golden/<name>.out` holds the stdout that argv printed when the corpus
-was captured, before the Laurent kernels were rewritten on packed monomial
-keys.  `expand` cases read their input from `golden/` by a relative path.
+code.  `golden/<name>.out` holds the stdout that argv printed when the case
+was captured: the first 23 cases before the Laurent kernels were rewritten
+on packed monomial keys, the last three (`verify all` and two numeric `var`
+cases that reach the Kronecker multiply) before that multiply was added.
+`expand` cases read their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
 output format justifies rewriting it, with

@@ -1,10 +1,12 @@
 import random
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 
 from conftest import expected_x3, pmul
+from gca2 import laurent
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode, NotDivisible
 from gca2.laurent import (LaurentPoly, NotLaurent, NotPointed,
@@ -96,6 +98,131 @@ def test_mul_matches_independent_oracle():
     h = LaurentPoly({(1, 0): 1, (0, 1): 1, (-1, -1): 2})
     assert (g * h).terms == pmul(g.terms, h.terms)
     assert all(c for c in (g * h).terms.values())
+
+
+@pytest.fixture
+def kron_calls(monkeypatch):
+    """Record, per product that reaches _kronecker_mul, whether it ran there."""
+    calls = []
+    real = laurent._kronecker_mul
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(laurent, "_kronecker_mul", spy)
+    return calls
+
+
+def dense(rng, s1, s2, bits, base=(0, 0), triangle=False):
+    """Terms on every monomial of an s1 x s2 box (or its lower-left triangle)."""
+    terms = {}
+    for i in range(s1):
+        for j in range(s2):
+            if not triangle or i * s2 + j * s1 < s1 * s2:
+                c = rng.randint(-(2 ** bits), 2 ** bits) or 1
+                terms[(base[0] + i, base[1] + j)] = c
+    return terms
+
+
+def test_kronecker_mul_matches_oracle_on_dense_supports(kron_calls):
+    rng = random.Random(4046)
+    cases = [  # (operand a, operand b): both above the cutover
+        (dense(rng, 7, 7, 3, triangle=True), dense(rng, 6, 6, 3, (-3, 2), True)),
+        (dense(rng, 12, 9, 20, (-7, -2), True), dense(rng, 10, 10, 40, triangle=True)),
+        (dense(rng, 16, 16, 8, triangle=True), dense(rng, 3, 20, 8, (4, -9))),
+        (dense(rng, 14, 14, 300), dense(rng, 15, 13, 300, (-20, 20))),
+        (dense(rng, 40, 30, 1, triangle=True), dense(rng, 3, 3, 1, (-1, -1))),
+    ]
+    cases = [(LaurentPoly(a), LaurentPoly(b)) for a, b in cases]
+    for a, b in cases:
+        expect = pmul(a.terms, b.terms)
+        assert (a * b).terms == expect
+        assert (b * a).terms == expect
+    assert kron_calls == [True] * 2 * len(cases)
+    big = max(abs(c) for c in cases[3][0].terms.values())
+    assert big.bit_length() > 290  # signed coefficients near 2**300 were packed
+
+
+def test_kronecker_mul_cancellation(kron_calls):
+    # (box of ones) * (1 - x1)(1 - x2) = (1 - x1^s)(1 - x2^s): every slot
+    # but four cancels (over Z a product of nonzero factors is never empty)
+    s = 12
+    ones = LaurentPoly({(i, j): 1 for i in range(s) for j in range(s)})
+    corners = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    assert (ones * corners).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
+    # and with signs: (sum of (-x)^i, i < s) * (1 + x) = 1 - x^s for even s
+    signs = LaurentPoly({(i, j): (-1) ** (i + j) for i in range(s) for j in range(s)})
+    plus = LaurentPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert (signs * plus).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
+    assert kron_calls == [True, True]
+
+
+def test_kronecker_mul_tight_slot_bound(kron_calls):
+    # aligned n-term boxes with every coefficient +-m: the middle slot of
+    # the product is +-n*m*m, the bound itself; at 8*t - 1 bits the sign
+    # bit is the last free bit of a t-byte slot, at 8*t bits it needs t + 1
+    s = 4
+    n = s * s
+    for bits in (7, 8, 15, 16, 23, 24):
+        m = isqrt((2 ** bits - 1) // n)
+        assert (n * m * m).bit_length() == bits
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a = LaurentPoly({(i, j): sa * m for i in range(s) for j in range(s)})
+            b = LaurentPoly({(i, j): sb * m for i in range(s) for j in range(s)})
+            got = (a * b).terms
+            assert got == pmul(a.terms, b.terms)
+            assert got[(s - 1, s - 1)] == sa * sb * n * m * m
+    assert kron_calls == [True] * 18
+
+
+def test_kronecker_mul_falls_back_on_coeffpoly_coefficients(kron_calls):
+    rng = random.Random(5)
+    a = LaurentPoly(dense(rng, 8, 8, 4))
+    b = dense(rng, 8, 8, 4)
+    b[(3, 3)] = CoeffPoly.rho(1, 3) + 2  # one symbolic coefficient
+    b = LaurentPoly(b)
+    for x, y in ((a, b), (b, a)):
+        assert (x * y).terms == pmul(x.terms, y.terms)
+    assert kron_calls == [False, False]
+
+
+def test_exact_div_of_kronecker_products(kron_calls):
+    rng = random.Random(77)
+    for side, bits in ((9, 2), (16, 64), (24, 200)):
+        f = LaurentPoly(dense(rng, side, side, bits, (-4, 3), triangle=True))
+        g = dense(rng, side, side, bits, (2, -5), triangle=True)
+        g[(2, -5)] = 1  # pointed, like every divisor in gca2
+        g = LaurentPoly(g)
+        h = f * g
+        assert h.terms == pmul(f.terms, g.terms)
+        assert h.exact_div(g) == f
+    assert kron_calls == [True] * 3
+
+
+def test_mul_of_widely_spread_operands_is_fast():
+    """64-term operands spread over 2**40 stay on the dict loop: no huge buffer."""
+    code = (
+        "import random, time\n"
+        "from gca2.laurent import LaurentPoly\n"
+        "rng = random.Random(1)\n"
+        "def spread(d1, d2):\n"
+        "    return LaurentPoly({(rng.randrange(d1), rng.randrange(d2)):"
+        " rng.randint(1, 9) for _ in range(64)})\n"
+        "worst = 0.0\n"
+        "for d1, d2 in ((2**40, 2**40), (2**40, 4), (4, 2**40)):\n"
+        "    a, b = spread(d1, d2), spread(d1, d2)\n"
+        "    assert len(a.terms) >= 64 and len(b.terms) >= 64\n"
+        "    t = time.perf_counter()\n"
+        "    a * b\n"
+        "    worst = max(worst, time.perf_counter() - t)\n"
+        "print(worst)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.5
 
 
 def test_exact_div_of_oracle_products():
