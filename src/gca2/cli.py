@@ -92,17 +92,18 @@ def cmd_var(args, mode) -> int:
 
 
 def cmd_greedy(args, mode) -> int:
-    if args.method == "recursive":
+    if args.method == "recursive" and not mode.is_numeric:
+        return _usage_error("--method recursive needs numeric mode")
+    if args.clusters:
         if not mode.is_numeric:
-            return _usage_error("--method recursive needs numeric mode")
+            return _usage_error("--clusters positivity probe needs numeric mode")
+        lo, hi = _parse_clusters(args.clusters)
+    if args.method == "recursive":
         f = greedy.greedy_recursive(mode, args.a1, args.a2).to_laurent()
     else:
         f = greedy.greedy_combinatorial(mode, args.a1, args.a2)
     extra = {"point": [args.a1, args.a2], "method": args.method}
     if args.clusters:
-        if not mode.is_numeric:
-            return _usage_error("--clusters positivity probe needs numeric mode")
-        lo, hi = _parse_clusters(args.clusters)
         ctx = AlgebraContext(mode, expand_lo=min(lo, -6), expand_hi=max(hi, 8))
         verdicts = {str(k): laurent.lp_is_positive(g)
                     for k, g in ctx.iter_cluster_expansions(f, lo, hi)}

@@ -11,22 +11,36 @@ coefficient modes and is the symbolic-mode definition of x[a1, a2].
 
 The recursive construction (numeric mode only) fills the pointed coefficient
 table c(p, q) in order of increasing p+q from c(0,0)=1: each entry is the
-max of two truncated alternating sums over weak compositions, and for
-a1, a2 >= 0 the branch selected by the sign of a1*q - a2*p must reproduce
-that max, which is asserted during the fill.  One extra guard ring outside
-the table bounds is computed and must be identically zero.
+max of two truncated convolutions with power series,
+
+    -sum_{w=1..p} c(p-w, q) [z^w] P2(z)^(q-a2),
+    -sum_{w=1..q} c(p, q-w) [z^w] P1(z)^(p-a1),
+
+and for a1, a2 >= 0 the branch selected by the sign of a1*q - a2*p must
+reproduce that max, which is asserted during the fill.  These are the
+Lee-Li-Zelevinsky alternating sums over weak compositions in closed form:
+by the generalized binomial theorem, for every integer a and w >= 1,
+
+    sum_k (-1)^(k-1) sum_{parts of k, weight w} multinomial(a+k-1, a-1, parts)
+        * prod_i rho_i^(k_i)  =  -[z^w] P(z)^(-a).
+
+One series per column and one per row is computed before the fill.  One
+extra guard ring outside the table bounds is computed and must be
+identically zero.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .coeffring import CoefficientMode
 from .compat import compatible_structure, compatible_structure_h
 from .dyckpath import DyckPath
 from .laurent import LaurentPoly, SymbolicModeUnsupported
-from .multinom import compositions_weighted, multinomial
+# Unused here; perfbench/tracer.py patches these two names on this module.
+from .multinom import compositions_weighted, multinomial  # noqa: F401
 
 
 class NotInAlgebra(ValueError):
@@ -141,52 +155,57 @@ class GreedyTable:
         return LaurentPoly({(p - a1, q - a2): c for (p, q), c in self.coeffs.items()})
 
 
+def power_series(p, n: int, num_terms: int) -> list[int]:
+    """Coefficients of z^0 .. z^num_terms of p(z)**n, for any integer n.
+
+    p = (1, p1, ..., pd) has integer entries and constant term 1, so every
+    coefficient is an integer.  J.C.P. Miller's recurrence for powers of a
+    series (Knuth, TAOCP vol. 2, 4.7):
+    w*f_w = sum_{i=1..min(d,w)} (n*i - (w-i)) * p_i * f_{w-i}.
+    """
+    if not p or p[0] != 1:
+        raise ValueError("p must have constant term 1")
+    d = len(p) - 1
+    f = [1] + [0] * num_terms
+    for w in range(1, num_terms + 1):
+        acc = 0
+        for i in range(1, min(d, w) + 1):
+            acc += (n * i - w + i) * p[i] * f[w - i]
+        f[w], rem = divmod(acc, w)
+        if rem:
+            raise ArithmeticError(f"inexact step {w} in the series of p**{n}")
+    return f
+
+
 @lru_cache(maxsize=None)
 def greedy_recursive(mode: CoefficientMode, a1: int, a2: int) -> GreedyTable:
     if not mode.is_numeric:
         raise SymbolicModeUnsupported("the greedy recursion needs an ordered "
                                       "coefficient ring; use the combinatorial "
                                       "construction in symbolic mode")
-    d1, d2 = mode.d1, mode.d2
-    p1, p2 = mode.p1, mode.p2
-    pmax = d2 * max(a2, 0)
-    qmax = d1 * max(a1, 0)
+    pmax = mode.d2 * max(a2, 0)
+    qmax = mode.d1 * max(a1, 0)
     guard = 1
-    c: dict[tuple[int, int], int] = {(0, 0): 1}
-
-    def alt_sum(p: int, q: int, along_p: bool) -> int:
-        """Truncated alternating sum stepping down p (weights of P2) or q (P1)."""
-        n, d, coeffs, a = (p, d2, p2, a2 - q) if along_p else (q, d1, p1, a1 - p)
-        if d == 0:
-            return 0
-        total = 0
-        for k in range(1, n + 1):
-            sign = 1 if (k - 1) % 2 == 0 else -1
-            for parts in compositions_weighted(k, d, n):
-                w = sum((i + 1) * e for i, e in enumerate(parts))
-                prev = c.get((p - w, q) if along_p else (p, q - w), 0)
-                if prev == 0:
-                    continue
-                m = multinomial(a + k - 1, a - 1, parts)
-                if m == 0:
-                    continue
-                coef = 1
-                for i, e in enumerate(parts):
-                    if e:
-                        coef *= coeffs[i + 1] ** e
-                total += sign * prev * coef * m
-        return total
-
     top_p = pmax + guard
     top_q = qmax + guard
+    # col_series[q][w-1] = [z^w] P2^(q-a2), row_series[p][w-1] = [z^w] P1^(p-a1)
+    col_series = [power_series(mode.p2, q - a2, top_p)[1:] for q in range(top_q + 1)]
+    row_series = [power_series(mode.p1, p - a1, top_q)[1:] for p in range(top_p + 1)]
+    # cols[q] = [c(0,q), c(1,q), ...] and rows[p] = [c(p,0), c(p,1), ...] so
+    # far, zeros included; the fill order appends to each in index order
+    cols: list[list[int]] = [[1]] + [[] for _ in range(top_q)]
+    rows: list[list[int]] = [[1]] + [[] for _ in range(top_p)]
+    c: dict[tuple[int, int], int] = {(0, 0): 1}
     for s in range(1, top_p + top_q + 1):
         for p in range(min(s, top_p), -1, -1):
             q = s - p
             if q > top_q:
                 continue
-            t1 = max(alt_sum(p, q, True), 0)
-            t2 = max(alt_sum(p, q, False), 0)
+            t1 = max(-sum(map(mul, reversed(cols[q]), col_series[q])), 0)
+            t2 = max(-sum(map(mul, reversed(rows[p]), row_series[p])), 0)
             val = t1 if t1 >= t2 else t2
+            cols[q].append(val)
+            rows[p].append(val)
             if a1 >= 0 and a2 >= 0:
                 lhs = a1 * q
                 rhs = a2 * p

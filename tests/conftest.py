@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from gca2.coeffring import CoefficientMode
+from gca2.multinom import compositions_weighted, multinomial
 
 
 # -- tiny independent polynomial toolkit: dict[(e1, e2)] -> int --------------
@@ -113,6 +114,77 @@ DIAGRAMS_5_2 = {
     (2, 3): ({0, 1}, {0}, {0}, {0}, {0}),
     (3, 3): ({0}, {0}, {0}, {0}, {0}),
 }
+
+
+# -- reference greedy table: Lee-Li-Zelevinsky sums over weak compositions ---
+
+def reference_greedy_table(mode: CoefficientMode, a1: int, a2: int):
+    """(coeffs, pmax, qmax) of the pointed table of x[a1, a2], numeric mode.
+
+    The same fill as ``greedy_recursive`` (increasing p+q, the closed-form
+    branch check, one guard ring), but each entry is the max of two truncated
+    alternating sums over weak compositions with generalized multinomial
+    weights, evaluated term by term.  Raises AssertionError where the fill's
+    checks fail.
+    """
+    d1, d2 = mode.d1, mode.d2
+    p1, p2 = mode.p1, mode.p2
+    pmax = d2 * max(a2, 0)
+    qmax = d1 * max(a1, 0)
+    c = {(0, 0): 1}
+
+    def alt_sum(p, q, along_p):
+        n, d, coeffs, a = (p, d2, p2, a2 - q) if along_p else (q, d1, p1, a1 - p)
+        if d == 0:
+            return 0
+        total = 0
+        for k in range(1, n + 1):
+            sign = 1 if (k - 1) % 2 == 0 else -1
+            for parts in compositions_weighted(k, d, n):
+                w = sum((i + 1) * e for i, e in enumerate(parts))
+                prev = c.get((p - w, q) if along_p else (p, q - w), 0)
+                if prev == 0:
+                    continue
+                m = multinomial(a + k - 1, a - 1, parts)
+                if m == 0:
+                    continue
+                coef = 1
+                for i, e in enumerate(parts):
+                    if e:
+                        coef *= coeffs[i + 1] ** e
+                total += sign * prev * coef * m
+        return total
+
+    top_p, top_q = pmax + 1, qmax + 1
+    for s in range(1, top_p + top_q + 1):
+        for p in range(min(s, top_p), -1, -1):
+            q = s - p
+            if q > top_q:
+                continue
+            t1 = max(alt_sum(p, q, True), 0)
+            t2 = max(alt_sum(p, q, False), 0)
+            val = t1 if t1 >= t2 else t2
+            if a1 >= 0 and a2 >= 0:
+                if a1 * q <= a2 * p and t1 != val:
+                    raise AssertionError(
+                        f"closed form disagrees with max at (p,q)=({p},{q})")
+                if a1 * q >= a2 * p and t2 != val:
+                    raise AssertionError(
+                        f"closed form disagrees with max at (p,q)=({p},{q})")
+            if val:
+                if p > pmax or q > qmax:
+                    raise AssertionError(
+                        f"nonzero entry {val} in the guard ring at ({p},{q})")
+                c[(p, q)] = val
+    return c, pmax, qmax
+
+
+def palindromic(d: int, inner) -> tuple:
+    """Monic palindromic degree-d coefficients; inner[t-1] is the z^t one, t <= d/2."""
+    p = [1] * (d + 1)
+    for t in range(1, d // 2 + 1):
+        p[t] = p[d - t] = inner[t - 1]
+    return tuple(p)
 
 
 ALL_ONES = {

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import expected_x5
-from gca2 import cli
+from gca2 import cli, greedy
 from gca2.coeffring import CoefficientMode
 from gca2.laurent import from_json
 
@@ -133,6 +133,27 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
                  [*symbolic, "expand", str(long_rho)],
                  [*symbolic, "expand", str(zero_tail)]):
         code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_greedy_checks_clusters_before_building(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("greedy element built before --clusters was checked")
+
+    monkeypatch.setattr(greedy, "greedy_combinatorial", refuse)
+    monkeypatch.setattr(greedy, "greedy_recursive", refuse)
+    for argv in ([*NUMERIC, "greedy", "12", "8", "--clusters=4..-2"],
+                 [*NUMERIC, "greedy", "12", "8", "--method", "recursive",
+                  "--clusters=4..-2"],
+                 [*NUMERIC, "greedy", "3", "1", "--clusters=1-2"],
+                 ["--d1", "2", "--d2", "3", "greedy", "9", "6", "--clusters=-2..4"]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err

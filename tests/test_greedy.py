@@ -2,14 +2,16 @@ from itertools import product
 
 import pytest
 
-from conftest import ALL_ONES
+from conftest import ALL_ONES, palindromic, reference_greedy_table
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode
 from gca2.compat import support_region
 from gca2.greedy import (NotInAlgebra, greedy_combinatorial, greedy_expand,
-                         greedy_recursive, pair_weight, reflect_params)
+                         greedy_recursive, pair_weight, power_series,
+                         reflect_params)
 from gca2.laurent import (LaurentPoly, SymbolicModeUnsupported, lp_is_positive,
                           lp_to_pointed)
+from gca2.multinom import poly_power_series
 
 
 def test_pair_weight_examples(mode23, sym23):
@@ -38,6 +40,65 @@ def test_greedy_recursive_examples(mode23):
     table = greedy_recursive(mode23, 5, 2)
     assert [table.c(4, q) for q in range(4)] == [3, 4, 4, 1]
     assert table.c(0, 0) == 1
+
+
+def test_power_series_matches_composition_sum():
+    # every monic palindromic p of degree 0-4 with coefficients 0-4
+    polys = [palindromic(d, inner) for d in range(5)
+             for inner in product(range(5), repeat=d // 2)]
+    for p in polys:
+        for n in range(-8, 9):
+            assert power_series(p, n, 12) == list(poly_power_series(p, n, 12)), (p, n)
+
+
+def test_power_series_of_one_vanishes():
+    # P = 1: every alternating sum of the recursion is 0
+    for n in range(-8, 9):
+        assert power_series((1,), n, 12) == [1] + [0] * 12
+    mode = CoefficientMode.numeric((1,), (1,))
+    for a1 in range(-2, 5):
+        for a2 in range(-2, 5):
+            assert greedy_recursive(mode, a1, a2).coeffs == {(0, 0): 1}
+    with pytest.raises(ValueError):
+        power_series((2, 1), 1, 3)
+    with pytest.raises(ValueError):
+        power_series((), 1, 3)
+
+
+def _table_or_error(build, mode, a1, a2):
+    try:
+        table = build(mode, a1, a2)
+    except AssertionError as exc:
+        return "AssertionError", str(exc)
+    if isinstance(table, tuple):
+        coeffs, pmax, qmax = table
+    else:
+        coeffs, pmax, qmax = table.coeffs, table.pmax, table.qmax
+    return list(coeffs.items()), pmax, qmax
+
+
+def test_recursive_table_matches_composition_sum_reference():
+    polys = {0: (1,), 1: (1, 1), 2: (1, 3, 1), 3: (1, 2, 2, 1), 4: (1, 0, 4, 0, 1)}
+    for d1, d2 in product(range(5), repeat=2):
+        mode = CoefficientMode.numeric(polys[d1], polys[d2])
+        for a1, a2 in product(range(-2, 9), repeat=2):
+            if d1 * max(a1, 0) + d2 * max(a2, 0) > 16:
+                continue
+            got = _table_or_error(greedy_recursive, mode, a1, a2)
+            want = _table_or_error(reference_greedy_table, mode, a1, a2)
+            assert got == want, (polys[d1], polys[d2], a1, a2)
+    # Outside the validated modes (negative coefficients) the closed-form and
+    # guard-ring checks fire; both fills must raise at the same entry.
+    errors = 0
+    for p1, p2 in (((1, -1, 1), (1, 2, -1, 1)), ((1, 2), (1, -3, 1)),
+                   ((1, -2, 3), (1, 1, 1, 1))):
+        mode = CoefficientMode(len(p1) - 1, len(p2) - 1, p1, p2)
+        for a1, a2 in product(range(-2, 5), repeat=2):
+            got = _table_or_error(greedy_recursive, mode, a1, a2)
+            assert got == _table_or_error(reference_greedy_table, mode, a1, a2), \
+                (p1, p2, a1, a2)
+            errors += got[0] == "AssertionError"
+    assert errors > 0
 
 
 def test_greedy_recursive_refuses_symbolic(sym23):
