@@ -6,15 +6,14 @@ from .coeffring import (CoeffPoly, CoefficientMode, GeneratorId,
 from .compat import (ShadowReport, WHOLE_LOOP, enumerate_bruteforce,
                      enumerate_fast, is_compatible, support_region)
 from .dyckpath import DyckPath, EdgeRef, Subpath
-from .greedy import (GreedyTable, NotInAlgebra, greedy_combinatorial,
-                     greedy_expand, greedy_recursive, pair_weight,
-                     reflect_params)
+from .greedy import (NotInAlgebra, greedy_combinatorial, greedy_expand,
+                     greedy_recursive, pair_weight, reflect_params)
 from .laurent import (LaurentPoly, NotLaurent, NotPointed, PointedForm,
                       SymbolicModeUnsupported, lp_is_positive, lp_to_pointed)
 
 __all__ = [
     "AlgebraContext", "CoeffPoly", "CoefficientMode", "DyckPath", "EdgeRef",
-    "GeneratorId", "GreedyTable", "LaurentPoly", "MissingGenerator",
+    "GeneratorId", "LaurentPoly", "MissingGenerator",
     "NotDivisible", "NotInAlgebra", "NotLaurent", "NotPointed", "PointedForm",
     "ShadowReport", "Subpath", "SymbolicModeUnsupported", "WHOLE_LOOP",
     "enumerate_bruteforce", "enumerate_fast", "greedy_combinatorial",

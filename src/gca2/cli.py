@@ -169,10 +169,12 @@ def cmd_bench(args, mode) -> int:
     cells = []
     for cell in args.cells.split(","):
         try:
-            a1, a2 = cell.lower().split("x")
-            cells.append((int(a1), int(a2)))
+            a1, a2 = (int(part) for part in cell.lower().split("x"))
+            if a1 < 0 or a2 < 0:
+                raise ValueError("negative cell size")
         except ValueError:
             return _usage_error("--cells expects entries like 8x3")
+        cells.append((a1, a2))
     for a1, a2 in cells:
         t0 = time.perf_counter()
         brute = compat.enumerate_bruteforce(a1, a2, mode.d1, mode.d2)

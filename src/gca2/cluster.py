@@ -18,7 +18,7 @@ holds x_{k+1}.
 from __future__ import annotations
 
 from .coeffring import CoefficientMode
-from .greedy import greedy_combinatorial, reflect_params
+from .greedy import greedy_combinatorial
 from .laurent import LaurentPoly, lp_eval_univariate, lp_substitute_ratio
 
 
@@ -160,6 +160,3 @@ class AlgebraContext:
 
     def greedy(self, a1: int, a2: int) -> LaurentPoly:
         return greedy_combinatorial(self.mode, a1, a2)
-
-    def reflect_params(self, axis: int, a1: int, a2: int) -> tuple[int, int]:
-        return reflect_params(self.mode, axis, a1, a2)

@@ -16,14 +16,24 @@ monomial is a sorted tuple of (GeneratorId, exponent) pairs with positive
 exponents; the empty tuple is the constant monomial.  Instances are never
 mutated after construction and may be shared freely between threads.
 
+SparsePoly is the core CoeffPoly shares with laurent.LaurentPoly: the
+zero-filtering constructor, a no-copy wrapper for term dicts that are
+already clean, constants and scalar coercion, equality, addition,
+subtraction, negation and powers.  Each subclass names the key of its
+constant term and the scalar types it absorbs.  Multiplication and exact
+division stay in the subclasses' own bodies: each is a different kernel, and
+the benchmark's tracer wraps them by reading the class __dict__.
+
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
 where an omitted array means all-zero exponents.  Plain integers (numeric
-mode) serialize as the single record {"n": "..."}.
+mode) serialize as the single record {"n": "..."}.  Exponents must be JSON
+integers and n a JSON integer or a string of decimal digits.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Union
 
@@ -61,24 +71,115 @@ class GeneratorId(NamedTuple):
 
 # A monomial: sorted tuple of (GeneratorId, positive exponent) pairs.
 Mono = tuple
-_ONE_MONO: Mono = ()
 
 Coeff = Union[int, "CoeffPoly"]
 
 
-class CoeffPoly:
-    """Polynomial in the rho/vrho generators with integer coefficients."""
+class SparsePoly:
+    """Immutable sparse polynomial {key: coefficient} with no zero entries.
+
+    Subclasses set ONE_KEY, the key of the constant term, and SCALARS, the
+    scalar types that coerce to a constant.  Operands of any other type get
+    NotImplemented, so mixed operations resolve through the other operand.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c != 0}
-
-    # -- constructors ------------------------------------------------------
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
-    def const(cls, n: int) -> "CoeffPoly":
-        return cls({_ONE_MONO: n})
+    def _wrap(cls, terms: dict):
+        """Wrap a term dict already free of zero coefficients, without copying."""
+        f = object.__new__(cls)
+        f.terms = terms
+        return f
+
+    @classmethod
+    def const(cls, c):
+        return cls({cls.ONE_KEY: c})
+
+    @classmethod
+    def _coerce(cls, other):
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, cls.SCALARS):
+            return cls.const(other)
+        return None
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return self._wrap(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._wrap({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of a {type(self).__name__}")
+        result = self.const(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+
+def format_term(c: Coeff, factors: str) -> str:
+    """c times the monomial string factors, with an integer 1 or -1 left implicit."""
+    if isinstance(c, CoeffPoly):
+        if not c.is_constant():
+            cs = c.render() if len(c.terms) == 1 else f"({c.render()})"
+            return f"{cs}*{factors}" if factors else cs
+        c = c.const_value()
+    if not factors:
+        return str(c)
+    if c == 1:
+        return factors
+    if c == -1:
+        return f"-{factors}"
+    return f"{c}*{factors}"
+
+
+class CoeffPoly(SparsePoly):
+    """Polynomial in the rho/vrho generators with integer coefficients."""
+
+    __slots__ = ()
+    ONE_KEY = ()
+    SCALARS = (int,)
+
+    # -- constructors ------------------------------------------------------
 
     @classmethod
     def generator(cls, gid: GeneratorId) -> "CoeffPoly":
@@ -104,41 +205,6 @@ class CoeffPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "CoeffPoly | None":
-        if isinstance(other, CoeffPoly):
-            return other
-        if isinstance(other, int):
-            return CoeffPoly.const(other)
-        return None
-
-    def __add__(self, other) -> "CoeffPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return CoeffPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CoeffPoly":
-        return CoeffPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "CoeffPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "CoeffPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "CoeffPoly":
         other = self._coerce(other)
         if other is None:
@@ -152,33 +218,9 @@ class CoeffPoly:
                     out[m] = s
                 else:
                     del out[m]
-        return CoeffPoly(out)
+        return self._wrap(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "CoeffPoly":
-        if n < 0:
-            raise ValueError("negative power of a CoeffPoly")
-        result = CoeffPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            if other == 0:
-                return not self.terms
-            return self.terms == {_ONE_MONO: other}
-        if isinstance(other, CoeffPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -186,14 +228,12 @@ class CoeffPoly:
     # -- queries -----------------------------------------------------------
 
     def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {_ONE_MONO}
+        return not self.terms or self.terms.keys() == {()}
 
     def const_value(self) -> int:
-        if not self.terms:
-            return 0
-        if self.terms.keys() == {_ONE_MONO}:
-            return self.terms[_ONE_MONO]
-        raise ValueError("not a constant CoeffPoly")
+        if not self.is_constant():
+            raise ValueError("not a constant CoeffPoly")
+        return self.terms.get((), 0)
 
     def generators(self) -> set[GeneratorId]:
         out: set[GeneratorId] = set()
@@ -242,7 +282,7 @@ class CoeffPoly:
                     rem[mm] = s
                 else:
                     rem.pop(mm, None)
-        return CoeffPoly(quot)
+        return self._wrap(quot)
 
     # -- evaluation --------------------------------------------------------
 
@@ -267,17 +307,9 @@ class CoeffPoly:
             return "0"
         parts = []
         for m in sorted(self.terms, key=_mono_sort_key, reverse=True):
-            c = self.terms[m]
-            factors = [f"{g.family}{g.index}" + (f"^{e}" if e > 1 else "")
-                       for g, e in m]
-            if not factors:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append("*".join([str(c)] + factors))
+            factors = "*".join(f"{g.family}{g.index}" + (f"^{e}" if e > 1 else "")
+                               for g, e in m)
+            parts.append(format_term(self.terms[m], factors))
         return " + ".join(parts)
 
 
@@ -413,27 +445,34 @@ def _mono_arrays(m: Mono, d1: int, d2: int) -> tuple[tuple[int, ...], tuple[int,
     return tuple(rho_arr), tuple(vrho_arr)
 
 
+_DECIMAL = re.compile(r"[-+]?[0-9]+")
+
+
 def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
     total: Coeff = 0 if mode.is_numeric else CoeffPoly()
     for rec in records:
-        n = int(rec["n"])
-        rho_arr = rec.get("rho", [])
-        vrho_arr = rec.get("vrho", [])
-        for family, arr, d in ((RHO, rho_arr, mode.d1), (VRHO, vrho_arr, mode.d2)):
+        n = rec["n"]
+        # type(...) is int: JSON true/false load as bool, which int() accepts
+        if not (type(n) is int or isinstance(n, str) and _DECIMAL.fullmatch(n)):
+            raise ValueError(f"coefficient {n!r} is not a decimal integer")
+        n = int(n)
+        families = ((RHO, rec.get("rho", []), mode.d1),
+                    (VRHO, rec.get("vrho", []), mode.d2))
+        for family, arr, d in families:
             if len(arr) > max(d - 1, 0):
                 raise ValueError(f"{family} exponent array {arr!r} has more than "
                                  f"{max(d - 1, 0)} entries (degree {d})")
+            if not all(type(e) is int for e in arr):
+                raise ValueError(f"{family} exponent array {arr!r} holds a non-integer")
         if mode.is_numeric:
-            if any(rho_arr) or any(vrho_arr):
+            if any(any(arr) for _, arr, _ in families):
                 raise ValueError("symbolic coefficient in numeric mode")
             total = total + n
             continue
-        mono: Coeff = CoeffPoly.const(n)
-        for t, e in enumerate(rho_arr, start=1):
-            if e:
-                mono = mono * CoeffPoly.rho(t, mode.d1) ** e
-        for t, e in enumerate(vrho_arr, start=1):
-            if e:
-                mono = mono * CoeffPoly.vrho(t, mode.d2) ** e
+        mono = CoeffPoly.const(n)
+        for family, arr, d in families:
+            for t, e in enumerate(arr, start=1):
+                if e:
+                    mono = mono * CoeffPoly._coefficient(family, t, d) ** e
         total = total + mono
     return total

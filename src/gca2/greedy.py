@@ -38,7 +38,7 @@ from operator import mul
 from .coeffring import CoefficientMode
 from .compat import compatible_structure, compatible_structure_h
 from .dyckpath import DyckPath
-from .laurent import LaurentPoly, SymbolicModeUnsupported
+from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported
 # Unused here; perfbench/tracer.py patches these two names on this module.
 from .multinom import compositions_weighted, multinomial  # noqa: F401
 
@@ -129,32 +129,6 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     return LaurentPoly(acc)
 
 
-class GreedyTable:
-    """Pointed coefficient table of one greedy element (numeric mode)."""
-
-    __slots__ = ("point", "pmax", "qmax", "coeffs")
-
-    def __init__(self, point, pmax, qmax, coeffs):
-        self.point = point
-        self.pmax = pmax
-        self.qmax = qmax
-        self.coeffs = coeffs  # {(p, q): positive int}
-
-    def __eq__(self, other):
-        return (isinstance(other, GreedyTable)
-                and self.point == other.point and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"GreedyTable(point={self.point}, entries={len(self.coeffs)})"
-
-    def c(self, p: int, q: int) -> int:
-        return self.coeffs.get((p, q), 0)
-
-    def to_laurent(self) -> LaurentPoly:
-        a1, a2 = self.point
-        return LaurentPoly({(p - a1, q - a2): c for (p, q), c in self.coeffs.items()})
-
-
 def power_series(p, n: int, num_terms: int) -> list[int]:
     """Coefficients of z^0 .. z^num_terms of p(z)**n, for any integer n.
 
@@ -178,7 +152,8 @@ def power_series(p, n: int, num_terms: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def greedy_recursive(mode: CoefficientMode, a1: int, a2: int) -> GreedyTable:
+def greedy_recursive(mode: CoefficientMode, a1: int, a2: int) -> PointedForm:
+    """Pointed coefficient table {(p, q): positive int} of x[a1, a2] (numeric mode)."""
     if not mode.is_numeric:
         raise SymbolicModeUnsupported("the greedy recursion needs an ordered "
                                       "coefficient ring; use the combinatorial "
@@ -220,7 +195,7 @@ def greedy_recursive(mode: CoefficientMode, a1: int, a2: int) -> GreedyTable:
                     raise AssertionError(
                         f"nonzero entry {val} in the guard ring at ({p},{q})")
                 c[(p, q)] = val
-    return GreedyTable((a1, a2), pmax, qmax, c)
+    return PointedForm((a1, a2), c)
 
 
 def greedy_expand(mode: CoefficientMode, f: LaurentPoly) -> dict:

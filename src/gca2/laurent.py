@@ -3,7 +3,11 @@
 A LaurentPoly maps exponent pairs (e1, e2) to nonzero coefficients; the
 coefficients are plain integers in numeric mode and CoeffPoly in symbolic
 mode.  Two polynomials are equal iff their term dictionaries are equal.
-Instances are never mutated after construction.
+Instances are never mutated after construction.  Construction, coercion of
+int and CoeffPoly scalars, equality, +, -, negation and powers come from
+coeffring.SparsePoly, shared with CoeffPoly.  Multiplication and exact_div
+are defined here, in the class body, where the benchmark's tracer finds
+them.
 
 Multiplication packs each monomial into one int, key = e1*width + (e2 - lo2),
 where width is one more than the e2 span of the product, worked out from the
@@ -56,10 +60,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .coeffring import (CoeffPoly, CoefficientMode, NotDivisible,
-                        cf_exact_div, coeff_from_json, coeff_to_json)
+from .coeffring import (CoeffPoly, CoefficientMode, NotDivisible, SparsePoly,
+                        cf_exact_div, coeff_from_json, coeff_to_json, format_term)
 
 
 class NotLaurent(ArithmeticError):
@@ -74,11 +78,10 @@ class SymbolicModeUnsupported(TypeError):
     """Operation defined only for concrete integer coefficients."""
 
 
-class LaurentPoly:
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], object] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
+class LaurentPoly(SparsePoly):
+    __slots__ = ()
+    ONE_KEY = (0, 0)
+    SCALARS = (int, CoeffPoly)
 
     # -- constructors -------------------------------------------------------
 
@@ -91,10 +94,6 @@ class LaurentPoly:
         return cls({(e1, e2): c})
 
     @classmethod
-    def const(cls, c) -> "LaurentPoly":
-        return cls({(0, 0): c})
-
-    @classmethod
     def var(cls, which: int) -> "LaurentPoly":
         if which not in (1, 2):
             raise ValueError("variable must be 1 or 2")
@@ -102,35 +101,8 @@ class LaurentPoly:
 
     # -- ring structure ------------------------------------------------------
 
-    def __add__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _from_terms(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        return (-self) + other
-
     def __mul__(self, other) -> "LaurentPoly":
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         if len(self.terms) < len(other.terms):
@@ -141,8 +113,8 @@ class LaurentPoly:
             return LaurentPoly()
         if len(small) == 1:
             ((a1, a2), c1), = small.items()
-            return _from_terms({(a1 + b1, a2 + b2): c1 * c2
-                                for (b1, b2), c2 in big.items()})
+            return LaurentPoly._wrap({(a1 + b1, a2 + b2): c1 * c2
+                                      for (b1, b2), c2 in big.items()})
         lo_s = min(e2 for _, e2 in small)
         lo_b = min(e2 for _, e2 in big)
         lo2 = lo_s + lo_b
@@ -165,30 +137,9 @@ class LaurentPoly:
             if c:
                 e1, r = divmod(k, width)
                 out[(e1, r + lo2)] = c
-        return _from_terms(out)
+        return LaurentPoly._wrap(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("LaurentPoly power requires n >= 0")
-        result = LaurentPoly.monomial(0, 0)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({render(self)})"
@@ -206,7 +157,7 @@ class LaurentPoly:
     # -- exact division --------------------------------------------------------
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is None or not other.terms:
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self.terms:
@@ -256,14 +207,7 @@ class LaurentPoly:
                     rem[kk] = qc * gc
                 else:
                     rem[kk] = r + qc * gc
-        return _from_terms(quot)
-
-
-def _from_terms(terms: dict) -> LaurentPoly:
-    """Wrap a term dict already free of zero coefficients, without copying."""
-    f = LaurentPoly.__new__(LaurentPoly)
-    f.terms = terms
-    return f
+        return LaurentPoly._wrap(quot)
 
 
 # One nb-byte Kronecker slot costs about as much as _KRONECKER_SLOT_COST + nb/2
@@ -318,15 +262,7 @@ def _kronecker_mul(a: dict, b: dict, lo2_a: int, lo2_b: int,
               for i in range(0, n * nb, nb)]
     lo1, lo2 = lo1_a + lo1_b, lo2_a + lo2_b
     keys = product(range(lo1, lo1 + rows), range(lo2, lo2 + width))
-    return _from_terms({k: c for k, c in zip(keys, coeffs) if c})
-
-
-def _coerce(x) -> LaurentPoly | None:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, (int, CoeffPoly)):
-        return LaurentPoly.const(x)
-    return None
+    return LaurentPoly._wrap({k: c for k, c in zip(keys, coeffs) if c})
 
 
 def lp_eval_univariate(p: Sequence, arg: LaurentPoly) -> LaurentPoly:
@@ -365,7 +301,7 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, numerator: LaurentPoly) -> Lau
     for e, c in f.terms.items():
         slices.setdefault(e[sel], {})[e[oth]] = c
 
-    num_list = _dense(num, m0)
+    num_list = [num.get(i, 0) for i in range(m0, max(num) + 1)]
     pow_cache: dict[int, list] = {0: [1]}
 
     def num_pow(k: int) -> list:
@@ -383,11 +319,6 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, numerator: LaurentPoly) -> Lau
             key = (-e, eo + e * m0) if var == 1 else (eo + e * m0, -e)
             out[key] = c
     return LaurentPoly(out)
-
-
-def _dense(d: dict[int, object], lo: int = 0) -> list:
-    top = max(d)
-    return [d.get(i, 0) for i in range(lo, top + 1)]
 
 
 def _uni_mul(a: list, b: list) -> list:
@@ -473,9 +404,7 @@ def lp_is_positive(f: LaurentPoly) -> bool:
     """True iff f is nonzero with all integer coefficients >= 0 (numeric mode)."""
     if any(isinstance(c, CoeffPoly) for c in f.terms.values()):
         raise SymbolicModeUnsupported("positivity is decided in numeric mode only")
-    if not f.terms:
-        return False
-    return all(c >= 0 for c in f.terms.values())
+    return bool(f.terms) and all(c >= 0 for c in f.terms.values())
 
 
 # -- serialization and rendering ----------------------------------------------
@@ -488,10 +417,13 @@ def to_json(f: LaurentPoly, mode: CoefficientMode) -> dict:
 def from_json(data: dict, mode: CoefficientMode) -> LaurentPoly:
     terms = {}
     for rec in data["terms"]:
-        if len(rec["e"]) != 2:
-            raise ValueError(f"exponent {rec['e']!r} needs two entries")
-        e1, e2 = rec["e"]
-        terms[(int(e1), int(e2))] = coeff_from_json(rec["c"], mode)
+        e = rec["e"]
+        # type(...) is int: JSON true/false load as bool, which int() accepts
+        if len(e) != 2 or not all(type(x) is int for x in e):
+            raise ValueError(f"exponent {e!r} is not two integers")
+        if tuple(e) in terms:
+            raise ValueError(f"exponent {e!r} appears twice")
+        terms[tuple(e)] = coeff_from_json(rec["c"], mode)
     return LaurentPoly(terms)
 
 
@@ -501,7 +433,7 @@ def render(f: LaurentPoly) -> str:
     parts = []
     for (e1, e2), c in sorted(f.terms.items()):
         mono = "*".join(s for s in (_var_str("x1", e1), _var_str("x2", e2)) if s)
-        parts.append(_term_str(c, mono))
+        parts.append(format_term(c, mono))
     return " + ".join(parts)
 
 
@@ -509,20 +441,3 @@ def _var_str(name: str, e: int) -> str:
     if e == 0:
         return ""
     return name if e == 1 else f"{name}^{e}"
-
-
-def _term_str(c, mono: str) -> str:
-    if isinstance(c, CoeffPoly):
-        if c.is_constant():
-            return _term_str(c.const_value(), mono)
-        cs = c.render()
-        if len(c.terms) > 1:
-            cs = f"({cs})"
-        return f"{cs}*{mono}" if mono else cs
-    if not mono:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return f"-{mono}"
-    return f"{c}*{mono}"

@@ -113,6 +113,9 @@ def test_usage_errors_exit_2():
     assert run_cli([*NUMERIC, "--d1", "2", "--d2", "3", "var", "3"])[0] == 2
     assert run_cli([*NUMERIC])[0] == 2                        # no command
     assert run_cli([*NUMERIC, "--threads", "0", "var", "3"])[0] == 2  # no such flag
+    code, out, err = run_cli([*NUMERIC, "bench", "--cells", "3x-1"])  # negative cell
+    assert (code, out) == (2, "")
+    assert err == "error: --cells expects entries like 8x3\n"
 
 
 def test_input_errors_exit_2_with_one_line(tmp_path):
@@ -125,8 +128,24 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
     long_rho.write_text('{"terms": [{"e": [0, 0], "c": [{"rho": [1, 5], "n": "1"}]}]}')
     zero_tail = tmp_path / "zero_tail.json"
     zero_tail.write_text('{"terms": [{"e": [0, 0], "c": [{"rho": [0, 1], "n": "1"}]}]}')
+    # JSON that int() would read as a different integer, and a repeated exponent
+    misread = {}
+    for name, text in (
+            ("float_n", '{"terms":[{"e":[1,0],"c":[{"n":2.7}]}]}'),
+            ("bool_n", '{"terms":[{"e":[1,0],"c":[{"n":true}]}]}'),
+            ("float_e", '{"terms":[{"e":[1.5,0],"c":[{"n":"1"}]}]}'),
+            ("bool_e", '{"terms":[{"e":[true,0],"c":[{"n":"1"}]}]}'),
+            ("repeated_e", '{"terms":[{"e":[1,0],"c":[{"n":"1"}]},'
+                           '{"e":[1,0],"c":[{"n":"2"}]}]}'),
+            ("bool_rho", '{"terms":[{"e":[0,0],"c":[{"rho":[true],"n":"1"}]}]}')):
+        misread[name] = tmp_path / f"{name}.json"
+        misread[name].write_text(text)
+    ones = ["--p1", "1,1", "--p2", "1,1"]
     symbolic = ["--d1", "2", "--d2", "3"]
     for argv in ([*NUMERIC, "greedy", "2", "2", "--clusters=5..2"],
+                 *([*ones, "expand", str(misread[name])]
+                   for name in ("float_n", "bool_n", "float_e", "bool_e", "repeated_e")),
+                 [*symbolic, "expand", str(misread["bool_rho"])],
                  [*NUMERIC, "expand", str(tmp_path / "missing.json")],
                  [*NUMERIC, "expand", str(one_elem)],
                  [*NUMERIC, "expand", str(bad_json)],
