@@ -113,13 +113,18 @@ def cmd_greedy(args, mode) -> int:
 
 
 def cmd_pairs(args, mode) -> int:
-    pairs = compat.enumerate_fast(max(args.a1, 0), max(args.a2, 0), mode.d1, mode.d2)
-    for s1, s2 in pairs:
+    if args.a1 < 0 or args.a2 < 0:
+        return _usage_error("pairs expects nonnegative sizes A1 A2")
+    # one %-template per S2 block: S2 and m2 baked in, %d slots for S1 and m1
+    slots = ",".join(["%d"] * args.a1)
+    write = sys.stdout.write
+    for s2, block in compat.pair_blocks(args.a1, args.a2, mode.d1, mode.d2):
+        s2_text = ",".join(map(str, s2))
         if args.format == "json":
-            print(json.dumps(compat.pair_record(s1, s2), separators=(",", ":")))
+            tmpl = f'{{"s1":[{slots}],"s2":[{s2_text}],"m1":%d,"m2":{sum(s2)}}}\n'
         else:
-            print(f"s1={','.join(map(str, s1)) or '-'} "
-                  f"s2={','.join(map(str, s2)) or '-'} m1={sum(s1)} m2={sum(s2)}")
+            tmpl = f"s1={slots or '-'} s2={s2_text or '-'} m1=%d m2={sum(s2)}\n"
+        write("".join([tmpl % (*s1, sum(s1)) for s1 in block]))
     return 0
 
 

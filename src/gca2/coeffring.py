@@ -450,6 +450,7 @@ _DECIMAL = re.compile(r"[-+]?[0-9]+")
 
 def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
     total: Coeff = 0 if mode.is_numeric else CoeffPoly()
+    seen = set()
     for rec in records:
         n = rec["n"]
         # type(...) is int: JSON true/false load as bool, which int() accepts
@@ -464,15 +465,18 @@ def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
                                  f"{max(d - 1, 0)} entries (degree {d})")
             if not all(type(e) is int for e in arr):
                 raise ValueError(f"{family} exponent array {arr!r} holds a non-integer")
-        if mode.is_numeric:
-            if any(any(arr) for _, arr, _ in families):
-                raise ValueError("symbolic coefficient in numeric mode")
-            total = total + n
-            continue
-        mono = CoeffPoly.const(n)
+        if mode.is_numeric and any(any(arr) for _, arr, _ in families):
+            raise ValueError("symbolic coefficient in numeric mode")
+        mono = CoeffPoly.const(1)
         for family, arr, d in families:
             for t, e in enumerate(arr, start=1):
                 if e:
                     mono = mono * CoeffPoly._coefficient(family, t, d) ** e
-        total = total + mono
+        # rho_t and rho_{d-t} are one generator, so compare the products
+        (key,) = mono.terms
+        if key in seen:
+            raise ValueError(f"two records of one coefficient give the monomial "
+                             f"{mono.render()}")
+        seen.add(key)
+        total = total + (n if mode.is_numeric else mono * n)
     return total

@@ -155,13 +155,44 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 
 # -- local shadows and shadow reports ----------------------------------------
 
-def local_shadow_v(path: DyckPath, s2: Grading, k: int):
-    """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
-    t = _first_zero(path, s2, VERTICAL, k)
+def _shadow_core(path: DyckPath, s2: Grading, fz2: list):
+    """(local, shadow, remote) of S2 in h-edge indices, from its first zeros.
+
+    fz2[k-1] is _first_zero(path, s2, VERTICAL, k).  local[k-1] holds the
+    indices on the minimal path e..v_k (all of them if there is none); the
+    h-edges at positions p..q are ph[p]+1..ph[q+1] with ph = path.prefix_h.
+    The shadow is their union; the remote shadow drops the last S2(v_{ell+1})
+    h-edges of height ell, which all come just before v_{ell+1}.
+    """
+    a1, n, ph = path.a1, path.n, path.prefix_h
+    local = []
+    for end, t in zip(path.pos_v, fz2):
+        if t is None:
+            local.append(range(1, a1 + 1))
+        elif t <= end:
+            local.append(range(ph[end - t] + 1, ph[end] + 1))
+        else:  # wraps: the tail of the loop, then its head
+            local.append({*range(ph[end - t + n] + 1, a1 + 1), *range(1, ph[end] + 1)})
+    shadow = set().union(*local)
+    remote = set(shadow)
+    for ell, before in enumerate(path.h_by_height()):
+        cut = s2[ell]
+        if cut:
+            remote.difference_update(e.index for e in before[-cut:])
+    return local, shadow, remote
+
+
+def _local_path(path: DyckPath, k: int, t: int | None):
+    """The subpath e..v_k of t + 1 edges, or WHOLE_LOOP when t is None."""
     if t is None:
         return WHOLE_LOOP
     end = path.pos_v[k - 1]
     return Subpath(path.edge_at(end - t), path.edge_at(end))
+
+
+def local_shadow_v(path: DyckPath, s2: Grading, k: int):
+    """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
+    return _local_path(path, k, _first_zero(path, s2, VERTICAL, k))
 
 
 def local_shadow_h(path: DyckPath, s1: Grading, j: int):
@@ -172,28 +203,13 @@ def local_shadow_h(path: DyckPath, s1: Grading, j: int):
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
-    local_paths: dict = {}
-    local_sets: dict = {}
-    shadow: set[EdgeRef] = set()
-    all_h = frozenset(EdgeRef(HORIZONTAL, j) for j in range(1, path.a1 + 1))
-    for k in range(1, path.a2 + 1):
-        v = EdgeRef(VERTICAL, k)
-        sub = local_shadow_v(path, s2, k)
-        local_paths[v] = sub
-        if sub is WHOLE_LOOP:
-            local_sets[v] = all_h
-        else:
-            local_sets[v] = frozenset(e for e in path.subpath_edges(sub)
-                                      if e.kind == HORIZONTAL)
-        shadow |= local_sets[v]
-    remote = set(shadow)
-    # the h-edges of height ell - 1 all come before v_ell, in path order
-    for ell, before in enumerate(path.h_by_height()):
-        cut = s2[ell]
-        if cut:
-            remote.difference_update(before[-cut:])
-    partition = _partition(path, remote, local_sets)
-    return ShadowReport(frozenset(shadow), frozenset(remote), local_paths, partition)
+    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
+    local, shadow, remote = _shadow_core(path, s2, fz2)
+    local_paths = {EdgeRef(VERTICAL, k): _local_path(path, k, t)
+                   for k, t in enumerate(fz2, start=1)}
+    return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j in shadow),
+                        frozenset(EdgeRef(HORIZONTAL, j) for j in remote),
+                        local_paths, _partition(path, remote, local))
 
 
 def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
@@ -211,28 +227,20 @@ def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
                         local_paths, dict(blocks))
 
 
-def _partition(path, remote, local_sets) -> dict:
-    """Group remote-shadow edges of a vertical grading by (owner index, height).
+def _partition(path, remote, local) -> dict:
+    """Group the remote shadow of a vertical grading by (owner index, height).
 
-    The owner of an edge e is the vertical edge whose local shadow contains e
-    at the shortest backward path distance.  Blocks and their edges come in
-    path order.
+    remote and local are h-edge indices as _shadow_core gives them.  The owner
+    of h_j is the v_k whose local shadow holds j at the shortest backward path
+    distance.  Blocks and their edges come in path order, which is index order.
     """
     n = path.n
     blocks: dict = {}
-    for e in sorted(remote, key=lambda e: path.pos(e)):
-        pe = path.pos(e)
-        best = None
-        best_dist = None
-        for owner, members in local_sets.items():
-            if e not in members:
-                continue
-            po = path.pos(owner)
-            dist = (po - pe) % n
-            if best_dist is None or dist < best_dist:
-                best_dist = dist
-                best = owner
-        blocks.setdefault((best.index, path.height(e.index)), []).append(e)
+    for j in sorted(remote):
+        pe = path.pos_h[j - 1]
+        owner = min((k for k in range(1, path.a2 + 1) if j in local[k - 1]),
+                    key=lambda k: (path.pos_v[k - 1] - pe) % n)
+        blocks.setdefault((owner, path.height(j)), []).append(EdgeRef(HORIZONTAL, j))
     return {key: tuple(edges) for key, edges in blocks.items()}
 
 
@@ -312,12 +320,11 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     rsh that complete to a compatible pair.  Edges in shadow minus remote
     shadow are forced to zero.
     """
-    report = shadow_report_v(path, s2)
-    shadow_idx = {e.index for e in report.shadow}
-    rsh_idx = sorted(e.index for e in report.remote_shadow)
-    free = [j for j in range(1, path.a1 + 1) if j not in shadow_idx]
-    supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
     fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
+    _, shadow, remote = _shadow_core(path, s2, fz2)
+    rsh_idx = sorted(remote)
+    free = [j for j in range(1, path.a1 + 1) if j not in shadow]
+    supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
     valid = []
     base = [0] * path.a1
     for vals in product(range(d1 + 1), repeat=len(rsh_idx)):
@@ -350,32 +357,36 @@ def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
             sorted(vals[::-1] for vals in valid))
 
 
-def enumerate_fast(a1: int, a2: int, d1: int, d2: int) -> list:
-    """Same pairs as enumerate_bruteforce, via the shadow pruning."""
+def pair_blocks(a1: int, a2: int, d1: int, d2: int):
+    """Yield (S2, sorted list of the S1 compatible with it), S2 in product order.
+
+    A block is, per valid remote-shadow assignment, the product of per-edge
+    value lists: 0 on shadow minus remote shadow, the assigned value on the
+    remote shadow and every value in [0, d1] off the shadow.
+    """
     path = DyckPath.build(a1, a2)
-    out = []
+    values = range(d1 + 1)
     for s2 in product(range(d2 + 1), repeat=a2):
         free, rsh_idx, valid = compatible_structure(path, s2, d1)
+        lists = [(0,)] * a1
+        for j in free:
+            lists[j - 1] = values
         block = []
-        base = [0] * a1
         for vals in valid:
             for j, val in zip(rsh_idx, vals):
-                base[j - 1] = val
-            for fvals in product(range(d1 + 1), repeat=len(free)):
-                for j, val in zip(free, fvals):
-                    base[j - 1] = val
-                block.append(tuple(base))
-            for j in free:
-                base[j - 1] = 0
-            for j in rsh_idx:
-                base[j - 1] = 0
+                lists[j - 1] = (val,)
+            block.extend(product(*lists))
         block.sort()
-        out.extend((s1, s2) for s1 in block)
-    return out
+        yield s2, block
+
+
+def enumerate_fast(a1: int, a2: int, d1: int, d2: int) -> list:
+    """Same pairs as enumerate_bruteforce, via the shadow pruning."""
+    return [(s1, s2) for s2, block in pair_blocks(a1, a2, d1, d2) for s1 in block]
 
 
 def pair_record(s1: Grading, s2: Grading) -> dict:
-    """JSON record for one compatible pair."""
+    """JSON record for one compatible pair: the schema cli.cmd_pairs renders."""
     return {"s1": list(s1), "s2": list(s2), "m1": sum(s1), "m2": sum(s2)}
 
 

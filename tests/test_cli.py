@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from itertools import product
 
 import pytest
 
 from conftest import expected_x5
-from gca2 import cli, greedy
+from gca2 import cli, compat, greedy
 from gca2.coeffring import CoefficientMode
 from gca2.laurent import from_json
 
@@ -106,6 +108,52 @@ def test_bench_stdout_is_deterministic():
     assert "speedup" in err1  # timings go to stderr
 
 
+def _record_line(s1, s2, fmt):
+    """One pair rendered on its own, as the CLI printed it one record at a time."""
+    if fmt == "json":
+        return json.dumps(compat.pair_record(s1, s2), separators=(",", ":")) + "\n"
+    return (f"s1={','.join(map(str, s1)) or '-'} "
+            f"s2={','.join(map(str, s2)) or '-'} m1={sum(s1)} m2={sum(s2)}\n")
+
+
+def test_pairs_block_templates_match_record_oracle(capsys):
+    # empty gradings (a1 = 0 or a2 = 0) render as "-" in text and [] in JSON
+    for a1, a2, d1, d2 in product(range(5), range(5), range(4), range(4)):
+        brute = compat.enumerate_bruteforce(a1, a2, d1, d2)
+        for fmt in ("json", "text"):
+            argv = ["--d1", str(d1), "--d2", str(d2), "--format", fmt,
+                    "pairs", str(a1), str(a2)]
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == "".join(_record_line(s1, s2, fmt) for s1, s2 in brute), argv
+
+
+class _Writes:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_pairs_streams_one_write_per_s2_block(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("pairs built the whole pair list")
+
+    monkeypatch.setattr(compat, "enumerate_fast", refuse)
+    sink = _Writes()
+    with redirect_stdout(sink):
+        assert cli.main(["--d1", "2", "--d2", "3", "pairs", "6", "3"]) == 0
+    assert len(sink.chunks) == 4 ** 3  # (d2 + 1) ** a2 blocks
+    blocks = list(compat.pair_blocks(6, 3, 2, 3))
+    assert [s2 for s2, _ in blocks] == list(product(range(4), repeat=3))
+    assert [chunk.count("\n") for chunk in sink.chunks] == [len(b) for _, b in blocks]
+
+
 def test_usage_errors_exit_2():
     assert run_cli(["var", "3"])[0] == 2                      # no mode
     assert run_cli(["--p1", "1,1", "var", "3"])[0] == 2       # missing p2
@@ -116,6 +164,10 @@ def test_usage_errors_exit_2():
     code, out, err = run_cli([*NUMERIC, "bench", "--cells", "3x-1"])  # negative cell
     assert (code, out) == (2, "")
     assert err == "error: --cells expects entries like 8x3\n"
+    for sizes in (["-3", "2"], ["2", "-1"]):  # negative path sizes
+        code, out, err = run_cli(["--d1", "2", "--d2", "3", "pairs", *sizes])
+        assert (code, out) == (2, "")
+        assert err == "error: pairs expects nonnegative sizes A1 A2\n"
 
 
 def test_input_errors_exit_2_with_one_line(tmp_path):
@@ -137,15 +189,24 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
             ("bool_e", '{"terms":[{"e":[true,0],"c":[{"n":"1"}]}]}'),
             ("repeated_e", '{"terms":[{"e":[1,0],"c":[{"n":"1"}]},'
                            '{"e":[1,0],"c":[{"n":"2"}]}]}'),
-            ("bool_rho", '{"terms":[{"e":[0,0],"c":[{"rho":[true],"n":"1"}]}]}')):
+            ("bool_rho", '{"terms":[{"e":[0,0],"c":[{"rho":[true],"n":"1"}]}]}'),
+            # two records of one coefficient with the same monomial; vrho1 and
+            # vrho2 are one generator when d2 = 3
+            ("repeated_n", '{"terms":[{"e":[1,0],"c":[{"n":"1"},{"n":"2"}]}]}'),
+            ("repeated_rho", '{"terms":[{"e":[1,0],"c":[{"rho":[1],"n":"1"},'
+                             '{"rho":[1],"n":"2"}]}]}'),
+            ("mirrored_vrho", '{"terms":[{"e":[1,0],"c":[{"vrho":[1,0],"n":"1"},'
+                              '{"vrho":[0,1],"n":"2"}]}]}')):
         misread[name] = tmp_path / f"{name}.json"
         misread[name].write_text(text)
     ones = ["--p1", "1,1", "--p2", "1,1"]
     symbolic = ["--d1", "2", "--d2", "3"]
     for argv in ([*NUMERIC, "greedy", "2", "2", "--clusters=5..2"],
                  *([*ones, "expand", str(misread[name])]
-                   for name in ("float_n", "bool_n", "float_e", "bool_e", "repeated_e")),
-                 [*symbolic, "expand", str(misread["bool_rho"])],
+                   for name in ("float_n", "bool_n", "float_e", "bool_e", "repeated_e",
+                                "repeated_n")),
+                 *([*symbolic, "expand", str(misread[name])]
+                   for name in ("bool_rho", "repeated_rho", "mirrored_vrho")),
                  [*NUMERIC, "expand", str(tmp_path / "missing.json")],
                  [*NUMERIC, "expand", str(one_elem)],
                  [*NUMERIC, "expand", str(bad_json)],

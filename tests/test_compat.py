@@ -158,6 +158,25 @@ def test_shadow_sizes_exhaustive():
                 assert len(shadow_report_v(path, s2).shadow) == min(a1, sum(s2))
 
 
+def test_shadow_core_is_the_report_shadow():
+    # the integer core behind compatible_structure and shadow_report_v; its
+    # local index sets are checked against the edges of each local subpath
+    for a1 in range(7):
+        for a2 in range(7):
+            path = DyckPath.build(a1, a2)
+            for s2 in product(range(4), repeat=a2):
+                fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
+                local, shadow, remote = compat._shadow_core(path, s2, fz2)
+                rep = shadow_report_v(path, s2)
+                assert shadow == {e.index for e in rep.shadow}, (a1, a2, s2)
+                assert remote == {e.index for e in rep.remote_shadow}, (a1, a2, s2)
+                for k, idx in enumerate(local, start=1):
+                    sub = compat._local_path(path, k, fz2[k - 1])
+                    want = (range(1, a1 + 1) if sub is WHOLE_LOOP else
+                            [e.index for e in path.subpath_edges(sub) if e.kind == "h"])
+                    assert sorted(idx) == sorted(want), (a1, a2, s2, k)
+
+
 def test_local_shadows_nest_or_are_disjoint():
     for a1 in range(1, 5):
         for a2 in range(1, 5):

@@ -36,9 +36,12 @@ def test_tracer_counts_every_layer_and_uninstalls(capsys):
         for argv in (["--p1", "1,2,1", "--p2", "1,1,1,1", "var", "6"],
                      ["--d1", "2", "--d2", "3", "var", "5"],
                      ["--p1", "1,1,1", "--p2", "1,1,1,1", "greedy", "3", "2",
-                      "--method", "recursive", "--clusters=-1..2"],
-                     ["--d1", "2", "--d2", "3", "pairs", "4", "2"]):
+                      "--method", "recursive", "--clusters=-1..2"]):
             assert cli.main(argv) == 0, argv
+        before_pairs = tracer.calls.get("compat.structure", 0)
+        assert cli.main(["--d1", "2", "--d2", "3", "pairs", "4", "2"]) == 0
+        # the streamed pairs still ask for one structure per S2: (d2 + 1) ** a2
+        assert tracer.calls["compat.structure"] - before_pairs == 4 ** 2
     finally:
         tracer.uninstall()
     assert capsys.readouterr().out
