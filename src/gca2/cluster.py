@@ -19,7 +19,16 @@ from __future__ import annotations
 
 from .coeffring import CoefficientMode
 from .greedy import greedy_combinatorial
-from .laurent import LaurentPoly, lp_eval_univariate, lp_substitute_ratio
+from .laurent import LaurentPoly, NotLaurent, lp_eval_univariate, lp_substitute_ratio
+
+
+def _step(f: LaurentPoly, var: int, num: LaurentPoly, cur: int,
+          new: int) -> LaurentPoly:
+    """f in cluster cur rewritten in cluster new, one exchange away."""
+    try:
+        return lp_substitute_ratio(f, var, num).swap_vars()
+    except NotLaurent as exc:
+        raise NotLaurent(f"cluster step {cur} -> {new}: {exc}") from exc
 
 
 class AlgebraContext:
@@ -109,12 +118,12 @@ class AlgebraContext:
     def _step_up(self, f: LaurentPoly, cur: int) -> LaurentPoly:
         # eliminate x_cur using x_{cur+2} x_cur = P(x_{cur+1})
         num = lp_eval_univariate(self._exchange_poly(cur + 1), LaurentPoly.var(2))
-        return lp_substitute_ratio(f, 1, num).swap_vars()
+        return _step(f, 1, num, cur, cur + 1)
 
     def _step_down(self, f: LaurentPoly, cur: int) -> LaurentPoly:
         # eliminate x_{cur+1} using x_{cur+1} x_{cur-1} = P(x_cur)
         num = lp_eval_univariate(self._exchange_poly(cur), LaurentPoly.var(1))
-        return lp_substitute_ratio(f, 2, num).swap_vars()
+        return _step(f, 2, num, cur, cur - 1)
 
     def iter_cluster_expansions(self, f: LaurentPoly, lo: int, hi: int):
         """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi]."""
@@ -149,12 +158,15 @@ class AlgebraContext:
     def apply_reflection(self, f: LaurentPoly, p: int) -> LaurentPoly:
         """Image of f under the reflection fixing x_p (p = 1 or 2)."""
         if p == 2:
-            num = lp_eval_univariate(self.mode.p1_coeffs(), LaurentPoly.var(2))
-            return lp_substitute_ratio(f, 1, num)
-        if p == 1:
-            num = lp_eval_univariate(self.mode.p2_coeffs(), LaurentPoly.var(1))
-            return lp_substitute_ratio(f, 2, num)
-        raise ValueError("reflection index must be 1 or 2")
+            var, num = 1, lp_eval_univariate(self.mode.p1_coeffs(), LaurentPoly.var(2))
+        elif p == 1:
+            var, num = 2, lp_eval_univariate(self.mode.p2_coeffs(), LaurentPoly.var(1))
+        else:
+            raise ValueError("reflection index must be 1 or 2")
+        try:
+            return lp_substitute_ratio(f, var, num)
+        except NotLaurent as exc:
+            raise NotLaurent(f"reflection p={p}: {exc}") from exc
 
     # -- greedy bridge ------------------------------------------------------------
 

@@ -33,6 +33,27 @@ coefficients).  The same rule keeps sparse operands spread over a wide
 exponent range, and small ones, on the dict loop, so no huge buffer is ever
 allocated.
 
+lp_substitute_ratio uses the same packing for its univariate products.  The
+slice of f with x_var-exponent e >= 0 is multiplied by N**e, where N is the
+numerator.  When every coefficient of f and N is a plain int, N is packed
+once into nb-byte slots as the int P, and the packed powers P**e are built by
+repeated int multiplies, never unpacked.  Each slice is then one int product,
+pack(slice_e) * P**e, unpacked once.  One nb serves the whole call.  It is
+sized from the bound max over e >= 0 of |slice_e|_1 * |N|_1**e, since no
+coefficient of a product exceeds the product of its factors' 1-norms; the
+bound also covers N and every P**e.  A slice takes this path when the rule
+above holds for its own slots: slots * (2 + nb/2) <= |slice| * |N**e|, where
+slots is the slice's exponent span and |N**e| = e*deg(N) + 1 is the length
+of the dense power that the dict loop walks.  The product's other e*deg(N)
+slots stand for N**e, which the dict loop holds too, as a list built by its
+own chain of products; the slice's slots are what the packed route adds.  So
+slices spread over a wide exponent range, and sparse ones, stay on the dict
+loop, and no huge buffer is allocated.  _pack and _unpack hold the
+two's-complement slots and the half-slot offset for both kernels.  Slices
+with e < 0 stay on exact univariate division (a few percent of the
+cross-cluster probe), and CoeffPoly coefficients stay on the dict loop: they
+do not fit in slots.
+
 Exact division stays on the int heap below.  A Kronecker division would need
 big-int division, which is quadratic on CPython 3.11: one exchange-step
 division took 364 s that way.
@@ -59,7 +80,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, compress, count, product, repeat
 from typing import Sequence
 
 from .coeffring import (CoeffPoly, CoefficientMode, NotDivisible, SparsePoly,
@@ -120,7 +141,7 @@ class LaurentPoly(SparsePoly):
         lo2 = lo_s + lo_b
         width = max(e2 for _, e2 in small) + max(e2 for _, e2 in big) - lo2 + 1
         # a cheap necessary condition for the rule _kronecker_mul applies
-        if _KRONECKER_SLOT_COST * width <= len(small) * len(big):
+        if _packing_pays(width, 0, len(small) * len(big)):
             out = _kronecker_mul(small, big, lo_s, lo_b, width)
             if out is not None:
                 return out
@@ -152,7 +173,7 @@ class LaurentPoly(SparsePoly):
         return (min(e1 for e1, _ in self.terms), min(e2 for _, e2 in self.terms))
 
     def swap_vars(self) -> "LaurentPoly":
-        return LaurentPoly({(e2, e1): c for (e1, e2), c in self.terms.items()})
+        return LaurentPoly._wrap({(e2, e1): c for (e1, e2), c in self.terms.items()})
 
     # -- exact division --------------------------------------------------------
 
@@ -215,6 +236,44 @@ class LaurentPoly(SparsePoly):
 _KRONECKER_SLOT_COST = 2
 
 
+def _packing_pays(slots: int, nb: int, work: int) -> bool:
+    """True iff slots nb-byte slots cost no more than work dict-loop products."""
+    return slots * (2 * _KRONECKER_SLOT_COST + nb) <= 2 * work
+
+
+def _slot_offset(m: int, nb: int) -> int:
+    """Half a slot in each of m nb-byte slots: only the top bit of each is set."""
+    return int.from_bytes((bytes(nb - 1) + b"\x80") * m, "little")
+
+
+def _pack(slots, m: int, nb: int) -> int:
+    """sum(c * 2**(8*nb*i)) over the (i, c) in slots, 0 <= i < m.
+
+    Every |c| must be below 2**(8*nb - 1).  Each c goes into its slot in two's
+    complement; flipping each slot's top bit turns that into c + 2**(8*nb - 1)
+    >= 0, so subtracting the offset borrows nothing between slots.
+    """
+    buf = bytearray(m * nb)
+    for i, c in slots:
+        i *= nb
+        buf[i:i + nb] = c.to_bytes(nb, "little", signed=True)
+    offset = _slot_offset(m, nb)
+    return (int.from_bytes(buf, "little") ^ offset) - offset
+
+
+def _unpack(v: int, m: int, nb: int) -> list:
+    """The m digits c of v = sum(c * 2**(8*nb*i)), each |c| < 2**(8*nb - 1).
+
+    Adding the offset makes every slot nonnegative; flipping the top bits
+    back leaves each digit in two's complement in its slot.
+    """
+    offset = _slot_offset(m, nb)
+    raw = ((v + offset) ^ offset).to_bytes(m * nb, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i:i + nb], "little", signed=True)
+            for i in range(0, m * nb, nb)]
+
+
 def _kronecker_mul(a: dict, b: dict, lo2_a: int, lo2_b: int,
                    width: int) -> LaurentPoly | None:
     """Product of two term dicts by one big-int multiply, or None.
@@ -227,8 +286,9 @@ def _kronecker_mul(a: dict, b: dict, lo2_a: int, lo2_b: int,
     lo1_a, lo1_b = min(a)[0], min(b)[0]
     rows = max(a)[0] + max(b)[0] - lo1_a - lo1_b + 1
     n = rows * width
+    work = len(a) * len(b)
     # the rule below with nb = 0 first: it needs no scan of the coefficients
-    if (_KRONECKER_SLOT_COST * n > len(a) * len(b)
+    if (not _packing_pays(n, 0, work)
             or not all(type(c) is int for c in chain(a.values(), b.values()))):
         return None
     # |coefficient of the product| <= bound: each is a sum of at most
@@ -236,30 +296,15 @@ def _kronecker_mul(a: dict, b: dict, lo2_a: int, lo2_b: int,
     bound = (min(len(a), len(b)) * max(map(abs, a.values()))
              * max(map(abs, b.values())))
     nb = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-    if n * (2 * _KRONECKER_SLOT_COST + nb) > 2 * len(a) * len(b):
+    if not _packing_pays(n, nb, work):
         return None
-    top = bytes(nb - 1) + b"\x80"  # one slot with only its top bit set
 
     def pack(terms: dict, lo1: int, lo2: int) -> int:
-        m = (max(terms)[0] - lo1 + 1) * width
-        buf = bytearray(m * nb)
-        for (e1, e2), c in terms.items():
-            i = ((e1 - lo1) * width + e2 - lo2) * nb
-            buf[i:i + nb] = c.to_bytes(nb, "little", signed=True)
-        # Flipping each slot's top bit turns two's complement c into
-        # c + 2**(8*nb - 1) >= 0, so subtracting the offset borrows nothing
-        # between slots and leaves sum(c * 2**(8*nb*slot)).
-        offset = int.from_bytes(top * m, "little")
-        return (int.from_bytes(buf, "little") ^ offset) - offset
+        return _pack((((e1 - lo1) * width + e2 - lo2, c)
+                      for (e1, e2), c in terms.items()),
+                     (max(terms)[0] - lo1 + 1) * width, nb)
 
-    # The same offset makes every product slot nonnegative; flipping the top
-    # bits back leaves each coefficient in two's complement in its slot.
-    offset = int.from_bytes(top * n, "little")
-    raw = ((pack(a, lo1_a, lo2_a) * pack(b, lo1_b, lo2_b) + offset)
-           ^ offset).to_bytes(n * nb, "little")
-    from_bytes = int.from_bytes
-    coeffs = [from_bytes(raw[i:i + nb], "little", signed=True)
-              for i in range(0, n * nb, nb)]
+    coeffs = _unpack(pack(a, lo1_a, lo2_a) * pack(b, lo1_b, lo2_b), n, nb)
     lo1, lo2 = lo1_a + lo1_b, lo2_a + lo2_b
     keys = product(range(lo1, lo1 + rows), range(lo2, lo2 + width))
     return LaurentPoly._wrap({k: c for k, c in zip(keys, coeffs) if c})
@@ -282,7 +327,9 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, numerator: LaurentPoly) -> Lau
     constant term (exchange polynomials do: their constant term is 1).
     Each slice of f with x_var-exponent e picks up numerator**e; negative e
     means an exact univariate division, and a failed division raises
-    NotLaurent.
+    NotLaurent naming x_var and e.  With plain int coefficients, a slice
+    with e >= 0 is one big-int product with the packed power (see the
+    module docstring).
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
@@ -302,23 +349,49 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, numerator: LaurentPoly) -> Lau
         slices.setdefault(e[sel], {})[e[oth]] = c
 
     num_list = [num.get(i, 0) for i in range(m0, max(num) + 1)]
-    pow_cache: dict[int, list] = {0: [1]}
+    deg = len(num_list) - 1
+    pows = [[1]]  # pows[k] is N**k as a dense list, built on demand
 
     def num_pow(k: int) -> list:
-        if k not in pow_cache:
-            pow_cache[k] = _uni_mul(num_pow(k - 1), num_list)
-        return pow_cache[k]
+        while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
+            pows.append(_uni_mul(pows[-1], num_list))
+        return pows[k]
+
+    all_int = all(type(c) is int for c in chain(num_list, f.terms.values()))
+    if all_int:
+        # |coefficient of slice_e * N**e| <= |slice_e|_1 * |N|_1**e, and N
+        # itself goes into the same slots
+        norm = sum(map(abs, num_list))
+        bound = max([norm] + [sum(map(abs, sl.values())) * norm ** e
+                              for e, sl in slices.items() if e >= 0])
+        nb = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
+        big_n = _pack(enumerate(num_list), deg + 1, nb)
+        pw, pw_e = 1, 0  # pw == big_n ** pw_e
 
     out: dict[tuple[int, int], object] = {}
     for e, sl in sorted(slices.items()):
-        if e >= 0:
-            res = _uni_mul_sparse(sl, num_pow(e))
+        lo = min(sl)
+        m = max(sl) - lo + 1
+        # coeffs[i] is the coefficient of x^(lo + i) times N's monomial factor**e
+        exps = count(lo + e * m0)
+        if e < 0:
+            try:
+                coeffs = _uni_exact_div(sl, num_pow(-e))
+            except NotLaurent as exc:
+                raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
+        elif all_int and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
+            pw *= big_n ** (e - pw_e)
+            pw_e = e
+            packed_sl = _pack(((i - lo, c) for i, c in sl.items()), m, nb)
+            coeffs = _unpack(packed_sl * pw, m + e * deg, nb)
         else:
-            res = _uni_exact_div(sl, num_pow(-e))
-        for eo, c in res.items():
-            key = (-e, eo + e * m0) if var == 1 else (eo + e * m0, -e)
-            out[key] = c
-    return LaurentPoly(out)
+            res = _uni_mul_sparse(sl, num_pow(e))
+            exps = [eo + e * m0 for eo in res]
+            coeffs = res.values()
+        row = repeat(-e)
+        keys = zip(row, exps) if var == 1 else zip(exps, row)
+        out.update(compress(zip(keys, coeffs), coeffs))
+    return LaurentPoly._wrap(out)
 
 
 def _uni_mul(a: list, b: list) -> list:
@@ -348,8 +421,12 @@ def _uni_mul_sparse(sl: dict[int, object], b: list) -> dict[int, object]:
     return out
 
 
-def _uni_exact_div(sl: dict[int, object], b: list) -> dict[int, object]:
-    """Exact quotient of a sparse univariate slice by b with b[0] != 0."""
+def _uni_exact_div(sl: dict[int, object], b: list) -> list:
+    """Exact quotient of a sparse univariate slice by b with b[0] != 0.
+
+    Entry i of the returned list is the quotient coefficient of exponent
+    min(sl) + i; some entries may be 0.
+    """
     lo = min(sl)
     hi = max(sl)
     deg_b = len(b) - 1
@@ -374,7 +451,7 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> dict[int, object]:
         work[i] = 0
     if any(work):
         raise NotLaurent("univariate division leaves a remainder")
-    return {lo + i: c for i, c in enumerate(quot) if c}
+    return quot
 
 
 @dataclass(frozen=True)
@@ -402,9 +479,13 @@ def lp_to_pointed(f: LaurentPoly) -> PointedForm:
 
 def lp_is_positive(f: LaurentPoly) -> bool:
     """True iff f is nonzero with all integer coefficients >= 0 (numeric mode)."""
-    if any(isinstance(c, CoeffPoly) for c in f.terms.values()):
-        raise SymbolicModeUnsupported("positivity is decided in numeric mode only")
-    return bool(f.terms) and all(c >= 0 for c in f.terms.values())
+    positive = bool(f.terms)
+    for c in f.terms.values():
+        if isinstance(c, CoeffPoly):
+            raise SymbolicModeUnsupported("positivity is decided in numeric mode only")
+        if c < 0:
+            positive = False
+    return positive
 
 
 # -- serialization and rendering ----------------------------------------------

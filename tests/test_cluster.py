@@ -4,7 +4,7 @@ from conftest import ALL_ONES, expected_x3, expected_x4, expected_x5
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
 from gca2.greedy import greedy_combinatorial, reflect_params
-from gca2.laurent import LaurentPoly, lp_to_pointed
+from gca2.laurent import LaurentPoly, NotLaurent, lp_to_pointed
 
 
 def test_cluster_variable_golden(mode23):
@@ -141,6 +141,24 @@ def test_expand_in_cluster_is_consistent_with_variables(mode23):
             LaurentPoly.monomial(1, 0)
         assert ctx.expand_in_cluster(ctx.cluster_variable(k + 1), k) == \
             LaurentPoly.monomial(0, 1)
+
+
+def test_not_laurent_names_the_failing_step(mode23):
+    ctx = AlgebraContext(mode23)
+    f = LaurentPoly({(1, 0): 1, (-1, 0): 1})  # x1 + x1^-1
+    # x1^-1 = x3 / P(x2) is not Laurent in (x2, x3)
+    step = "cluster step 1 -> 2: substituting x1, slice e=-1"
+    with pytest.raises(NotLaurent, match=step):
+        ctx.expand_in_cluster(f, 2)
+    assert ctx.expand_in_cluster(f, 0) == LaurentPoly({(0, 1): 1, (0, -1): 1})
+    g = LaurentPoly({(0, 1): 1, (0, -1): 1})  # x2 + x2^-1
+    step = "cluster step 1 -> 0: substituting x2, slice e=-1"
+    with pytest.raises(NotLaurent, match=step):
+        ctx.expand_in_cluster(g, -1)
+    with pytest.raises(NotLaurent, match="reflection p=2: substituting x1, slice e=-1"):
+        ctx.apply_reflection(LaurentPoly.monomial(-1, 0), 2)
+    with pytest.raises(NotLaurent, match="reflection p=1: substituting x2, slice e=-2"):
+        ctx.apply_reflection(LaurentPoly.monomial(0, -2), 1)
 
 
 def test_apply_reflection_examples(mode23):

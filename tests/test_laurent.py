@@ -1,11 +1,11 @@
 import random
 import subprocess
 import sys
-from math import isqrt
+from math import comb, isqrt
 
 import pytest
 
-from conftest import expected_x3, pmul
+from conftest import expected_x3, pmul, ppow
 from gca2 import laurent
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode, NotDivisible
@@ -292,6 +292,168 @@ def test_substitute_ratio_double_inverts_cluster_variables(mode23):
         assert lp_substitute_ratio(lp_substitute_ratio(f, 1, num), 1, num) == f
 
 
+@pytest.fixture
+def slice_paths(monkeypatch):
+    """Record, per slice with e >= 0 of an all-int substitution, if it was packed."""
+    calls = []
+    real = laurent._packing_pays
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(laurent, "_packing_pays", spy)
+    return calls
+
+
+def rows(terms: dict, sel: int) -> dict:
+    """Exponent in slot sel -> the terms with that exponent, slot sel set to 0."""
+    out: dict = {}
+    for e, c in terms.items():
+        out.setdefault(e[sel], {})[(0, e[1]) if sel == 0 else (e[0], 0)] = c
+    return out
+
+
+def assert_substitution(f, var, num, got):
+    """got == f(x_var -> num / y), row by row with conftest.pmul and ppow only.
+
+    Row -e of got must be slice_e * num**e for e >= 0; for e < 0 it must give
+    slice_e back when multiplied by num**-e.
+    """
+    sel = var - 1
+    f_rows, got_rows = rows(f.terms, sel), rows(got.terms, sel)
+    assert sorted(got_rows) == sorted(-e for e in f_rows)
+    for e, sl in f_rows.items():
+        if e >= 0:
+            assert got_rows[-e] == pmul(sl, ppow(num.terms, e)), e
+        else:
+            assert pmul(got_rows[-e], ppow(num.terms, -e)) == sl, e
+
+
+def in_var(var: int, coeffs: dict) -> dict:
+    """{j: c} as terms in the variable other than x_var."""
+    return {((0, j) if var == 1 else (j, 0)): c for j, c in coeffs.items()}
+
+
+def sliced(var: int, slices: dict) -> LaurentPoly:
+    """The polynomial with x_var-exponent e slice slices[e] (a term dict)."""
+    sel = var - 1
+    return LaurentPoly({((e, k[1]) if sel == 0 else (k[0], e)): c
+                        for e, sl in slices.items() for k, c in sl.items()})
+
+
+def random_substitution(rng, var, num, es, n, bits):
+    """f with a dense n-term signed slice at each e in es; slices with e < 0
+    are multiples of num**-e, so f stays Laurent under x_var -> num / y."""
+    slices = {}
+    for e in es:
+        lo = rng.randint(-5, 5)
+        q = in_var(var, {lo + i: rng.randint(-(2 ** bits), 2 ** bits) or 1
+                         for i in range(n)})
+        slices[e] = q if e >= 0 else pmul(q, ppow(num.terms, -e))
+    return sliced(var, slices)
+
+
+NUMERATORS = {  # x2 exponent -> coefficient
+    "ones": {0: 1, 1: 1, 2: 1},
+    "zero inner coefficient": {0: 1, 2: 1},  # 1 + x^2
+    "monomial factor": {2: 1, 3: 2, 4: 1},  # x^2 (1 + 2x + x^2), m0 = 2
+    "signed": {0: 1, 1: -2, 3: 3},
+}
+
+
+def test_substitute_ratio_packed_matches_oracle(slice_paths):
+    rng = random.Random(812)
+    for name, coeffs in NUMERATORS.items():
+        for var in (1, 2):
+            num = LaurentPoly(in_var(var, coeffs))
+            for n, bits in ((12, 3), (20, 64), (6, 200)):
+                f = random_substitution(rng, var, num, range(-3, 15), n, bits)
+                del slice_paths[:]
+                assert_substitution(f, var, num, lp_substitute_ratio(f, var, num))
+                # one decision per slice with e >= 0, and the dense
+                # high-e slices are packed
+                assert len(slice_paths) == 15, name
+                assert slice_paths[-1], (name, var, n, bits)
+
+
+def test_substitute_ratio_packed_cancellation(slice_paths):
+    # (1 - x)^12 * (1 + x)^12 = (1 - x^2)^12: every odd slot cancels
+    for var in (1, 2):
+        num = LaurentPoly(in_var(var, {0: 1, 1: 1}))
+        minus = in_var(var, {0: 1, 1: -1})
+        f = sliced(var, {12: ppow(minus, 12), -2: pmul(minus, ppow(num.terms, 2))})
+        got = lp_substitute_ratio(f, var, num)
+        assert_substitution(f, var, num, got)
+        assert len(rows(got.terms, var - 1)[-12]) == 13  # x^0, x^2, ..., x^24
+        assert all(c for c in got.terms.values())
+    assert slice_paths == [True, True]
+
+
+def test_substitute_ratio_tight_slot_bound(slice_paths):
+    # slice M + x + ... + x^9 and N = K + x + x^2 with K = 2**k, at e = 16:
+    # the largest output coefficient, M*K**16 at x^0, has as many bits as the
+    # bound |slice|_1 * |N|_1**16 that sizes the slots.  At 8*t - 1 bits the
+    # sign bit is the last free bit of a t-byte slot; at 8*t bits it needs
+    # t + 1.
+    e = 16
+    for bits in (135, 136, 191, 192, 255, 256):
+        k = (bits - 8) // 16
+        m = 3 << (bits - 16 * k - 2)  # bits - 16*k bits
+        for sign in (1, -1):
+            sl = {0: sign * m, **{i: 1 for i in range(1, 10)}}
+            num = LaurentPoly(in_var(1, {0: 2 ** k, 1: 1, 2: 1}))
+            bound = sum(map(abs, sl.values())) * (2 ** k + 2) ** e
+            assert bound.bit_length() == bits
+            f = sliced(1, {e: in_var(1, sl)})
+            got = lp_substitute_ratio(f, 1, num)
+            assert_substitution(f, 1, num, got)
+            assert got.terms[(-e, 0)] == sign * m * 2 ** (k * e)
+            assert max(abs(c) for c in got.terms.values()).bit_length() == bits
+    assert slice_paths == [True] * 12
+
+
+def test_substitute_ratio_coeffpoly_keeps_dict_path(slice_paths):
+    rng = random.Random(3)
+    num = LaurentPoly(in_var(1, NUMERATORS["ones"]))
+    f = random_substitution(rng, 1, num, range(-2, 10), 10, 30)
+    want = lp_substitute_ratio(f, 1, num)
+    assert any(slice_paths)
+    del slice_paths[:]
+    key, c = max(f.terms.items())
+    g = LaurentPoly({**f.terms, key: CoeffPoly.const(c)})  # same value
+    assert lp_substitute_ratio(g, 1, num) == want
+    # a symbolic numerator too, against the oracle
+    rho = CoeffPoly.rho(1, 3)
+    sym = LaurentPoly(in_var(1, {0: 1, 1: rho, 2: 1}))
+    f = random_substitution(rng, 1, sym, range(-2, 6), 6, 5)
+    assert_substitution(f, 1, sym, lp_substitute_ratio(f, 1, sym))
+    assert slice_paths == []
+
+
+def test_substitute_ratio_wide_slice_stays_on_dict_loop(slice_paths):
+    # a two-term slice spread over 2**40 would need 2**40 packed slots
+    far = 2 ** 40
+    rng = random.Random(9)
+    for var in (1, 2):
+        num = LaurentPoly(in_var(var, NUMERATORS["ones"]))
+        dense = {i: rng.randint(-99, 99) or 1 for i in range(12)}
+        f = sliced(var, {3: in_var(var, {0: 1, far: -2}), 12: in_var(var, dense)})
+        del slice_paths[:]
+        assert_substitution(f, var, num, lp_substitute_ratio(f, var, num))
+        assert slice_paths == [False, True]
+
+
+def test_substitute_ratio_exponents_beyond_the_recursion_limit():
+    # |e| above the interpreter's default recursion limit of 1000
+    num = LaurentPoly.monomial(0, 0) + X2
+    with pytest.raises(NotLaurent, match="slice e=-1100"):
+        lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, num)
+    got = lp_substitute_ratio(LaurentPoly.monomial(0, 1100), 2, num.swap_vars())
+    assert got.terms == {(j, -1100): comb(1100, j) for j in range(1101)}
+
+
 def test_to_pointed_examples():
     x3 = LaurentPoly({(-1, 0): 1, (-1, 1): 1, (-1, 2): 1})
     pf = lp_to_pointed(x3)
@@ -332,6 +494,8 @@ def test_is_positive():
     assert not lp_is_positive(LaurentPoly.zero())
     with pytest.raises(SymbolicModeUnsupported):
         lp_is_positive(LaurentPoly.const(CoeffPoly.rho(1, 2)))
+    with pytest.raises(SymbolicModeUnsupported):  # after a negative int
+        lp_is_positive(LaurentPoly({(0, 0): -1, (1, 0): CoeffPoly.rho(1, 2)}))
 
 
 def test_json_roundtrip_and_term_order(mode23, sym23):

@@ -1,7 +1,11 @@
 """Hypothesis properties over random monic palindromic P1, P2.
 
-Degrees 0-4 and inner coefficients 0-4.  Runs are derandomized and keep no
-example database, so every run tries the same examples.
+Degrees 0-4 and inner coefficients 0-4, greedy parameters in [-2,4]^2.
+Runs are derandomized and keep no example database, so every run tries the
+same examples.  Besides recursive == combinatorial, the greedy element is
+positive in every cluster of [-2,4], each reflection maps it to the greedy
+element of the reflected parameters, and x_k, x_{k+1} expand in cluster k to
+its two coordinates.
 """
 
 import pytest
@@ -10,8 +14,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import palindromic  # noqa: E402
+from gca2.cluster import AlgebraContext  # noqa: E402
 from gca2.coeffring import CoefficientMode  # noqa: E402
-from gca2.greedy import greedy_combinatorial, greedy_recursive  # noqa: E402
+from gca2.greedy import (greedy_combinatorial, greedy_recursive,  # noqa: E402
+                         reflect_params)
+from gca2.laurent import LaurentPoly, lp_is_positive  # noqa: E402
 
 
 @st.composite
@@ -28,3 +35,36 @@ def test_recursive_equals_combinatorial(p1, p2, a1, a2):
     mode = CoefficientMode.numeric(p1, p2)
     assert greedy_recursive(mode, a1, a2).to_laurent() == \
         greedy_combinatorial(mode, a1, a2)
+
+
+MODES = st.builds(CoefficientMode.numeric, palindromic_polys(), palindromic_polys())
+POINTS = st.tuples(st.integers(-2, 4), st.integers(-2, 4))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mode=MODES, a=POINTS)
+def test_greedy_element_positive_in_every_cluster(mode, a):
+    ctx = AlgebraContext(mode)
+    f = greedy_combinatorial(mode, *a)
+    ks = []
+    for k, g in ctx.iter_cluster_expansions(f, -2, 4):
+        assert lp_is_positive(g), k
+        ks.append(k)
+    assert sorted(ks) == list(range(-2, 5))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mode=MODES, a=POINTS, p=st.sampled_from((1, 2)))
+def test_reflection_maps_greedy_to_reflected_parameters(mode, a, p):
+    ctx = AlgebraContext(mode)
+    f = greedy_combinatorial(mode, *a)
+    assert ctx.apply_reflection(f, p) == \
+        greedy_combinatorial(mode, *reflect_params(mode, p, *a))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(mode=MODES, k=st.integers(-2, 4))
+def test_cluster_variables_expand_to_the_cluster_coordinates(mode, k):
+    ctx = AlgebraContext(mode)
+    assert ctx.expand_in_cluster(ctx.cluster_variable(k), k) == LaurentPoly.var(1)
+    assert ctx.expand_in_cluster(ctx.cluster_variable(k + 1), k) == LaurentPoly.var(2)
