@@ -104,7 +104,7 @@ def cmd_greedy(args, mode) -> int:
         f = greedy.greedy_combinatorial(mode, args.a1, args.a2)
     extra = {"point": [args.a1, args.a2], "method": args.method}
     if args.clusters:
-        ctx = AlgebraContext(mode, expand_lo=min(lo, -6), expand_hi=max(hi, 8))
+        ctx = AlgebraContext(mode)
         verdicts = {str(k): laurent.lp_is_positive(g)
                     for k, g in ctx.iter_cluster_expansions(f, lo, hi)}
         extra["positive_in_clusters"] = dict(sorted(verdicts.items(), key=lambda t: int(t[0])))

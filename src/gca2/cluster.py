@@ -34,10 +34,8 @@ def _step(f: LaurentPoly, var: int, num: LaurentPoly, cur: int,
 class AlgebraContext:
     """Memoized cluster variables and derived operations for one mode."""
 
-    def __init__(self, mode: CoefficientMode, expand_lo: int = -6, expand_hi: int = 8):
+    def __init__(self, mode: CoefficientMode):
         self.mode = mode
-        self.expand_lo = expand_lo
-        self.expand_hi = expand_hi
         self._memo: dict[int, LaurentPoly] = {
             1: LaurentPoly.var(1),
             2: LaurentPoly.var(2),
@@ -129,17 +127,12 @@ class AlgebraContext:
         """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi]."""
         if lo > hi:
             raise ValueError("empty cluster range")
-        if lo < self.expand_lo or hi > self.expand_hi:
-            raise ValueError(
-                f"cluster range [{lo}, {hi}] outside configured "
-                f"[{self.expand_lo}, {self.expand_hi}]")
-        if hi >= 1:
-            g = f
-            for k in range(1, hi + 1):
-                if k >= lo:
-                    yield (k, g)
-                if k < hi:
-                    g = self._step_up(g, k)
+        g = f
+        for k in range(1, hi + 1):
+            if k >= lo:
+                yield (k, g)
+            if k < hi:
+                g = self._step_up(g, k)
         g = f
         for k in range(0, lo - 1, -1):
             g = self._step_down(g, k + 1)

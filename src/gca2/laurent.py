@@ -376,6 +376,8 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, numerator: LaurentPoly) -> Lau
         exps = count(lo + e * m0)
         if e < 0:
             try:
+                if m - 1 < -e * deg:  # checked before N**-e is built
+                    raise NotLaurent("slice shorter than the divisor")
                 coeffs = _uni_exact_div(sl, num_pow(-e))
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
@@ -431,8 +433,6 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> list:
     hi = max(sl)
     deg_b = len(b) - 1
     deg_q = hi - lo - deg_b
-    if deg_q < 0:
-        raise NotLaurent("slice shorter than the divisor")
     b0 = b[0]
     work = [sl.get(lo + i, 0) for i in range(hi - lo + 1)]
     quot = [0] * (deg_q + 1)

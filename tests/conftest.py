@@ -11,6 +11,7 @@ import pytest
 
 from gca2.coeffring import CoefficientMode
 from gca2.multinom import compositions_weighted, multinomial
+from gca2.verify import ALL_ONES
 
 
 # -- tiny independent polynomial toolkit: dict[(e1, e2)] -> int --------------
@@ -185,17 +186,6 @@ def palindromic(d: int, inner) -> tuple:
     for t in range(1, d // 2 + 1):
         p[t] = p[d - t] = inner[t - 1]
     return tuple(p)
-
-
-ALL_ONES = {
-    (1, 1): CoefficientMode.numeric((1, 1), (1, 1)),
-    (2, 2): CoefficientMode.numeric((1, 1, 1), (1, 1, 1)),
-    (2, 3): CoefficientMode.numeric((1, 1, 1), (1, 1, 1, 1)),
-    (3, 3): CoefficientMode.numeric((1, 1, 1, 1), (1, 1, 1, 1)),
-    (1, 2): CoefficientMode.numeric((1, 1), (1, 1, 1)),
-    (0, 2): CoefficientMode.numeric((1,), (1, 1, 1)),
-    (3, 0): CoefficientMode.numeric((1, 1, 1, 1), (1,)),
-}
 
 
 @pytest.fixture

@@ -10,21 +10,19 @@ from itertools import product
 import pytest
 
 from conftest import ALL_ONES, DIAGRAMS_5_2, expected_x3, expected_x4, expected_x5
-from gca2 import compat
+from gca2 import compat, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
 from gca2.compat import (CriterionFails, enumerate_bruteforce, enumerate_fast,
-                         fstat_v, is_compatible, local_shadow_h,
-                         local_shadow_v, omega, pair_record, phi_pullback,
-                         rsh_block_size_h, rsh_block_size_v, shadow_report_h,
-                         shadow_report_v, support_region)
+                         fstat_v, is_compatible, local_shadow_h, omega,
+                         phi_pullback, rsh_block_size_h, rsh_block_size_v,
+                         shadow_report_h, shadow_report_v)
 from gca2.dyckpath import DyckPath, EdgeRef, Subpath
-from gca2.greedy import (greedy_combinatorial, greedy_expand, greedy_recursive,
-                         reflect_params)
-from gca2.laurent import LaurentPoly, lp_is_positive, lp_to_pointed
-from gca2.multinom import (compositions, multinomial, poly_power_series)
+from gca2.greedy import greedy_combinatorial, greedy_expand, greedy_recursive
+from gca2.laurent import LaurentPoly
+from gca2.multinom import compositions, multinomial
 
-GRID_SYSTEMS = [(1, 1), (2, 2), (2, 3), (0, 2), (3, 0)]
+GRID_MODES = [ALL_ONES[key] for key in verify.GRID_SYSTEMS]
 
 _LINES = []
 
@@ -92,12 +90,8 @@ def test_criterion_02_golden_compatible_pairs():
 def test_criterion_03_cross_method_oracle():
     _clear_caches()
     t0 = time.perf_counter()
-    for key in GRID_SYSTEMS:
-        mode = ALL_ONES[key]
-        for a1 in range(-2, 5):
-            for a2 in range(-2, 5):
-                assert greedy_recursive(mode, a1, a2).to_laurent() == \
-                    greedy_combinatorial(mode, a1, a2), (key, a1, a2)
+    assert verify.recursion_equals_combinatorial(
+        modes=GRID_MODES, points=verify.square(-2, 4)) is None
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     _report(3, "recursion = combinatorial on [-2,4]^2 x 5 systems", elapsed, 120.0)
@@ -106,17 +100,8 @@ def test_criterion_03_cross_method_oracle():
 def test_criterion_04_positivity():
     _clear_caches()
     t0 = time.perf_counter()
-    for key in GRID_SYSTEMS:
-        mode = ALL_ONES[key]
-        ctx = AlgebraContext(mode)
-        for a1 in range(-2, 5):
-            for a2 in range(-2, 5):
-                f = greedy_combinatorial(mode, a1, a2)
-                seen = set()
-                for k, g in ctx.iter_cluster_expansions(f, -2, 4):
-                    assert lp_is_positive(g), (key, a1, a2, k)
-                    seen.add(k)
-                assert seen == set(range(-2, 5))
+    assert verify.positivity(modes=GRID_MODES, points=verify.square(-2, 4),
+                             clusters=range(-2, 5)) is None
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     _report(4, "positivity in clusters [-2,4]", elapsed, 300.0)
@@ -127,41 +112,25 @@ def test_criterion_05_reflection_symmetry():
     numeric = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (0, 2), (3, 0)]
     modes = [ALL_ONES[key] for key in numeric]
     modes.append(CoefficientMode.symbolic(2, 3))
-    for mode in modes:
-        ctx = AlgebraContext(mode)
-        for a1 in range(-2, 4):
-            for a2 in range(-2, 4):
-                f = greedy_combinatorial(mode, a1, a2)
-                for p in (1, 2):
-                    want = greedy_combinatorial(
-                        mode, *reflect_params(mode, p, a1, a2))
-                    assert ctx.apply_reflection(f, p) == want, (mode.d1, mode.d2, a1, a2, p)
+    assert verify.reflection_symmetry(modes=modes, points=verify.square(-2, 3)) is None
     elapsed = time.perf_counter() - t0
     _report(5, "sigma_1/sigma_2 match reflected parameters on [-2,3]^2", elapsed)
 
 
 def test_criterion_06_laurent_phenomenon_contract():
     t0 = time.perf_counter()
-    for key in GRID_SYSTEMS:
-        ctx = AlgebraContext(ALL_ONES[key])
-        for k in range(-5, 9):
-            ctx.cluster_variable(k)
-    for key in ((1, 1), (2, 2), (0, 2), (3, 0)):
-        ctx = AlgebraContext(CoefficientMode.symbolic(*key))
-        for k in range(-5, 9):
-            ctx.cluster_variable(k)
+    systems = [(mode, range(-5, 9)) for mode in GRID_MODES]
+    systems += [(CoefficientMode.symbolic(*key), range(-5, 9))
+                for key in ((1, 1), (2, 2), (0, 2), (3, 0))]
     # symbolic (2,3) capped at [-4,7] and numeric (3,3) at [-4,7]. Cost of each
     # excluded endpoint (2 vCPUs, CPython 3.11): numeric (3,3) x_8 16 s and
     # x_-5 20 s for the last exchange step alone (35,941 terms each; about
     # 9-11 s Horner evaluation, 7-9 s exact division), against a 40 s
     # criterion; symbolic (2,3) x_8 and x_-5 still unfinished 300 s after a
     # fresh start.
-    ctx = AlgebraContext(CoefficientMode.symbolic(2, 3))
-    for k in range(-4, 8):
-        ctx.cluster_variable(k)
-    ctx = AlgebraContext(CoefficientMode.numeric((1, 1, 1, 1), (1, 1, 1, 1)))
-    for k in range(-4, 8):
-        ctx.cluster_variable(k)
+    systems += [(CoefficientMode.symbolic(2, 3), range(-4, 8)),
+                (CoefficientMode.numeric((1, 1, 1, 1), (1, 1, 1, 1)), range(-4, 8))]
+    assert verify.laurent_phenomenon(systems=systems) is None
     elapsed = time.perf_counter() - t0
     _report(6, "no NotDivisible along the exchange recursion", elapsed)
 
@@ -170,13 +139,7 @@ def test_criterion_07_combinatorics_lemma_suite():
     t0 = time.perf_counter()
 
     # shadow sizes: |sh(S1)| = min(a2,|S1|), |sh(S2)| = min(a1,|S2|)
-    for a1 in range(1, 6):
-        for a2 in range(1, 6):
-            path = DyckPath.build(a1, a2)
-            for s1 in product(range(4), repeat=a1):
-                assert len(shadow_report_h(path, s1).shadow) == min(a2, sum(s1))
-            for s2 in product(range(4), repeat=a2):
-                assert len(shadow_report_v(path, s2).shadow) == min(a1, sum(s2))
+    assert verify.shadow_sizes(max_a=5, max_value=3) is None
 
     # local shadows nest or are disjoint
     for a1 in range(1, 5):
@@ -270,22 +233,8 @@ def test_criterion_07_combinatorics_lemma_suite():
                         assert back == s1
 
     # grading bound and support region, all three region cases exercised
-    cases = set()
-    for a1 in range(5):
-        for a2 in range(5):
-            for d1 in range(4):
-                for d2 in range(4):
-                    if d2 * a2 <= a1:
-                        cases.add("a")
-                    elif d1 * a1 <= a2:
-                        cases.add("b")
-                    else:
-                        cases.add("c")
-                    for s1, s2 in enumerate_bruteforce(a1, a2, d1, d2):
-                        if a1 >= 1 and a2 >= 1:
-                            assert sum(s1) < a2 or sum(s2) < a1
-                        assert support_region(d1, d2, a1, a2, sum(s1), sum(s2))
-    assert cases == {"a", "b", "c"}
+    degrees = list(product(range(4), repeat=2))
+    assert verify.grading_and_support(sizes=range(5), degrees=degrees) is None
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
@@ -297,29 +246,18 @@ def test_criterion_08_appendix_suite():
     from math import factorial
 
     # Pascal identity and factorial formula, n <= 8, r <= 4
+    assert verify.pascal(max_n=8, max_r=4) is None
     for n in range(1, 9):
         for r in range(1, 5):
             for parts in compositions(n, r):
-                val = multinomial(n, 0, parts)
                 fac = factorial(n)
                 for p in parts:
                     fac //= factorial(p)
-                assert val == fac
-                rhs = sum(multinomial(n - 1, 0,
-                                      tuple(p - (i == t) for i, p in enumerate(parts)))
-                          for t in range(r) if parts[t] > 0)
-                assert val == rhs
+                assert multinomial(n, 0, parts) == fac
 
     # truncated inverse property, n <= 4, d <= 4, N <= 12
     polys = [(1, 1), (1, 2, 1), (1, 1, 1, 1), (1, 3, 5, 3, 1), (1, 2, 2, 2, 1)]
-    for p in polys:
-        for n in range(5):
-            for num_terms in (4, 8, 12):
-                pos = poly_power_series(p, n, num_terms)
-                neg = poly_power_series(p, -n, num_terms)
-                conv = [sum(pos[i] * neg[k - i] for i in range(k + 1))
-                        for k in range(num_terms + 1)]
-                assert conv == [1] + [0] * num_terms
+    assert verify.truncated_inverse(polys=polys, ns=range(5), lengths=(4, 8, 12)) is None
     elapsed = time.perf_counter() - t0
     _report(8, "multinomial Pascal/factorial and truncated inverses", elapsed)
 
@@ -342,21 +280,9 @@ def test_criterion_09_basis_roundtrip():
 
 def test_criterion_10_determinism_and_performance():
     t0 = time.perf_counter()
-    # byte-for-byte equality on the exhaustive grid
-    import json
-    for a1 in range(5):
-        for a2 in range(5):
-            for d1 in range(4):
-                for d2 in range(4):
-                    brute = enumerate_bruteforce(a1, a2, d1, d2)
-                    fast = enumerate_fast(a1, a2, d1, d2)
-                    render_b = "\n".join(
-                        json.dumps(pair_record(s1, s2), separators=(",", ":"))
-                        for s1, s2 in brute)
-                    render_f = "\n".join(
-                        json.dumps(pair_record(s1, s2), separators=(",", ":"))
-                        for s1, s2 in fast)
-                    assert render_b == render_f
+    # equality on the exhaustive grid: equal pair lists render to equal bytes
+    degrees = list(product(range(4), repeat=2))
+    assert verify.fast_equals_brute(max_a=4, degrees=degrees) is None
 
     # benchmark at (8,3), d = (2,3); the 5x threshold is report-only
     tb0 = time.perf_counter()

@@ -4,10 +4,8 @@ import sys
 from contextlib import redirect_stdout
 from itertools import product
 
-import pytest
-
 from conftest import expected_x5
-from gca2 import cli, compat, greedy
+from gca2 import cli, compat, greedy, multinom
 from gca2.coeffring import CoefficientMode
 from gca2.laurent import from_json
 
@@ -97,6 +95,29 @@ def test_verify_suites_pass_and_unknown_fails():
     assert all(line.startswith("PASS") for line in out.strip().splitlines())
     code, _, err = run_cli([*NUMERIC, "verify", "nosuchsuite"])
     assert code == 2
+
+
+def test_verify_failures_exit_1_with_fail_lines(monkeypatch, capsys):
+    real = multinom.multinomial
+    monkeypatch.setattr(multinom, "multinomial", lambda n, k0, parts: real(n, k0, parts) + 1)
+    assert cli.main([*NUMERIC, "verify", "multinom"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL multinom: Pascal identity [n <= 6, r <= 4]",
+        "FAIL multinom: row sums are powers [n <= 6, r <= 4]",
+        "FAIL multinom: truncated inverse convolves to 1 [n <= 3, d <= 3]",
+    ]
+
+    def crash(*args):
+        raise RuntimeError("planted")
+
+    # a check that raises reports FAIL; the suite's other checks still run
+    monkeypatch.setattr(compat, "support_region", crash)
+    assert cli.main([*NUMERIC, "verify", "compat"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS compat: fast enumeration equals brute force [a <= 3]",
+        "PASS compat: shadow sizes [a <= 4, values <= 2]",
+        "FAIL compat: grading bound and support region [a <= 3]",
+    ]
 
 
 def test_bench_stdout_is_deterministic():

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import ALL_ONES, expected_x3, expected_x4, expected_x5
+from gca2 import verify
 from gca2.cluster import AlgebraContext
-from gca2.coeffring import CoefficientMode
 from gca2.greedy import greedy_combinatorial, reflect_params
 from gca2.laurent import LaurentPoly, NotLaurent, lp_to_pointed
 
@@ -28,10 +28,8 @@ def test_exchange_relation_holds_both_directions(mode23):
 
 
 def test_laurent_contract_all_systems():
-    for key, mode in ALL_ONES.items():
-        ctx = AlgebraContext(mode)
-        for k in range(-4, 8):
-            ctx.cluster_variable(k)  # must not raise NotDivisible
+    systems = [(mode, range(-4, 8)) for mode in ALL_ONES.values()]
+    assert verify.laurent_phenomenon(systems=systems) is None
 
 
 def test_standard_monomial_examples(mode23):
@@ -71,13 +69,8 @@ def test_chebyshev_values(mode23):
 
 def test_cluster_variables_are_greedy_elements():
     # validates the parity convention for d_j before larger k is trusted
-    for key in ((2, 3), (2, 2), (1, 1)):
-        mode = ALL_ONES[key]
-        ctx = AlgebraContext(mode)
-        for k in range(-2, 6):
-            b1, b2 = ctx.greedy_params_of_cluster_variable(k)
-            assert ctx.cluster_variable(k) == \
-                greedy_combinatorial(mode, b1, b2), (key, k)
+    modes = [ALL_ONES[key] for key in ((2, 3), (2, 2), (1, 1))]
+    assert verify.cluster_variables_are_greedy(modes=modes, ks=range(-2, 6)) is None
 
 
 def test_greedy_params_of_cluster_variable(mode23):
@@ -129,8 +122,14 @@ def test_expand_in_cluster_examples(mode23):
     got = ctx.expand_in_cluster(LaurentPoly.var(1), 2)
     assert got == LaurentPoly({(0, -1): 1, (1, -1): 1, (2, -1): 1})
     assert ctx.expand_in_cluster(x3, 1) == x3
+
+
+def test_cluster_expansions_reach_any_range(mode23):
+    ctx = AlgebraContext(mode23)
+    ks = [k for k, _ in ctx.iter_cluster_expansions(LaurentPoly.var(1), -8, 9)]
+    assert sorted(ks) == list(range(-8, 10))
     with pytest.raises(ValueError):
-        ctx.expand_in_cluster(x3, 99)
+        next(ctx.iter_cluster_expansions(LaurentPoly.var(1), 2, 1))
 
 
 def test_expand_in_cluster_is_consistent_with_variables(mode23):
@@ -165,9 +164,7 @@ def test_apply_reflection_examples(mode23):
     ctx = AlgebraContext(mode23)
     x1 = LaurentPoly.var(1)
     assert ctx.apply_reflection(x1, 2) == ctx.cluster_variable(3)
-    for k in range(1, 6):
-        f = ctx.cluster_variable(k)
-        assert ctx.apply_reflection(ctx.apply_reflection(f, 2), 2) == f
+    assert verify.reflection_involution(mode=mode23, ks=range(1, 6)) is None
     got = ctx.apply_reflection(greedy_combinatorial(mode23, 5, 2), 2)
     assert got == greedy_combinatorial(mode23, 1, 2)
     with pytest.raises(ValueError):
@@ -195,9 +192,8 @@ def test_dihedral_consistency_with_reflect_params(mode23):
 
 
 def test_symbolic_cluster_variables(sym23):
+    assert verify.laurent_phenomenon(systems=[(sym23, range(-2, 6))]) is None
     ctx = AlgebraContext(sym23)
-    for k in range(-2, 6):
-        ctx.cluster_variable(k)
     assert ctx.cluster_variable(5) == greedy_combinatorial(sym23, 5, 2)
     # specializing the symbolic variable at all-ones gives the numeric one
     num = AlgebraContext(ALL_ONES[(2, 3)])

@@ -1,7 +1,6 @@
-import random
-
 import pytest
 
+from gca2 import verify
 from gca2.coeffring import (CoeffPoly, CoefficientMode, GeneratorId,
                             MissingGenerator, NotDivisible, SparsePoly,
                             cf_exact_div, coeff_from_json, coeff_to_json)
@@ -10,19 +9,6 @@ from gca2.laurent import LaurentPoly
 R1 = CoeffPoly.rho(1, 3)
 V1 = CoeffPoly.vrho(1, 4)
 V2 = CoeffPoly.vrho(2, 4)
-
-
-def rand_poly(rng):
-    gens = [GeneratorId("rho", 1), GeneratorId("rho", 2), GeneratorId("vrho", 1)]
-    poly = CoeffPoly()
-    for _ in range(rng.randint(0, 5)):
-        mono = CoeffPoly.const(rng.randint(-9, 9))
-        for g in gens:
-            e = rng.randint(0, 3)
-            if e:
-                mono = mono * CoeffPoly.generator(g) ** e
-        poly = poly + mono
-    return poly
 
 
 def test_add_examples():
@@ -69,47 +55,27 @@ def test_eval_examples():
 
 
 def test_palindromic_canonicalization():
-    for d in range(1, 8):
-        for t in range(d + 1):
-            assert CoeffPoly.rho(t, d) == CoeffPoly.rho(d - t, d)
-            assert CoeffPoly.vrho(t, d) == CoeffPoly.vrho(d - t, d)
+    assert verify.palindromic_canonical(max_d=7) is None
     assert GeneratorId.canonical("rho", 3, 4) == GeneratorId.canonical("rho", 1, 4)
     assert CoeffPoly.rho(0, 5) == 1
     assert CoeffPoly.rho(5, 5) == 1
 
 
+# random polynomials: up to 5 monomials, coefficients in [-9, 9], exponents <= 3
+SHAPE = (5, 9, 3)
+
+
 def test_ring_axioms_random():
-    rng = random.Random(101)
-    for _ in range(1000):
-        a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
-        assert a * CoeffPoly.const(1) == a
-        assert a + CoeffPoly() == a
+    assert verify.ring_axioms(seed=101, cases=1000, shape=SHAPE) is None
 
 
 def test_div_roundtrip_random():
-    rng = random.Random(202)
-    done = 0
-    while done < 1000:
-        a, b = rand_poly(rng), rand_poly(rng)
-        if not b:
-            continue
-        assert cf_exact_div(a * b, b) == a
-        done += 1
+    assert verify.division_roundtrip(ring="coeffpoly", seed=202, cases=1000,
+                                     shape=SHAPE) is None
 
 
 def test_eval_homomorphism_random():
-    rng = random.Random(303)
-    for _ in range(1000):
-        a, b = rand_poly(rng), rand_poly(rng)
-        gens = a.generators() | b.generators()
-        asg = {g: rng.randint(-4, 4) for g in gens}
-        assert (a * b).eval(asg) == a.eval(asg) * b.eval(asg)
-        assert (a + b).eval(asg) == a.eval(asg) + b.eval(asg)
+    assert verify.eval_homomorphism(seed=303, cases=1000, shape=SHAPE, values=4) is None
 
 
 def test_mode_validation():

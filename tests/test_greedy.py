@@ -3,14 +3,14 @@ from itertools import product
 import pytest
 
 from conftest import ALL_ONES, palindromic, reference_greedy_table
+from gca2 import verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode
 from gca2.compat import support_region
 from gca2.greedy import (NotInAlgebra, greedy_combinatorial, greedy_expand,
                          greedy_recursive, pair_weight, power_series,
                          reflect_params)
-from gca2.laurent import (LaurentPoly, SymbolicModeUnsupported, lp_is_positive,
-                          lp_to_pointed)
+from gca2.laurent import LaurentPoly, SymbolicModeUnsupported
 from gca2.multinom import poly_power_series
 
 
@@ -103,31 +103,15 @@ def test_greedy_recursive_refuses_symbolic(sym23):
         greedy_recursive(sym23, 1, 1)
 
 
-def test_cross_method_small_grid():
-    for key in ((1, 1), (2, 3), (0, 2), (3, 0)):
-        mode = ALL_ONES[key]
-        for a1 in range(-2, 4):
-            for a2 in range(-2, 4):
-                assert greedy_recursive(mode, a1, a2).to_laurent() == \
-                    greedy_combinatorial(mode, a1, a2), (key, a1, a2)
-
-
 def test_cross_method_nontrivial_coefficients():
     # beyond all-ones: P1 = 1+2z+z^2, P2 = 1+3z+3z^2+1z^3
     mode = CoefficientMode.numeric((1, 2, 1), (1, 3, 3, 1))
-    for a1 in range(-1, 4):
-        for a2 in range(-1, 4):
-            assert greedy_recursive(mode, a1, a2).to_laurent() == \
-                greedy_combinatorial(mode, a1, a2), (a1, a2)
+    assert verify.recursion_equals_combinatorial(
+        modes=[mode], points=verify.square(-1, 3)) is None
 
 
 def test_pointedness(mode23, sym23):
-    for mode in (mode23, sym23):
-        for a1 in range(-2, 4):
-            for a2 in range(-2, 4):
-                pf = lp_to_pointed(greedy_combinatorial(mode, a1, a2))
-                assert pf.point == (a1, a2)
-                assert pf.coeffs[(0, 0)] == 1
+    assert verify.greedy_pointed(modes=[mode23, sym23], points=verify.square(-2, 3)) is None
 
 
 def test_table_respects_support_region(mode23):
@@ -151,23 +135,7 @@ def test_reflect_params_examples(mode23):
 
 
 def test_symmetry_small(mode23, sym23):
-    for mode in (mode23, sym23):
-        ctx = AlgebraContext(mode)
-        for a1 in range(-2, 3):
-            for a2 in range(-2, 3):
-                f = greedy_combinatorial(mode, a1, a2)
-                for p in (1, 2):
-                    want = greedy_combinatorial(mode, *reflect_params(mode, p, a1, a2))
-                    assert ctx.apply_reflection(f, p) == want, (a1, a2, p)
-
-
-def test_positivity_small(mode23):
-    ctx = AlgebraContext(mode23)
-    for a1 in range(-1, 3):
-        for a2 in range(-1, 3):
-            f = greedy_combinatorial(mode23, a1, a2)
-            for k, g in ctx.iter_cluster_expansions(f, -1, 3):
-                assert lp_is_positive(g), (a1, a2, k)
+    assert verify.reflection_symmetry(modes=[mode23, sym23], points=verify.square(-2, 2)) is None
 
 
 def test_greedy_expand_examples(mode23):
@@ -208,13 +176,8 @@ def test_greedy_expand_symbolic(sym23):
 
 
 def test_degenerate_degree_modes():
-    # d1 = 0: no horizontal weights at all
-    mode = ALL_ONES[(0, 2)]
-    f = greedy_combinatorial(mode, 2, 1)
-    assert lp_to_pointed(f).point == (2, 1)
-    table = greedy_recursive(mode, 2, 1)
-    assert table.to_laurent() == f
-    # d2 = 0 mirror
-    mode = ALL_ONES[(3, 0)]
-    assert greedy_recursive(mode, 1, 2).to_laurent() == \
-        greedy_combinatorial(mode, 1, 2)
+    # d1 = 0: no horizontal weights at all; d2 = 0 is its mirror
+    for key, point in (((0, 2), (2, 1)), ((3, 0), (1, 2))):
+        modes = [ALL_ONES[key]]
+        assert verify.greedy_pointed(modes=modes, points=[point]) is None
+        assert verify.recursion_equals_combinatorial(modes=modes, points=[point]) is None

@@ -6,9 +6,9 @@ from math import comb, isqrt
 import pytest
 
 from conftest import expected_x3, pmul, ppow
-from gca2 import laurent
+from gca2 import laurent, verify
 from gca2.cluster import AlgebraContext
-from gca2.coeffring import CoeffPoly, CoefficientMode, NotDivisible
+from gca2.coeffring import CoeffPoly, NotDivisible
 from gca2.laurent import (LaurentPoly, NotLaurent, NotPointed,
                           SymbolicModeUnsupported, from_json,
                           lp_eval_univariate, lp_is_positive,
@@ -55,16 +55,9 @@ def test_exact_div_examples():
 
 
 def test_exact_div_roundtrip_random():
-    for symbolic in (False, True):
-        rng = random.Random(42 + symbolic)
-        done = 0
-        while done < 500:
-            f = rand_laurent(rng, symbolic)
-            g = rand_laurent(rng, symbolic)
-            if not g:
-                continue
-            assert (f * g).exact_div(g) == f
-            done += 1
+    # up to 6 terms, exponents in [-4, 4], numeric coefficients in [-9, 9]
+    for seed, ring in ((42, "numeric"), (43, "symbolic")):
+        assert verify.division_roundtrip(ring=ring, seed=seed, cases=500, shape=(6, 4, 9)) is None
 
 
 def test_mul_matches_independent_oracle():
@@ -443,6 +436,17 @@ def test_substitute_ratio_wide_slice_stays_on_dict_loop(slice_paths):
         del slice_paths[:]
         assert_substitution(f, var, num, lp_substitute_ratio(f, var, num))
         assert slice_paths == [False, True]
+
+
+def test_substitute_ratio_short_slice_fails_before_building_the_power(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("N**1100 built for a slice shorter than it")
+
+    monkeypatch.setattr(laurent, "_uni_mul", refuse)
+    num = LaurentPoly.monomial(0, 0) + X2
+    msg = "substituting x1, slice e=-1100: slice shorter than the divisor"
+    with pytest.raises(NotLaurent, match=msg):
+        lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, num)
 
 
 def test_substitute_ratio_exponents_beyond_the_recursion_limit():

