@@ -22,15 +22,6 @@ from .greedy import greedy_combinatorial
 from .laurent import LaurentPoly, NotLaurent, lp_eval_univariate, lp_substitute_ratio
 
 
-def _step(f: LaurentPoly, var: int, num: LaurentPoly, cur: int,
-          new: int) -> LaurentPoly:
-    """f in cluster cur rewritten in cluster new, one exchange away."""
-    try:
-        return lp_substitute_ratio(f, var, num).swap_vars()
-    except NotLaurent as exc:
-        raise NotLaurent(f"cluster step {cur} -> {new}: {exc}") from exc
-
-
 class AlgebraContext:
     """Memoized cluster variables and derived operations for one mode."""
 
@@ -94,9 +85,7 @@ class AlgebraContext:
         return u[key]
 
     def greedy_params_of_cluster_variable(self, k: int) -> tuple[int, int]:
-        if k >= 2:
-            return (self.chebyshev_u(k - 3, 1), self.chebyshev_u(k - 4, 2))
-        return (self.chebyshev_u(-k - 1, 1), self.chebyshev_u(-k, 2))
+        return self.greedy_params_of_cluster_monomial(k, -1, 0)
 
     def greedy_params_of_cluster_monomial(self, k: int, a1: int, a2: int) -> tuple[int, int]:
         """Greedy parameters of x_k^-a1 * x_{k+1}^-a2 for a1, a2 <= 0."""
@@ -113,15 +102,22 @@ class AlgebraContext:
 
     # -- cross-cluster expansion ----------------------------------------------
 
+    def _exchange(self, f: LaurentPoly, var: int, k: int, label: str) -> LaurentPoly:
+        """f with x_var replaced by P(x_other) / x_var, P the polynomial applied
+        to x_k; a NotLaurent failure is re-raised under label."""
+        num = lp_eval_univariate(self._exchange_poly(k), LaurentPoly.var(3 - var))
+        try:
+            return lp_substitute_ratio(f, var, num)
+        except NotLaurent as exc:
+            raise NotLaurent(f"{label}: {exc}") from exc
+
     def _step_up(self, f: LaurentPoly, cur: int) -> LaurentPoly:
         # eliminate x_cur using x_{cur+2} x_cur = P(x_{cur+1})
-        num = lp_eval_univariate(self._exchange_poly(cur + 1), LaurentPoly.var(2))
-        return _step(f, 1, num, cur, cur + 1)
+        return self._exchange(f, 1, cur + 1, f"cluster step {cur} -> {cur + 1}").swap_vars()
 
     def _step_down(self, f: LaurentPoly, cur: int) -> LaurentPoly:
         # eliminate x_{cur+1} using x_{cur+1} x_{cur-1} = P(x_cur)
-        num = lp_eval_univariate(self._exchange_poly(cur), LaurentPoly.var(1))
-        return _step(f, 2, num, cur, cur - 1)
+        return self._exchange(f, 2, cur, f"cluster step {cur} -> {cur - 1}").swap_vars()
 
     def iter_cluster_expansions(self, f: LaurentPoly, lo: int, hi: int):
         """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi]."""
@@ -149,17 +145,14 @@ class AlgebraContext:
     # -- reflections ------------------------------------------------------------
 
     def apply_reflection(self, f: LaurentPoly, p: int) -> LaurentPoly:
-        """Image of f under the reflection fixing x_p (p = 1 or 2)."""
-        if p == 2:
-            var, num = 1, lp_eval_univariate(self.mode.p1_coeffs(), LaurentPoly.var(2))
-        elif p == 1:
-            var, num = 2, lp_eval_univariate(self.mode.p2_coeffs(), LaurentPoly.var(1))
-        else:
+        """Image of f under the reflection fixing x_p (p = 1 or 2).
+
+        sigma_2 is the exchange that eliminates x_1 through P1(x_2), sigma_1
+        the one that eliminates x_2 through P2(x_1), with no swap.
+        """
+        if p not in (1, 2):
             raise ValueError("reflection index must be 1 or 2")
-        try:
-            return lp_substitute_ratio(f, var, num)
-        except NotLaurent as exc:
-            raise NotLaurent(f"reflection p={p}: {exc}") from exc
+        return self._exchange(f, 3 - p, p, f"reflection p={p}")
 
     # -- greedy bridge ------------------------------------------------------------
 

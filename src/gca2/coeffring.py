@@ -449,6 +449,8 @@ _DECIMAL = re.compile(r"[-+]?[0-9]+")
 
 
 def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
+    if not isinstance(records, list):
+        raise ValueError(f"coefficient {records!r} is not a list of records")
     total: Coeff = 0 if mode.is_numeric else CoeffPoly()
     seen = set()
     for rec in records:
@@ -460,6 +462,8 @@ def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
         families = ((RHO, rec.get("rho", []), mode.d1),
                     (VRHO, rec.get("vrho", []), mode.d2))
         for family, arr, d in families:
+            if not isinstance(arr, list):
+                raise ValueError(f"{family} exponent array {arr!r} is not a list")
             if len(arr) > max(d - 1, 0):
                 raise ValueError(f"{family} exponent array {arr!r} has more than "
                                  f"{max(d - 1, 0)} entries (degree {d})")

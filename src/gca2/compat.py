@@ -64,7 +64,6 @@ Grading = tuple
 class ShadowReport:
     shadow: frozenset
     remote_shadow: frozenset
-    local_paths: dict        # EdgeRef -> Subpath or WHOLE_LOOP
     rsh_partition: dict      # (j, depth) or (k, height) -> tuple of EdgeRef
 
 
@@ -182,17 +181,13 @@ def _shadow_core(path: DyckPath, s2: Grading, fz2: list):
     return local, shadow, remote
 
 
-def _local_path(path: DyckPath, k: int, t: int | None):
-    """The subpath e..v_k of t + 1 edges, or WHOLE_LOOP when t is None."""
+def local_shadow_v(path: DyckPath, s2: Grading, k: int):
+    """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
+    t = _first_zero(path, s2, VERTICAL, k)
     if t is None:
         return WHOLE_LOOP
     end = path.pos_v[k - 1]
     return Subpath(path.edge_at(end - t), path.edge_at(end))
-
-
-def local_shadow_v(path: DyckPath, s2: Grading, k: int):
-    """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
-    return _local_path(path, k, _first_zero(path, s2, VERTICAL, k))
 
 
 def local_shadow_h(path: DyckPath, s1: Grading, j: int):
@@ -205,11 +200,9 @@ def local_shadow_h(path: DyckPath, s1: Grading, j: int):
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
     local, shadow, remote = _shadow_core(path, s2, fz2)
-    local_paths = {EdgeRef(VERTICAL, k): _local_path(path, k, t)
-                   for k, t in enumerate(fz2, start=1)}
     return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j in shadow),
                         frozenset(EdgeRef(HORIZONTAL, j) for j in remote),
-                        local_paths, _partition(path, remote, local))
+                        _partition(path, remote, local))
 
 
 def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
@@ -217,14 +210,12 @@ def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
     tp = path.transpose()
     rep = shadow_report_v(tp, s1[::-1])
     a1 = path.a1
-    local_paths = {_tr(tp, e): sub if sub is WHOLE_LOOP else _tr_sub(tp, sub)
-                   for e, sub in reversed(rep.local_paths.items())}
     blocks = [((a1 + 1 - k, a1 - ell), tuple(_tr(tp, e) for e in reversed(edges)))
               for (k, ell), edges in rep.rsh_partition.items()]
     blocks.sort(key=lambda block: path.pos(block[1][0]))
     return ShadowReport(frozenset(_tr(tp, e) for e in rep.shadow),
                         frozenset(_tr(tp, e) for e in rep.remote_shadow),
-                        local_paths, dict(blocks))
+                        dict(blocks))
 
 
 def _partition(path, remote, local) -> dict:
@@ -455,33 +446,3 @@ def support_region(d1: int, d2: int, a1: int, a2: int, m1: int, m2: int) -> bool
     if a1 * m1 >= a2 * m2:
         return a1 * m1 + (d1 * a1 - a2) * m2 < d1 * a1 * a1
     return a2 * m2 + (d2 * a2 - a1) * m1 < d2 * a2 * a2
-
-
-# -- wrap-convention diagnostic -------------------------------------------------
-
-def _is_compatible_nowrap(path: DyckPath, s1: Grading, s2: Grading) -> bool:
-    """Variant predicate that skips (h, v) pairs whose path hv wraps."""
-    if path.a1 == 0 or path.a2 == 0:
-        return True
-    fz1 = [_first_zero(path, s1, HORIZONTAL, j) for j in range(1, path.a1 + 1)]
-    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
-    # a pair whose path hv wraps (v before h) is vacuous under this reading
-    return all(_pairs_ok(path, fz1, fz2, [j], [k for k in range(1, path.a2 + 1)
-                                                if path.pos_v[k - 1] > path.pos_h[j - 1]])
-               for j in range(1, path.a1 + 1))
-
-
-def wrap_convention_report(a1: int, a2: int, d1: int, d2: int) -> list:
-    """Gradings whose compatibility differs with and without wrapping.
-
-    Diagnostic only: the torus convention is the one used everywhere else.
-    """
-    path = DyckPath.build(a1, a2)
-    diffs = []
-    for s1 in product(range(d1 + 1), repeat=a1):
-        for s2 in product(range(d2 + 1), repeat=a2):
-            a = is_compatible(path, s1, s2)
-            b = _is_compatible_nowrap(path, s1, s2)
-            if a != b:
-                diffs.append((s1, s2, a, b))
-    return diffs

@@ -496,8 +496,11 @@ def to_json(f: LaurentPoly, mode: CoefficientMode) -> dict:
 
 
 def from_json(data: dict, mode: CoefficientMode) -> LaurentPoly:
+    records = data["terms"]
+    if not isinstance(records, list):
+        raise ValueError(f"terms {records!r} is not a list")
     terms = {}
-    for rec in data["terms"]:
+    for rec in records:
         e = rec["e"]
         # type(...) is int: JSON true/false load as bool, which int() accepts
         if len(e) != 2 or not all(type(x) is int for x in e):

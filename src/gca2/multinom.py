@@ -28,16 +28,8 @@ def compositions(k: int, r: int) -> Iterator[tuple[int, ...]]:
     """All C(k+r-1, r-1) weak compositions of k into r parts, largest first."""
     if k < 0 or r < 1:
         raise ValueError("need k >= 0 and r >= 1")
-    yield from _compose(k, r)
-
-
-def _compose(k: int, r: int) -> Iterator[tuple[int, ...]]:
-    if r == 1:
-        yield (k,)
-        return
-    for first in range(k, -1, -1):
-        for rest in _compose(k - first, r - 1):
-            yield (first,) + rest
+    # every composition weighs at most r * k, so the bound prunes nothing
+    yield from compositions_weighted(k, r, k * r)
 
 
 def compositions_weighted(k: int, r: int, max_weight: int) -> Iterator[tuple[int, ...]]:

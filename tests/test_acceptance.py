@@ -14,8 +14,8 @@ from gca2 import compat, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
 from gca2.compat import (CriterionFails, enumerate_bruteforce, enumerate_fast,
-                         fstat_v, is_compatible, local_shadow_h, omega,
-                         phi_pullback, rsh_block_size_h, rsh_block_size_v,
+                         fstat_v, is_compatible, local_shadow_h, local_shadow_v,
+                         omega, phi_pullback, rsh_block_size_h, rsh_block_size_v,
                          shadow_report_h, shadow_report_v)
 from gca2.dyckpath import DyckPath, EdgeRef, Subpath
 from gca2.greedy import greedy_combinatorial, greedy_expand, greedy_recursive
@@ -141,11 +141,12 @@ def test_criterion_07_combinatorics_lemma_suite():
     # shadow sizes: |sh(S1)| = min(a2,|S1|), |sh(S2)| = min(a1,|S2|)
     assert verify.shadow_sizes(max_a=5, max_value=3) is None
 
-    # local shadows nest or are disjoint
+    # local shadows nest or are disjoint, on both sides
     for a1 in range(1, 5):
         for a2 in range(1, 5):
             path = DyckPath.build(a1, a2)
             all_v = frozenset(EdgeRef("v", k) for k in range(1, a2 + 1))
+            all_h = frozenset(EdgeRef("h", j) for j in range(1, a1 + 1))
             for s1 in product(range(4), repeat=a1):
                 sets = []
                 for j in range(1, a1 + 1):
@@ -154,7 +155,16 @@ def test_criterion_07_combinatorics_lemma_suite():
                         e for e in path.subpath_edges(sub) if e.kind == "v"))
                 for x in sets:
                     for y in sets:
-                        assert not (x & y) or x <= y or y <= x
+                        assert not (x & y) or x <= y or y <= x, (a1, a2, s1)
+            for s2 in product(range(4), repeat=a2):
+                sets = []
+                for k in range(1, a2 + 1):
+                    sub = local_shadow_v(path, s2, k)
+                    sets.append(all_h if sub is compat.WHOLE_LOOP else frozenset(
+                        e for e in path.subpath_edges(sub) if e.kind == "h"))
+                for x in sets:
+                    for y in sets:
+                        assert not (x & y) or x <= y or y <= x, (a1, a2, s2)
 
     # remote-shadow nonemptiness iff the criterion, sizes by the formula
     for a1 in range(1, 5):
@@ -172,9 +182,9 @@ def test_criterion_07_combinatorics_lemma_suite():
                         try:
                             size = rsh_block_size_h(path, s1, j, d)
                         except CriterionFails:
-                            assert block == ()
+                            assert block == (), (a1, a2, s1, j, d)
                         else:
-                            assert size == len(block) > 0
+                            assert size == len(block) > 0, (a1, a2, s1, j, d)
             for s2 in product(range(4), repeat=a2):
                 rep = shadow_report_v(path, s2)
                 for k in range(1, a2 + 1):
@@ -185,11 +195,12 @@ def test_criterion_07_combinatorics_lemma_suite():
                         try:
                             size = rsh_block_size_v(path, s2, k, ell)
                         except CriterionFails:
-                            assert block == ()
+                            assert block == (), (a1, a2, s2, k, ell)
                         else:
-                            assert size == len(block) > 0
+                            assert size == len(block) > 0, (a1, a2, s2, k, ell)
 
-    # f / phi* identity on all index pairs
+    # f / phi* identity on all index pairs:
+    # f_{phi* S2}(v'_i-bar v'_j) = -f_{S2}(v_{a2-j}-bar v_{a2-i})
     for a1, a2 in ((2, 2), (3, 2), (5, 2), (4, 3), (2, 3), (3, 3)):
         path = DyckPath.build(a1, a2)
         for s2 in product(range(4), repeat=a2):
@@ -205,9 +216,10 @@ def test_criterion_07_combinatorics_lemma_suite():
                         rhs = fstat_v(path, s2,
                                       Subpath(path.v(a2 - j), path.v(a2 - i),
                                               include_start=False))
-                        assert lhs == -rhs
+                        assert lhs == -rhs, (a1, a2, s2, r, i, j)
 
-    # Omega: compatibility iff, plus inverse, exhaustive a2 <= 3, r <= 4
+    # Omega: magnitude, compatibility iff, and inverse back to D(a1, a2),
+    # exhaustive a2 <= 3, r <= 4
     for a2 in range(1, 4):
         for r in range(1, 5):
             for a1 in range(0, r * a2 + 1):
@@ -225,12 +237,14 @@ def test_criterion_07_combinatorics_lemma_suite():
                         for j, val in zip(rsh_idx, vals):
                             s1[j - 1] = val
                         s1 = tuple(s1)
+                        case = (a1, a2, r, s1, s2)
                         _, img = omega(path, s1, s2, r)
-                        assert sum(img) == sum(s1)
+                        assert sum(img) == sum(s1), case
                         assert is_compatible(path, s1, s2) == \
-                            is_compatible(new_path, img, new_s2)
-                        _, back = omega(new_path, img, new_s2, r)
-                        assert back == s1
+                            is_compatible(new_path, img, new_s2), case
+                        back_path, back = omega(new_path, img, new_s2, r)
+                        assert back == s1, case
+                        assert (back_path.a1, back_path.a2) == (a1, a2), case
 
     # grading bound and support region, all three region cases exercised
     degrees = list(product(range(4), repeat=2))

@@ -217,7 +217,14 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
             ("repeated_rho", '{"terms":[{"e":[1,0],"c":[{"rho":[1],"n":"1"},'
                              '{"rho":[1],"n":"2"}]}]}'),
             ("mirrored_vrho", '{"terms":[{"e":[1,0],"c":[{"vrho":[1,0],"n":"1"},'
-                              '{"vrho":[0,1],"n":"2"}]}]}')):
+                              '{"vrho":[0,1],"n":"2"}]}]}'),
+            # a JSON object or string where the format says list
+            ("terms_object", '{"terms":{}}'),
+            ("terms_string", '{"terms":""}'),
+            ("c_object", '{"terms":[{"e":[1,0],"c":{}}]}'),
+            ("c_string", '{"terms":[{"e":[1,0],"c":""}]}'),
+            ("rho_object", '{"terms":[{"e":[1,0],"c":[{"rho":{},"n":"1"}]}]}'),
+            ("vrho_string", '{"terms":[{"e":[1,0],"c":[{"vrho":"","n":"1"}]}]}')):
         misread[name] = tmp_path / f"{name}.json"
         misread[name].write_text(text)
     ones = ["--p1", "1,1", "--p2", "1,1"]
@@ -225,9 +232,11 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
     for argv in ([*NUMERIC, "greedy", "2", "2", "--clusters=5..2"],
                  *([*ones, "expand", str(misread[name])]
                    for name in ("float_n", "bool_n", "float_e", "bool_e", "repeated_e",
-                                "repeated_n")),
+                                "repeated_n", "terms_object", "terms_string", "c_object",
+                                "c_string")),
                  *([*symbolic, "expand", str(misread[name])]
-                   for name in ("bool_rho", "repeated_rho", "mirrored_vrho")),
+                   for name in ("bool_rho", "repeated_rho", "mirrored_vrho", "rho_object",
+                                "vrho_string")),
                  [*NUMERIC, "expand", str(tmp_path / "missing.json")],
                  [*NUMERIC, "expand", str(one_elem)],
                  [*NUMERIC, "expand", str(bad_json)],

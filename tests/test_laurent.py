@@ -509,6 +509,7 @@ def test_json_roundtrip_and_term_order(mode23, sym23):
     assert from_json(data, mode23) == f
     keys = [tuple(rec["e"]) for rec in data["terms"]]
     assert keys == sorted(keys)
+    assert from_json(to_json(LaurentPoly.zero(), mode23), mode23) == LaurentPoly.zero()
 
     sctx = AlgebraContext(sym23)
     g = sctx.cluster_variable(4)

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb, factorial
 
 import pytest
@@ -37,7 +38,11 @@ def test_compositions_weighted_prunes():
                 if r == 0:
                     want = [()] if k == 0 else []
                 else:
-                    want = [c for c in compositions(k, r)
+                    # compositions() runs this walk, so the reference is a
+                    # filtered product in the same largest-first order
+                    every = sorted((c for c in product(range(k + 1), repeat=r)
+                                    if sum(c) == k), reverse=True)
+                    want = [c for c in every
                             if sum((i + 1) * e for i, e in enumerate(c)) <= cap]
                 assert got == want
 
