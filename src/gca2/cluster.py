@@ -17,7 +17,7 @@ holds x_{k+1}.
 
 from __future__ import annotations
 
-from .coeffring import CoefficientMode
+from .coeffring import CoefficientMode, NotDivisible
 from .greedy import greedy_combinatorial
 from .laurent import LaurentPoly, NotLaurent, lp_eval_univariate, lp_substitute_ratio
 
@@ -36,21 +36,23 @@ class AlgebraContext:
     # -- exchange recursion -------------------------------------------------
 
     def _exchange_poly(self, k: int) -> tuple:
-        """Coefficient list of the polynomial applied to x_k."""
-        return self.mode.p1_coeffs() if k % 2 == 0 else self.mode.p2_coeffs()
+        """Coefficient tuple of the polynomial applied to x_k, low degree first."""
+        return self.mode.polys[k % 2]
 
     def cluster_variable(self, k: int) -> LaurentPoly:
+        """x_k, stepping outward from the memoized range; a failed division
+        raises NotDivisible naming the step and the divisor."""
         memo = self._memo
-        hi = max(memo)
-        while hi < k:
-            num = lp_eval_univariate(self._exchange_poly(hi), memo[hi])
-            memo[hi + 1] = num.exact_div(memo[hi - 1])
-            hi += 1
-        lo = min(memo)
-        while lo > k:
-            num = lp_eval_univariate(self._exchange_poly(lo), memo[lo])
-            memo[lo - 1] = num.exact_div(memo[lo + 1])
-            lo -= 1
+        step = 1 if k > 1 else -1
+        j = max(memo) if step == 1 else min(memo)
+        while k not in memo:
+            num = lp_eval_univariate(self._exchange_poly(j), memo[j])
+            try:
+                memo[j + step] = num.exact_div(memo[j - step])
+            except NotDivisible as exc:
+                raise NotDivisible(f"exchange step {j} -> {j + step}, dividing by "
+                                   f"x{j - step}: {exc}") from exc
+            j += step
         return memo[k]
 
     def standard_monomial(self, k: int, a1: int, a2: int) -> LaurentPoly:
@@ -105,9 +107,8 @@ class AlgebraContext:
     def _exchange(self, f: LaurentPoly, var: int, k: int, label: str) -> LaurentPoly:
         """f with x_var replaced by P(x_other) / x_var, P the polynomial applied
         to x_k; a NotLaurent failure is re-raised under label."""
-        num = lp_eval_univariate(self._exchange_poly(k), LaurentPoly.var(3 - var))
         try:
-            return lp_substitute_ratio(f, var, num)
+            return lp_substitute_ratio(f, var, self._exchange_poly(k))
         except NotLaurent as exc:
             raise NotLaurent(f"{label}: {exc}") from exc
 

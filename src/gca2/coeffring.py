@@ -34,7 +34,7 @@ integers and n a JSON integer or a string of decimal digits.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
 
 
@@ -363,13 +363,26 @@ class CoefficientMode:
     """Numeric (concrete integer coefficients) or symbolic (formal generators).
 
     p1/p2 are the full low-to-high coefficient tuples in numeric mode and
-    None in symbolic mode.
+    None in symbolic mode.  polys is the pair (P1, P2) of coefficient tuples,
+    low degree first: p1 and p2 in numeric mode, the constant 1 and the
+    canonical generators as CoeffPoly in symbolic mode.  It is derived from
+    the other fields, so equality, hashing and repr leave it out.
     """
 
     d1: int
     d2: int
     p1: tuple[int, ...] | None
     p2: tuple[int, ...] | None
+    polys: tuple[tuple[Coeff, ...], tuple[Coeff, ...]] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.is_numeric:
+            polys = (self.p1, self.p2)
+        else:
+            polys = (tuple(CoeffPoly.rho(t, self.d1) for t in range(self.d1 + 1)),
+                     tuple(CoeffPoly.vrho(t, self.d2) for t in range(self.d2 + 1)))
+        object.__setattr__(self, "polys", polys)
 
     @staticmethod
     def numeric(p1: Iterable[int], p2: Iterable[int]) -> "CoefficientMode":
@@ -396,26 +409,6 @@ class CoefficientMode:
     @property
     def is_numeric(self) -> bool:
         return self.p1 is not None
-
-    def one(self) -> Coeff:
-        return 1 if self.is_numeric else CoeffPoly.const(1)
-
-    def rho(self, t: int) -> Coeff:
-        """Coefficient of z^t in P1."""
-        if self.is_numeric:
-            return self.p1[t]
-        return CoeffPoly.rho(t, self.d1)
-
-    def vrho(self, t: int) -> Coeff:
-        if self.is_numeric:
-            return self.p2[t]
-        return CoeffPoly.vrho(t, self.d2)
-
-    def p1_coeffs(self) -> tuple:
-        return tuple(self.rho(t) for t in range(self.d1 + 1))
-
-    def p2_coeffs(self) -> tuple:
-        return tuple(self.vrho(t) for t in range(self.d2 + 1))
 
 
 # -- JSON ------------------------------------------------------------------
@@ -472,10 +465,10 @@ def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
         if mode.is_numeric and any(any(arr) for _, arr, _ in families):
             raise ValueError("symbolic coefficient in numeric mode")
         mono = CoeffPoly.const(1)
-        for family, arr, d in families:
+        for (_, arr, _), p in zip(families, mode.polys):
             for t, e in enumerate(arr, start=1):
                 if e:
-                    mono = mono * CoeffPoly._coefficient(family, t, d) ** e
+                    mono = mono * p[t] ** e
         # rho_t and rho_{d-t} are one generator, so compare the products
         (key,) = mono.terms
         if key in seen:

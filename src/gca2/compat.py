@@ -45,7 +45,7 @@ class RTooSmall(ValueError):
 
 
 class NotInRemoteSupport(ValueError):
-    """omega() applied to a grading not supported inside the remote shadow."""
+    """omega's transport applied to a grading not supported inside rsh(S2)."""
 
 
 class _WholeLoop:
@@ -396,30 +396,40 @@ def phi_pullback(path: DyckPath, s2: Grading, r: int) -> tuple[DyckPath, Grading
     return new_path, new_s2
 
 
-def omega(path: DyckPath, s1: Grading, s2: Grading, r: int) -> tuple[DyckPath, Grading]:
-    """Transport S1 through the order-preserving block bijections.
+def omega(path: DyckPath, s2: Grading, r: int):
+    """(new_path, phi*(S2), transport) for one vertical grading S2 and order r.
 
-    Requires supp(S1) inside rsh(S2); accepts compatible and incompatible
-    gradings alike so the compatibility equivalence can be probed.
+    transport(S1) carries S1 through the order-preserving block bijections
+    onto new_path.  It requires supp(S1) inside rsh(S2), raising
+    NotInRemoteSupport otherwise, and accepts compatible and incompatible
+    gradings alike so the compatibility equivalence can be probed.  Both
+    shadow reports are built once here, for every S1 of the block.
     """
-    a2 = path.a2
+    a1, a2 = path.a1, path.a2
     report = shadow_report_v(path, s2)
-    rsh_idx = {e.index for e in report.remote_shadow}
-    for j in range(1, path.a1 + 1):
-        if s1[j - 1] > 0 and j not in rsh_idx:
-            raise NotInRemoteSupport(f"h_{j} carries weight outside rsh(S2)")
     new_path, new_s2 = phi_pullback(path, s2, r)
     new_report = shadow_report_v(new_path, new_s2)
-    new_s1 = [0] * new_path.a1
+    moves = []  # (index in S1, index in the image), 0-based
     for (k, ell), edges in report.rsh_partition.items():
         target = new_report.rsh_partition.get((a2 - ell, a2 - k), ())
         if len(target) != len(edges):
             raise AssertionError(
                 f"block size mismatch at (k={k}, ell={ell}): "
                 f"{len(edges)} vs {len(target)}")
-        for h, h2 in zip(edges, target):
-            new_s1[h2.index - 1] = s1[h.index - 1]
-    return new_path, tuple(new_s1)
+        moves.extend((h.index - 1, h2.index - 1) for h, h2 in zip(edges, target))
+    outside = [j for j in range(1, a1 + 1)
+               if EdgeRef(HORIZONTAL, j) not in report.remote_shadow]
+
+    def transport(s1: Grading) -> Grading:
+        for j in outside:
+            if s1[j - 1] > 0:
+                raise NotInRemoteSupport(f"h_{j} carries weight outside rsh(S2)")
+        new_s1 = [0] * new_path.a1
+        for i, i2 in moves:
+            new_s1[i2] = s1[i]
+        return tuple(new_s1)
+
+    return new_path, new_s2, transport
 
 
 # -- magnitude support region --------------------------------------------------

@@ -49,11 +49,12 @@ class NotInAlgebra(ValueError):
 
 def pair_weight(mode: CoefficientMode, s1, s2):
     """Monomial coefficient attached to one compatible pair."""
-    w = mode.one()
+    p1, p2 = mode.polys
+    w = p1[0]  # the constant 1, in the mode's coefficient type
     for val in s1:
-        w = w * mode.rho(val)
+        w = w * p1[val]
     for val in s2:
-        w = w * mode.vrho(val)
+        w = w * p2[val]
     return w
 
 
@@ -78,17 +79,14 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     b1, b2 = max(a1, 0), max(a2, 0)
     path = DyckPath.build(b1, b2)
     d1, d2 = mode.d1, mode.d2
-    one = mode.one()
+    p1, p2 = mode.polys
+    one = p1[0]  # the constant 1, in the mode's coefficient type
     by_vertical = (d2 + 1) ** b2 <= (d1 + 1) ** b1
     if by_vertical:
-        outer_vals = [mode.vrho(t) for t in range(d2 + 1)]
-        inner_vals = [mode.rho(t) for t in range(d1 + 1)]
-        outer_count, inner_d = b2, d1
+        outer_vals, inner_vals, outer_count = p2, p1, b2
         structure = lambda s: compatible_structure(path, s, d1)
     else:
-        outer_vals = [mode.rho(t) for t in range(d1 + 1)]
-        inner_vals = [mode.vrho(t) for t in range(d2 + 1)]
-        outer_count, inner_d = b1, d2
+        outer_vals, inner_vals, outer_count = p1, p2, b1
         structure = lambda s: compatible_structure_h(path, s, d2)
 
     # (inner exchange polynomial as a z-polynomial) ** k, per free-edge count
@@ -99,9 +97,9 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             prev = free_factor(k - 1)
             out: dict[int, object] = {}
             for e, c in prev.items():
-                for t in range(inner_d + 1):
+                for t, v in enumerate(inner_vals):
                     key = e + t
-                    out[key] = out.get(key, 0) + c * inner_vals[t]
+                    out[key] = out.get(key, 0) + c * v
             free_pows[k] = out
         return free_pows[k]
 
@@ -204,7 +202,8 @@ def greedy_expand(mode: CoefficientMode, f: LaurentPoly) -> dict:
     Repeatedly subtracts coeff * x[-e1, -e2] for every monomial on the lowest
     e1+e2 antidiagonal; each pass raises that level by at least one.  The
     pass budget is 10 * (antidiagonal span of f); running past it means f is
-    not in the algebra.
+    not in the algebra, and NotInAlgebra names the budget and the lowest level
+    the residual still has.
     """
     if not f.terms:
         return {}
@@ -213,12 +212,14 @@ def greedy_expand(mode: CoefficientMode, f: LaurentPoly) -> dict:
     residual = f
     out: dict[tuple[int, int], object] = {}
     for _ in range(budget):
-        if not residual.terms:
-            return out
         lvl = min(e1 + e2 for e1, e2 in residual.terms)
         corners = sorted(e for e in residual.terms if e[0] + e[1] == lvl)
         for e1, e2 in corners:
             coef = residual.terms[(e1, e2)]
             out[(-e1, -e2)] = coef
             residual = residual - coef * greedy_combinatorial(mode, -e1, -e2)
-    raise NotInAlgebra("pass budget exhausted before the residual vanished")
+        if not residual.terms:
+            return out
+    lvl = min(e1 + e2 for e1, e2 in residual.terms)
+    raise NotInAlgebra(f"pass budget {budget} exhausted with the residual's "
+                       f"lowest level at {lvl}")

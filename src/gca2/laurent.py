@@ -33,26 +33,27 @@ coefficients).  The same rule keeps sparse operands spread over a wide
 exponent range, and small ones, on the dict loop, so no huge buffer is ever
 allocated.
 
-lp_substitute_ratio uses the same packing for its univariate products.  The
-slice of f with x_var-exponent e >= 0 is multiplied by N**e, where N is the
-numerator.  When every coefficient of f and N is a plain int, N is packed
-once into nb-byte slots as the int P, and the packed powers P**e are built by
-repeated int multiplies, never unpacked.  Each slice is then one int product,
-pack(slice_e) * P**e, unpacked once.  One nb serves the whole call.  It is
-sized from the bound max over e >= 0 of |slice_e|_1 * |N|_1**e, since no
-coefficient of a product exceeds the product of its factors' 1-norms; the
-bound also covers N and every P**e.  A slice takes this path when the rule
-above holds for its own slots: slots * (2 + nb/2) <= |slice| * |N**e|, where
-slots is the slice's exponent span and |N**e| = e*deg(N) + 1 is the length
-of the dense power that the dict loop walks.  The product's other e*deg(N)
-slots stand for N**e, which the dict loop holds too, as a list built by its
-own chain of products; the slice's slots are what the packed route adds.  So
-slices spread over a wide exponent range, and sparse ones, stay on the dict
-loop, and no huge buffer is allocated.  _pack and _unpack hold the
-two's-complement slots and the half-slot offset for both kernels.  Slices
-with e < 0 stay on exact univariate division (a few percent of the
-cross-cluster probe), and CoeffPoly coefficients stay on the dict loop: they
-do not fit in slots.
+lp_substitute_ratio uses the same packing for its univariate products.  It
+substitutes x_var -> p(x_other) / y, where p is a coefficient tuple, low
+degree first, such as an exchange polynomial's.  The slice of f with
+x_var-exponent e >= 0 is multiplied by p**e.  When every coefficient of f and
+p is a plain int, p is packed once into nb-byte slots as the int P, and the
+packed powers P**e are built by repeated int multiplies, never unpacked.
+Each slice is then one int product, pack(slice_e) * P**e, unpacked once.
+One nb serves the whole call.  It is sized from the bound max over e >= 0 of
+|slice_e|_1 * |p|_1**e, since no coefficient of a product exceeds the
+product of its factors' 1-norms; the bound also covers p and every P**e.  A
+slice takes this path when the rule above holds for its own slots:
+slots * (2 + nb/2) <= |slice| * |p**e|, where slots is the slice's exponent
+span and |p**e| = e*deg(p) + 1 is the length of the dense power that the
+dict loop walks.  The product's other e*deg(p) slots stand for p**e, which
+the dict loop holds too, as a list built by its own chain of products; the
+slice's slots are what the packed route adds.  So slices spread over a wide
+exponent range, and sparse ones, stay on the dict loop, and no huge buffer
+is allocated.  _pack and _unpack hold the two's-complement slots and the
+half-slot offset for both kernels.  Slices with e < 0 stay on exact
+univariate division (a few percent of the cross-cluster probe), and
+CoeffPoly coefficients stay on the dict loop: they do not fit in slots.
 
 Exact division stays on the int heap below.  A Kronecker division would need
 big-int division, which is quadratic on CPython 3.11: one exchange-step
@@ -320,76 +321,67 @@ def lp_eval_univariate(p: Sequence, arg: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def lp_substitute_ratio(f: LaurentPoly, var: int, numerator: LaurentPoly) -> LaurentPoly:
-    """Substitute x_var -> numerator / y and return the result with y in slot var.
+def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
+    """Substitute x_var -> p(x_other) / y and return the result with y in slot var.
 
-    numerator must involve only the other variable and have a nonzero
-    constant term (exchange polynomials do: their constant term is 1).
-    Each slice of f with x_var-exponent e picks up numerator**e; negative e
-    means an exact univariate division, and a failed division raises
-    NotLaurent naming x_var and e.  With plain int coefficients, a slice
-    with e >= 0 is one big-int product with the packed power (see the
-    module docstring).
+    p is the coefficient tuple of a univariate polynomial, low degree first,
+    with nonzero constant and leading coefficients (an exchange polynomial's
+    are both 1); anything else raises ValueError.  Each slice of f with
+    x_var-exponent e picks up p**e; negative e means an exact univariate
+    division, and a failed division raises NotLaurent naming x_var and e.
+    With plain int coefficients, a slice with e >= 0 is one big-int product
+    with the packed power (see the module docstring).
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
+    if not p or not p[0] or not p[-1]:
+        raise ValueError("p needs nonzero constant and leading coefficients")
     sel = 0 if var == 1 else 1
     oth = 1 - sel
-    num: dict[int, object] = {}
-    for e, c in numerator.terms.items():
-        if e[sel] != 0:
-            raise ValueError("numerator must involve only the other variable")
-        num[e[oth]] = c
-    if not num:
-        raise ZeroDivisionError("numerator is zero")
-    m0 = min(num)  # pure monomial factor of the numerator
 
     slices: dict[int, dict[int, object]] = {}
     for e, c in f.terms.items():
         slices.setdefault(e[sel], {})[e[oth]] = c
 
-    num_list = [num.get(i, 0) for i in range(m0, max(num) + 1)]
-    deg = len(num_list) - 1
-    pows = [[1]]  # pows[k] is N**k as a dense list, built on demand
+    deg = len(p) - 1
+    pows = [[1]]  # pows[k] is p**k as a dense list, built on demand
 
-    def num_pow(k: int) -> list:
+    def p_pow(k: int) -> list:
         while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
-            pows.append(_uni_mul(pows[-1], num_list))
+            pows.append(_uni_mul(pows[-1], p))
         return pows[k]
 
-    all_int = all(type(c) is int for c in chain(num_list, f.terms.values()))
+    all_int = all(type(c) is int for c in chain(p, f.terms.values()))
     if all_int:
-        # |coefficient of slice_e * N**e| <= |slice_e|_1 * |N|_1**e, and N
+        # |coefficient of slice_e * p**e| <= |slice_e|_1 * |p|_1**e, and p
         # itself goes into the same slots
-        norm = sum(map(abs, num_list))
+        norm = sum(map(abs, p))
         bound = max([norm] + [sum(map(abs, sl.values())) * norm ** e
                               for e, sl in slices.items() if e >= 0])
         nb = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-        big_n = _pack(enumerate(num_list), deg + 1, nb)
-        pw, pw_e = 1, 0  # pw == big_n ** pw_e
+        big_p = _pack(enumerate(p), deg + 1, nb)
+        pw, pw_e = 1, 0  # pw == big_p ** pw_e
 
     out: dict[tuple[int, int], object] = {}
     for e, sl in sorted(slices.items()):
         lo = min(sl)
         m = max(sl) - lo + 1
-        # coeffs[i] is the coefficient of x^(lo + i) times N's monomial factor**e
-        exps = count(lo + e * m0)
+        exps = count(lo)  # coeffs[i] is the coefficient of x^(lo + i)
         if e < 0:
             try:
-                if m - 1 < -e * deg:  # checked before N**-e is built
+                if m - 1 < -e * deg:  # checked before p**-e is built
                     raise NotLaurent("slice shorter than the divisor")
-                coeffs = _uni_exact_div(sl, num_pow(-e))
+                coeffs = _uni_exact_div(sl, p_pow(-e))
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
         elif all_int and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
-            pw *= big_n ** (e - pw_e)
+            pw *= big_p ** (e - pw_e)
             pw_e = e
             packed_sl = _pack(((i - lo, c) for i, c in sl.items()), m, nb)
             coeffs = _unpack(packed_sl * pw, m + e * deg, nb)
         else:
-            res = _uni_mul_sparse(sl, num_pow(e))
-            exps = [eo + e * m0 for eo in res]
-            coeffs = res.values()
+            res = _uni_mul_sparse(sl, p_pow(e))
+            exps, coeffs = res.keys(), res.values()
         row = repeat(-e)
         keys = zip(row, exps) if var == 1 else zip(exps, row)
         out.update(compress(zip(keys, coeffs), coeffs))

@@ -85,9 +85,9 @@ def eval_homomorphism(*, seed, cases, shape, values):
 
 def palindromic_canonical(*, max_d):
     for d in range(1, max_d + 1):
+        polys = CoefficientMode.symbolic(d, d).polys
         for t in range(d + 1):
-            if (CoeffPoly.rho(t, d) != CoeffPoly.rho(d - t, d)
-                    or CoeffPoly.vrho(t, d) != CoeffPoly.vrho(d - t, d)):
+            if any(p[t] != p[d - t] for p in polys):
                 return d, t
 
 

@@ -231,18 +231,19 @@ def test_criterion_07_combinatorics_lemma_suite():
                     rsh_idx = sorted(e.index for e in rep.remote_shadow)
                     if 4 ** len(rsh_idx) > 5000:
                         continue
-                    new_path, new_s2 = phi_pullback(path, s2, r)
+                    new_path, new_s2, forth = omega(path, s2, r)
+                    back_path, _, back_of = omega(new_path, new_s2, r)
                     for vals in product(range(4), repeat=len(rsh_idx)):
                         s1 = [0] * a1
                         for j, val in zip(rsh_idx, vals):
                             s1[j - 1] = val
                         s1 = tuple(s1)
                         case = (a1, a2, r, s1, s2)
-                        _, img = omega(path, s1, s2, r)
+                        img = forth(s1)
                         assert sum(img) == sum(s1), case
                         assert is_compatible(path, s1, s2) == \
                             is_compatible(new_path, img, new_s2), case
-                        back_path, back = omega(new_path, img, new_s2, r)
+                        back = back_of(img)
                         assert back == s1, case
                         assert (back_path.a1, back_path.a2) == (a1, a2), case
 

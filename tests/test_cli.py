@@ -1,7 +1,8 @@
+import io
 import json
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 from conftest import expected_x5
@@ -13,6 +14,18 @@ NUMERIC = ["--p1", "1,1,1", "--p2", "1,1,1,1"]
 
 
 def run_cli(argv):
+    """(exit status, stdout, stderr) of cli.main(argv), run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_interpreter(argv):
+    """The same triple from a fresh `python -m gca2.cli` process."""
     proc = subprocess.run([sys.executable, "-m", "gca2.cli", *argv],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
@@ -248,7 +261,7 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def test_greedy_checks_clusters_before_building(monkeypatch, capsys):
+def test_greedy_checks_clusters_before_building(monkeypatch):
     def refuse(*args):
         raise AssertionError("greedy element built before --clusters was checked")
 
@@ -259,22 +272,19 @@ def test_greedy_checks_clusters_before_building(monkeypatch, capsys):
                   "--clusters=4..-2"],
                  [*NUMERIC, "greedy", "3", "1", "--clusters=1-2"],
                  ["--d1", "2", "--d2", "3", "greedy", "9", "6", "--clusters=-2..4"]):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        out, err = capsys.readouterr()
+        code, out, err = run_cli(argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_byte_identical_across_runs():
-    base = run_cli([*NUMERIC, "--format", "json", "var", "5"])
-    again = run_cli([*NUMERIC, "--format", "json", "var", "5"])
+    # separate interpreters, so each run has its own hash seed
+    base = run_interpreter([*NUMERIC, "--format", "json", "var", "5"])
+    again = run_interpreter([*NUMERIC, "--format", "json", "var", "5"])
     assert base[1] == again[1]
-    v1 = run_cli([*NUMERIC, "verify", "dyckpath"])
-    v2 = run_cli([*NUMERIC, "verify", "dyckpath"])
+    v1 = run_interpreter([*NUMERIC, "verify", "dyckpath"])
+    v2 = run_interpreter([*NUMERIC, "verify", "dyckpath"])
     assert v1[1] == v2[1]
 
 
@@ -283,3 +293,7 @@ def test_main_callable_directly(capsys):
     code = cli.main([*NUMERIC, "var", "3"])
     assert code == 0
     assert "x1^-1" in capsys.readouterr().out
+    # python -m gca2.cli exits with the status main returns
+    code, out, err = run_interpreter([*NUMERIC, "verify", "nosuchsuite"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown suite 'nosuchsuite'")

@@ -3,6 +3,7 @@ import pytest
 from conftest import ALL_ONES, expected_x3, expected_x4, expected_x5
 from gca2 import verify
 from gca2.cluster import AlgebraContext
+from gca2.coeffring import CoefficientMode, NotDivisible
 from gca2.greedy import greedy_combinatorial, reflect_params
 from gca2.laurent import LaurentPoly, NotLaurent, lp_to_pointed
 
@@ -20,7 +21,7 @@ def test_exchange_relation_holds_both_directions(mode23):
     ctx = AlgebraContext(mode23)
     for k in range(-3, 6):
         lhs = ctx.cluster_variable(k + 1) * ctx.cluster_variable(k - 1)
-        p = mode23.p1_coeffs() if k % 2 == 0 else mode23.p2_coeffs()
+        p = mode23.polys[k % 2]  # P1 on even k, P2 on odd k
         rhs = LaurentPoly.zero()
         for t, c in enumerate(p):
             rhs = rhs + c * ctx.cluster_variable(k) ** t
@@ -158,6 +159,14 @@ def test_not_laurent_names_the_failing_step(mode23):
         ctx.apply_reflection(LaurentPoly.monomial(-1, 0), 2)
     with pytest.raises(NotLaurent, match="reflection p=1: substituting x2, slice e=-2"):
         ctx.apply_reflection(LaurentPoly.monomial(0, -2), 1)
+
+
+def test_not_divisible_names_the_exchange_step():
+    # P1 = 2 + z is not monic palindromic, and the Laurent phenomenon fails:
+    # x5 = P1(x4) / x3 = (x1 (2 x2 + 1) + 2 + x2) / (x2 (2 + x2))
+    ctx = AlgebraContext(CoefficientMode(1, 1, (2, 1), (1, 1)))
+    with pytest.raises(NotDivisible, match=r"exchange step 4 -> 5, dividing by x3: "):
+        ctx.cluster_variable(5)
 
 
 def test_apply_reflection_examples(mode23):

@@ -90,15 +90,18 @@ def test_mode_validation():
         CoefficientMode.symbolic(-1, 2)
     mode = CoefficientMode.numeric((1, 4, 1), (1, 1, 1, 1))
     assert mode.d1 == 2 and mode.d2 == 3
-    assert mode.rho(1) == 4 and mode.vrho(2) == 1
+    assert mode.polys == ((1, 4, 1), (1, 1, 1, 1))
 
 
 def test_symbolic_mode_coefficients():
     mode = CoefficientMode.symbolic(2, 3)
-    assert mode.rho(0) == 1 and mode.rho(2) == 1
-    assert mode.rho(1) == CoeffPoly.rho(1, 2)
-    assert mode.vrho(1) == mode.vrho(2)  # palindromic identification
-    assert len(mode.p1_coeffs()) == 3 and len(mode.p2_coeffs()) == 4
+    p1, p2 = mode.polys
+    assert p1 == (1, CoeffPoly.rho(1, 2), 1)
+    assert p2[1] == p2[2] == CoeffPoly.vrho(1, 3)  # palindromic identification
+    assert len(p2) == 4
+    # the table is derived: equality, hashing and repr ignore it
+    assert mode == CoefficientMode.symbolic(2, 3) and "polys" not in repr(mode)
+    assert hash(mode) == hash(CoefficientMode.symbolic(2, 3))
 
 
 def test_json_roundtrip():

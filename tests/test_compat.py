@@ -236,7 +236,7 @@ def test_phi_pullback_examples():
 def test_omega_requires_remote_support():
     s2 = (1, 0)  # rsh empty on D(5,2)
     with pytest.raises(NotInRemoteSupport):
-        omega(D52, (0, 0, 1, 0, 0), s2, 3)
+        omega(D52, s2, 3)[2]((0, 0, 1, 0, 0))
 
 
 def test_support_region_examples():

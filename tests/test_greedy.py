@@ -161,7 +161,8 @@ def test_greedy_expand_empty(mode23):
 def test_greedy_expand_rejects_non_algebra_elements(mode23):
     # 1/(x1 x2) + anything never cancels: x[1,1] has extra support
     bad = LaurentPoly({(-1, -1): 1, (-1, 0): -1})
-    with pytest.raises(NotInAlgebra):
+    msg = "pass budget 20 exhausted with the residual's lowest level at "
+    with pytest.raises(NotInAlgebra, match=msg):
         greedy_expand(mode23, bad)
 
 

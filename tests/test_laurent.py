@@ -264,25 +264,25 @@ def test_eval_univariate():
 
 def test_substitute_ratio_examples():
     # x1 -> (1+x2+x2^2)/y
-    got = lp_substitute_ratio(X1, 1, P1)
+    got = lp_substitute_ratio(X1, 1, (1, 1, 1))
     assert got == LaurentPoly({(-1, 0): 1, (-1, 1): 1, (-1, 2): 1})
     # the generalized variable maps back to the old one
     x3 = LaurentPoly({(-1, 0): 1, (-1, 1): 1, (-1, 2): 1})
-    assert lp_substitute_ratio(x3, 1, P1) == X1
+    assert lp_substitute_ratio(x3, 1, (1, 1, 1)) == X1
     # a genuine denominator is detected
     with pytest.raises(NotLaurent):
-        lp_substitute_ratio(X1 + LaurentPoly.monomial(-1, 0), 1,
-                            LaurentPoly.monomial(0, 0) + X2)
-    with pytest.raises(ValueError):
-        lp_substitute_ratio(X1, 1, X1)  # numerator in the wrong variable
+        lp_substitute_ratio(X1 + LaurentPoly.monomial(-1, 0), 1, (1, 1))
+    for p in ((), (0, 1), (1, 1, 0)):  # no constant or no leading coefficient
+        with pytest.raises(ValueError):
+            lp_substitute_ratio(X1, 1, p)
 
 
 def test_substitute_ratio_double_inverts_cluster_variables(mode23):
     ctx = AlgebraContext(mode23)
-    num = lp_eval_univariate(mode23.p1_coeffs(), X2)
+    p = mode23.polys[0]
     for k in range(1, 6):
         f = ctx.cluster_variable(k)
-        assert lp_substitute_ratio(lp_substitute_ratio(f, 1, num), 1, num) == f
+        assert lp_substitute_ratio(lp_substitute_ratio(f, 1, p), 1, p) == f
 
 
 @pytest.fixture
@@ -308,12 +308,14 @@ def rows(terms: dict, sel: int) -> dict:
     return out
 
 
-def assert_substitution(f, var, num, got):
-    """got == f(x_var -> num / y), row by row with conftest.pmul and ppow only.
+def assert_substitution(f, var, p, got):
+    """got == f(x_var -> p(x_other) / y), row by row with conftest.pmul and
+    ppow only.
 
-    Row -e of got must be slice_e * num**e for e >= 0; for e < 0 it must give
-    slice_e back when multiplied by num**-e.
+    Row -e of got must be slice_e * num**e for e >= 0, num = p(x_other); for
+    e < 0 it must give slice_e back when multiplied by num**-e.
     """
+    num = LaurentPoly(in_var(var, dict(enumerate(p))))
     sel = var - 1
     f_rows, got_rows = rows(f.terms, sel), rows(got.terms, sel)
     assert sorted(got_rows) == sorted(-e for e in f_rows)
@@ -336,9 +338,11 @@ def sliced(var: int, slices: dict) -> LaurentPoly:
                         for e, sl in slices.items() for k, c in sl.items()})
 
 
-def random_substitution(rng, var, num, es, n, bits):
+def random_substitution(rng, var, p, es, n, bits):
     """f with a dense n-term signed slice at each e in es; slices with e < 0
-    are multiples of num**-e, so f stays Laurent under x_var -> num / y."""
+    are multiples of p(x_other)**-e, so f stays Laurent under
+    x_var -> p(x_other) / y."""
+    num = LaurentPoly(in_var(var, dict(enumerate(p))))
     slices = {}
     for e in es:
         lo = rng.randint(-5, 5)
@@ -348,23 +352,21 @@ def random_substitution(rng, var, num, es, n, bits):
     return sliced(var, slices)
 
 
-NUMERATORS = {  # x2 exponent -> coefficient
-    "ones": {0: 1, 1: 1, 2: 1},
-    "zero inner coefficient": {0: 1, 2: 1},  # 1 + x^2
-    "monomial factor": {2: 1, 3: 2, 4: 1},  # x^2 (1 + 2x + x^2), m0 = 2
-    "signed": {0: 1, 1: -2, 3: 3},
+POLYS = {  # coefficients of p, low degree first
+    "ones": (1, 1, 1),
+    "zero inner coefficient": (1, 0, 1),
+    "signed": (1, -2, 0, 3),
 }
 
 
 def test_substitute_ratio_packed_matches_oracle(slice_paths):
     rng = random.Random(812)
-    for name, coeffs in NUMERATORS.items():
+    for name, p in POLYS.items():
         for var in (1, 2):
-            num = LaurentPoly(in_var(var, coeffs))
             for n, bits in ((12, 3), (20, 64), (6, 200)):
-                f = random_substitution(rng, var, num, range(-3, 15), n, bits)
+                f = random_substitution(rng, var, p, range(-3, 15), n, bits)
                 del slice_paths[:]
-                assert_substitution(f, var, num, lp_substitute_ratio(f, var, num))
+                assert_substitution(f, var, p, lp_substitute_ratio(f, var, p))
                 # one decision per slice with e >= 0, and the dense
                 # high-e slices are packed
                 assert len(slice_paths) == 15, name
@@ -374,20 +376,20 @@ def test_substitute_ratio_packed_matches_oracle(slice_paths):
 def test_substitute_ratio_packed_cancellation(slice_paths):
     # (1 - x)^12 * (1 + x)^12 = (1 - x^2)^12: every odd slot cancels
     for var in (1, 2):
-        num = LaurentPoly(in_var(var, {0: 1, 1: 1}))
+        plus = in_var(var, {0: 1, 1: 1})
         minus = in_var(var, {0: 1, 1: -1})
-        f = sliced(var, {12: ppow(minus, 12), -2: pmul(minus, ppow(num.terms, 2))})
-        got = lp_substitute_ratio(f, var, num)
-        assert_substitution(f, var, num, got)
+        f = sliced(var, {12: ppow(minus, 12), -2: pmul(minus, ppow(plus, 2))})
+        got = lp_substitute_ratio(f, var, (1, 1))
+        assert_substitution(f, var, (1, 1), got)
         assert len(rows(got.terms, var - 1)[-12]) == 13  # x^0, x^2, ..., x^24
         assert all(c for c in got.terms.values())
     assert slice_paths == [True, True]
 
 
 def test_substitute_ratio_tight_slot_bound(slice_paths):
-    # slice M + x + ... + x^9 and N = K + x + x^2 with K = 2**k, at e = 16:
+    # slice M + x + ... + x^9 and p = K + x + x^2 with K = 2**k, at e = 16:
     # the largest output coefficient, M*K**16 at x^0, has as many bits as the
-    # bound |slice|_1 * |N|_1**16 that sizes the slots.  At 8*t - 1 bits the
+    # bound |slice|_1 * |p|_1**16 that sizes the slots.  At 8*t - 1 bits the
     # sign bit is the last free bit of a t-byte slot; at 8*t bits it needs
     # t + 1.
     e = 16
@@ -396,12 +398,12 @@ def test_substitute_ratio_tight_slot_bound(slice_paths):
         m = 3 << (bits - 16 * k - 2)  # bits - 16*k bits
         for sign in (1, -1):
             sl = {0: sign * m, **{i: 1 for i in range(1, 10)}}
-            num = LaurentPoly(in_var(1, {0: 2 ** k, 1: 1, 2: 1}))
+            p = (2 ** k, 1, 1)
             bound = sum(map(abs, sl.values())) * (2 ** k + 2) ** e
             assert bound.bit_length() == bits
             f = sliced(1, {e: in_var(1, sl)})
-            got = lp_substitute_ratio(f, 1, num)
-            assert_substitution(f, 1, num, got)
+            got = lp_substitute_ratio(f, 1, p)
+            assert_substitution(f, 1, p, got)
             assert got.terms[(-e, 0)] == sign * m * 2 ** (k * e)
             assert max(abs(c) for c in got.terms.values()).bit_length() == bits
     assert slice_paths == [True] * 12
@@ -409,17 +411,16 @@ def test_substitute_ratio_tight_slot_bound(slice_paths):
 
 def test_substitute_ratio_coeffpoly_keeps_dict_path(slice_paths):
     rng = random.Random(3)
-    num = LaurentPoly(in_var(1, NUMERATORS["ones"]))
-    f = random_substitution(rng, 1, num, range(-2, 10), 10, 30)
-    want = lp_substitute_ratio(f, 1, num)
+    p = POLYS["ones"]
+    f = random_substitution(rng, 1, p, range(-2, 10), 10, 30)
+    want = lp_substitute_ratio(f, 1, p)
     assert any(slice_paths)
     del slice_paths[:]
     key, c = max(f.terms.items())
     g = LaurentPoly({**f.terms, key: CoeffPoly.const(c)})  # same value
-    assert lp_substitute_ratio(g, 1, num) == want
-    # a symbolic numerator too, against the oracle
-    rho = CoeffPoly.rho(1, 3)
-    sym = LaurentPoly(in_var(1, {0: 1, 1: rho, 2: 1}))
+    assert lp_substitute_ratio(g, 1, p) == want
+    # a symbolic p too, against the oracle
+    sym = (1, CoeffPoly.rho(1, 3), 1)
     f = random_substitution(rng, 1, sym, range(-2, 6), 6, 5)
     assert_substitution(f, 1, sym, lp_substitute_ratio(f, 1, sym))
     assert slice_paths == []
@@ -429,32 +430,30 @@ def test_substitute_ratio_wide_slice_stays_on_dict_loop(slice_paths):
     # a two-term slice spread over 2**40 would need 2**40 packed slots
     far = 2 ** 40
     rng = random.Random(9)
+    p = POLYS["ones"]
     for var in (1, 2):
-        num = LaurentPoly(in_var(var, NUMERATORS["ones"]))
         dense = {i: rng.randint(-99, 99) or 1 for i in range(12)}
         f = sliced(var, {3: in_var(var, {0: 1, far: -2}), 12: in_var(var, dense)})
         del slice_paths[:]
-        assert_substitution(f, var, num, lp_substitute_ratio(f, var, num))
+        assert_substitution(f, var, p, lp_substitute_ratio(f, var, p))
         assert slice_paths == [False, True]
 
 
 def test_substitute_ratio_short_slice_fails_before_building_the_power(monkeypatch):
     def refuse(*args):
-        raise AssertionError("N**1100 built for a slice shorter than it")
+        raise AssertionError("p**1100 built for a slice shorter than it")
 
     monkeypatch.setattr(laurent, "_uni_mul", refuse)
-    num = LaurentPoly.monomial(0, 0) + X2
     msg = "substituting x1, slice e=-1100: slice shorter than the divisor"
     with pytest.raises(NotLaurent, match=msg):
-        lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, num)
+        lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, (1, 1))
 
 
 def test_substitute_ratio_exponents_beyond_the_recursion_limit():
     # |e| above the interpreter's default recursion limit of 1000
-    num = LaurentPoly.monomial(0, 0) + X2
     with pytest.raises(NotLaurent, match="slice e=-1100"):
-        lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, num)
-    got = lp_substitute_ratio(LaurentPoly.monomial(0, 1100), 2, num.swap_vars())
+        lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, (1, 1))
+    got = lp_substitute_ratio(LaurentPoly.monomial(0, 1100), 2, (1, 1))
     assert got.terms == {(j, -1100): comb(1100, j) for j in range(1101)}
 
 
