@@ -1,25 +1,30 @@
 """Cluster variables, standard monomials, reflections and cross-cluster expansion.
 
-Variables x_k for k in Z are generated outward from the initial pair
-(x_1, x_2) by the exchange relation
+The cluster (x_k, x_{k+1}) is reached from its neighbours by the exchange
+relation
 
-    x_{k+1} * x_{k-1} = P1(x_k)  (k even)      P2(x_k)  (k odd),
+    x_{k+1} * x_{k-1} = P1(x_k)  (k even)      P2(x_k)  (k odd).
 
-each step an exact Laurent division whose success is the runtime witness of
-the Laurent phenomenon.  A context memoizes the variables; published entries
-are immutable, so concurrent readers are safe once a value is stored.
-
-Cross-cluster expansion rewrites a Laurent polynomial in (x_1, x_2) as a
-Laurent polynomial in (x_k, x_{k+1}) by eliminating one variable per step
-through the exchange relation; slot 1 of the result holds x_k and slot 2
-holds x_{k+1}.
+One walk steps between clusters: each step eliminates one coordinate
+through the exchange relation (an exact univariate division per negative
+power, see laurent.lp_substitute_ratio), so a Laurent polynomial in
+(x_1, x_2) becomes one in (x_k, x_{k+1}), with x_k in slot 1 and x_{k+1} in
+slot 2.  A cluster variable x_k is a coordinate of cluster k - 1 or k walked
+back to cluster 1; a step that leaves a denominator raises NotLaurent, so
+every computed variable is a runtime witness of the Laurent phenomenon.  A
+context memoizes the variables; published entries are immutable, so
+concurrent readers are safe once a value is stored.
 """
 
 from __future__ import annotations
 
-from .coeffring import CoefficientMode, NotDivisible
+from itertools import chain, islice
+
+from .coeffring import CoefficientMode
 from .greedy import greedy_combinatorial
-from .laurent import LaurentPoly, NotLaurent, lp_eval_univariate, lp_substitute_ratio
+from .laurent import LaurentPoly, NotLaurent, lp_substitute_ratio
+# Unused here; perfbench/tracer.py patches this name on this module.
+from .laurent import lp_eval_univariate  # noqa: F401
 
 
 class AlgebraContext:
@@ -27,32 +32,25 @@ class AlgebraContext:
 
     def __init__(self, mode: CoefficientMode):
         self.mode = mode
-        self._memo: dict[int, LaurentPoly] = {
-            1: LaurentPoly.var(1),
-            2: LaurentPoly.var(2),
-        }
+        self._memo: dict[int, LaurentPoly] = {}
         self._u: dict[tuple[int, int], int] = {}
 
-    # -- exchange recursion -------------------------------------------------
+    # -- exchange polynomials and cluster variables ---------------------------
 
     def _exchange_poly(self, k: int) -> tuple:
         """Coefficient tuple of the polynomial applied to x_k, low degree first."""
         return self.mode.polys[k % 2]
 
     def cluster_variable(self, k: int) -> LaurentPoly:
-        """x_k, stepping outward from the memoized range; a failed division
-        raises NotDivisible naming the step and the divisor."""
+        """x_k in (x_1, x_2): slot 2 of cluster k - 1 (k >= 2) or slot 1 of
+        cluster k (k <= 1), walked back to cluster 1; a step that leaves a
+        denominator raises NotLaurent naming the cluster step."""
         memo = self._memo
-        step = 1 if k > 1 else -1
-        j = max(memo) if step == 1 else min(memo)
-        while k not in memo:
-            num = lp_eval_univariate(self._exchange_poly(j), memo[j])
-            try:
-                memo[j + step] = num.exact_div(memo[j - step])
-            except NotDivisible as exc:
-                raise NotDivisible(f"exchange step {j} -> {j + step}, dividing by "
-                                   f"x{j - step}: {exc}") from exc
-            j += step
+        if k not in memo:
+            start, f = (k - 1, LaurentPoly.var(2)) if k >= 2 else (k, LaurentPoly.var(1))
+            for _, f in self._walk(f, start, 1):
+                pass
+            memo[k] = f
         return memo[k]
 
     def standard_monomial(self, k: int, a1: int, a2: int) -> LaurentPoly:
@@ -112,36 +110,35 @@ class AlgebraContext:
         except NotLaurent as exc:
             raise NotLaurent(f"{label}: {exc}") from exc
 
-    def _step_up(self, f: LaurentPoly, cur: int) -> LaurentPoly:
-        # eliminate x_cur using x_{cur+2} x_cur = P(x_{cur+1})
-        return self._exchange(f, 1, cur + 1, f"cluster step {cur} -> {cur + 1}").swap_vars()
-
-    def _step_down(self, f: LaurentPoly, cur: int) -> LaurentPoly:
-        # eliminate x_{cur+1} using x_{cur+1} x_{cur-1} = P(x_cur)
-        return self._exchange(f, 2, cur, f"cluster step {cur} -> {cur - 1}").swap_vars()
+    def _walk(self, f: LaurentPoly, start: int, stop: int):
+        """Yield (k, f rewritten in cluster (x_k, x_{k+1})) for k from start to
+        stop, either way, f given in cluster start."""
+        k = start
+        yield k, f
+        while k != stop:
+            if k < stop:  # eliminate x_k using x_{k+2} x_k = P(x_{k+1})
+                var, j, nxt = 1, k + 1, k + 1
+            else:  # eliminate x_{k+1} using x_{k+1} x_{k-1} = P(x_k)
+                var, j, nxt = 2, k, k - 1
+            f = self._exchange(f, var, j, f"cluster step {k} -> {nxt}").swap_vars()
+            k = nxt
+            yield k, f
 
     def iter_cluster_expansions(self, f: LaurentPoly, lo: int, hi: int):
-        """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi]."""
+        """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi],
+        walking up from cluster 1 first, then down from it."""
         if lo > hi:
             raise ValueError("empty cluster range")
-        g = f
-        for k in range(1, hi + 1):
-            if k >= lo:
-                yield (k, g)
-            if k < hi:
-                g = self._step_up(g, k)
-        g = f
-        for k in range(0, lo - 1, -1):
-            g = self._step_down(g, k + 1)
-            if k <= min(hi, 0):
-                yield (k, g)
+        down = islice(self._walk(f, 1, min(lo, 1)), 1, None)  # cluster 1 came up
+        for k, g in chain(self._walk(f, 1, max(hi, 1)), down):
+            if lo <= k <= hi:
+                yield k, g
 
     def expand_in_cluster(self, f: LaurentPoly, k: int) -> LaurentPoly:
         """f rewritten as a Laurent polynomial in (x_k, x_{k+1})."""
-        for kk, g in self.iter_cluster_expansions(f, k, max(k, 1)):
-            if kk == k:
-                return g
-        raise AssertionError("unreachable")
+        for _, f in self._walk(f, 1, k):
+            pass
+        return f
 
     # -- reflections ------------------------------------------------------------
 

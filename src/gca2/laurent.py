@@ -67,11 +67,12 @@ exponent vectors", CASC 2007).  Over an integral domain, Z[generators]
 included, an exact quotient of the shifted f by the shifted g has total
 degree at most deg(f) - deg(g) and no negative exponent; a quotient term
 that breaks either bound raises NotDivisible, so the elimination stops on
-every input.  Every divisor that appears in this artifact (cluster
-variables, greedy elements, powers of an exchange polynomial) is pointed,
-i.e. has a unique minimal monomial with coefficient 1, which makes each
-step division-free; any other nonzero divisor costs one exact coefficient
-division per quotient term.
+every input.  A pointed divisor, i.e. one with a unique minimal monomial
+of coefficient 1 (a cluster variable or a greedy element), makes each step
+division-free; any other nonzero divisor costs one exact coefficient
+division per quotient term.  The cluster routes do not divide here: their
+only divisions are lp_substitute_ratio's univariate ones by powers of an
+exchange polynomial.
 
 JSON form: {"terms": [{"e": [e1, e2], "c": <coefficient JSON>}, ...]} with
 terms sorted by (e1, e2) ascending; see coeffring for the coefficient JSON.

@@ -13,10 +13,10 @@ from itertools import product
 
 from . import compat, multinom
 from .cluster import AlgebraContext
-from .coeffring import CoeffPoly, CoefficientMode, GeneratorId, NotDivisible
+from .coeffring import CoeffPoly, CoefficientMode, GeneratorId
 from .dyckpath import DyckPath, Subpath
 from .greedy import greedy_combinatorial, greedy_recursive, reflect_params
-from .laurent import LaurentPoly, lp_is_positive, lp_to_pointed
+from .laurent import LaurentPoly, NotLaurent, lp_is_positive, lp_to_pointed
 
 ALL_ONES = {(d1, d2): CoefficientMode.numeric((1,) * (d1 + 1), (1,) * (d2 + 1))
             for d1, d2 in ((1, 1), (2, 2), (2, 3), (3, 3), (1, 2), (0, 2), (3, 0))}
@@ -215,13 +215,13 @@ def reflection_symmetry(*, modes, points):
 
 
 def laurent_phenomenon(*, systems):
-    """No exchange step's exact division fails; systems are (mode, ks) pairs."""
+    """No cluster step leaves a denominator; systems are (mode, ks) pairs."""
     for mode, ks in systems:
         ctx = AlgebraContext(mode)
         for k in ks:
             try:
                 ctx.cluster_variable(k)
-            except NotDivisible:
+            except NotLaurent:
                 return mode, k
 
 

@@ -1,9 +1,13 @@
+import random
+from fractions import Fraction
+from math import prod
+
 import pytest
 
 from conftest import ALL_ONES, expected_x3, expected_x4, expected_x5
 from gca2 import verify
 from gca2.cluster import AlgebraContext
-from gca2.coeffring import CoefficientMode, NotDivisible
+from gca2.coeffring import CoefficientMode
 from gca2.greedy import greedy_combinatorial, reflect_params
 from gca2.laurent import LaurentPoly, NotLaurent, lp_to_pointed
 
@@ -26,6 +30,52 @@ def test_exchange_relation_holds_both_directions(mode23):
         for t, c in enumerate(p):
             rhs = rhs + c * ctx.cluster_variable(k) ** t
         assert lhs == rhs, k
+
+
+def _evaluate(f, point, gens):
+    """f at (x1, x2) = point, each CoeffPoly coefficient taken at gens,
+    a map (family, index) -> value."""
+    a, b = point
+    total = Fraction(0)
+    for (e1, e2), c in f.terms.items():
+        if not isinstance(c, int):
+            c = sum(n * prod(gens[gid] ** e for gid, e in mono) for mono, n in c.terms.items())
+        total += c * a ** e1 * b ** e2
+    return total
+
+
+def _recursion_values(p1, p2, point, ks):
+    """v_k for k in ks from (v_1, v_2) = point by v_{k+1} v_{k-1} = P(v_k),
+    P = p1 on even k and p2 on odd k, coefficients low degree first."""
+    def p_at(k, v):
+        return sum(c * v ** t for t, c in enumerate(p1 if k % 2 == 0 else p2))
+    v = {1: point[0], 2: point[1]}
+    for k in range(2, max(ks)):
+        v[k + 1] = p_at(k, v[k]) / v[k - 1]
+    for k in range(1, min(ks), -1):
+        v[k - 1] = p_at(k, v[k]) / v[k + 1]
+    return v
+
+
+def test_cluster_variables_match_the_value_recursion():
+    # an oracle that shares no code with gca2: x_k evaluated at a rational
+    # point equals the exchange recursion run on the values themselves
+    rng = random.Random(1309)
+    r, v = rng.sample(range(2, 10), 2)
+    gens = {("rho", 1): r, ("vrho", 1): v}
+    numeric = CoefficientMode.numeric
+    systems = [(numeric((1, 2, 1), (1, 3, 3, 1)), range(-5, 9)),
+               (numeric((1, 1), (1, 2, 3, 2, 1)), range(-5, 9)),
+               (CoefficientMode.symbolic(2, 3), range(-3, 7))]
+    for mode, ks in systems:
+        # the symbolic mode specialized at gens: P1 = 1 + r z + z^2, P2 palindromic
+        p1, p2 = (mode.p1, mode.p2) if mode.is_numeric else ((1, r, 1), (1, v, v, 1))
+        ctx = AlgebraContext(mode)
+        n1, d1, n2, d2 = rng.sample((2, 3, 5, 7, 11, 13), 4)  # x1 != x2, neither is 1
+        point = (Fraction(n1, d1), Fraction(n2, d2))
+        want = _recursion_values(p1, p2, point, ks)
+        for k in ks:
+            assert _evaluate(ctx.cluster_variable(k), point, gens) == want[k], (mode, k)
 
 
 def test_laurent_contract_all_systems():
@@ -161,11 +211,13 @@ def test_not_laurent_names_the_failing_step(mode23):
         ctx.apply_reflection(LaurentPoly.monomial(0, -2), 1)
 
 
-def test_not_divisible_names_the_exchange_step():
+def test_cluster_variable_names_the_failing_cluster_step():
     # P1 = 2 + z is not monic palindromic, and the Laurent phenomenon fails:
     # x5 = P1(x4) / x3 = (x1 (2 x2 + 1) + 2 + x2) / (x2 (2 + x2))
     ctx = AlgebraContext(CoefficientMode(1, 1, (2, 1), (1, 1)))
-    with pytest.raises(NotDivisible, match=r"exchange step 4 -> 5, dividing by x3: "):
+    assert ctx.cluster_variable(4) == LaurentPoly({(0, -1): 1, (-1, 0): 1, (-1, -1): 2})
+    step = r"cluster step 2 -> 1: substituting x2, slice e=-1: "
+    with pytest.raises(NotLaurent, match=step):
         ctx.cluster_variable(5)
 
 

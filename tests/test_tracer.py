@@ -36,7 +36,9 @@ def test_tracer_counts_every_layer_and_uninstalls(capsys):
         for argv in (["--p1", "1,2,1", "--p2", "1,1,1,1", "var", "6"],
                      ["--d1", "2", "--d2", "3", "var", "5"],
                      ["--p1", "1,1,1", "--p2", "1,1,1,1", "greedy", "3", "2",
-                      "--method", "recursive", "--clusters=-1..2"]):
+                      "--method", "recursive", "--clusters=-1..2"],
+                     # the exact_div calls: var walks clusters without dividing
+                     ["--d1", "2", "--d2", "3", "verify", "laurent"]):
             assert cli.main(argv) == 0, argv
         before_pairs = tracer.calls.get("compat.structure", 0)
         assert cli.main(["--d1", "2", "--d2", "3", "pairs", "4", "2"]) == 0
