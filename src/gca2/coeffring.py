@@ -377,6 +377,12 @@ class CoefficientMode:
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if {type(self.p1), type(self.p2)} not in ({tuple}, {type(None)}):
+            raise ValueError("p1 and p2 must both be tuples or both be None")
+        if self.is_numeric and (self.d1, self.d2) != (len(self.p1) - 1, len(self.p2) - 1):
+            raise ValueError("degrees must be len(p1) - 1 and len(p2) - 1")
+        if self.d1 < 0 or self.d2 < 0:
+            raise ValueError("degrees must be nonnegative")
         if self.is_numeric:
             polys = (self.p1, self.p2)
         else:
@@ -402,8 +408,6 @@ class CoefficientMode:
 
     @staticmethod
     def symbolic(d1: int, d2: int) -> "CoefficientMode":
-        if d1 < 0 or d2 < 0:
-            raise ValueError("degrees must be nonnegative")
         return CoefficientMode(d1, d2, None, None)
 
     @property

@@ -38,7 +38,7 @@ from operator import mul
 from .coeffring import CoefficientMode
 from .compat import compatible_structure, compatible_structure_h
 from .dyckpath import DyckPath
-from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported
+from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported, _uni_mul
 # Unused here; perfbench/tracer.py patches these two names on this module.
 from .multinom import compositions_weighted, multinomial  # noqa: F401
 
@@ -89,27 +89,16 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
         outer_vals, inner_vals, outer_count = p1, p2, b1
         structure = lambda s: compatible_structure_h(path, s, d2)
 
-    # (inner exchange polynomial as a z-polynomial) ** k, per free-edge count
-    free_pows: dict[int, dict[int, object]] = {0: {0: one}}
-
-    def free_factor(k: int) -> dict[int, object]:
-        if k not in free_pows:
-            prev = free_factor(k - 1)
-            out: dict[int, object] = {}
-            for e, c in prev.items():
-                for t, v in enumerate(inner_vals):
-                    key = e + t
-                    out[key] = out.get(key, 0) + c * v
-            free_pows[k] = out
-        return free_pows[k]
-
+    # free_pows[k] is (inner exchange polynomial in z) ** k as a dense list
+    free_pows = [[one]]
     acc: dict[tuple[int, int], object] = {}
     for s_out in product(range(len(outer_vals)), repeat=outer_count):
         free, rsh_idx, valid = structure(s_out)
         c_out = one
         for val in s_out:
             c_out = c_out * outer_vals[val]
-        base = free_factor(len(free))
+        while len(free_pows) <= len(free):
+            free_pows.append(_uni_mul(free_pows[-1], inner_vals))
         rpoly: dict[int, object] = {}
         for vals in valid:
             w = one
@@ -118,7 +107,9 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             k = sum(vals)
             rpoly[k] = rpoly.get(k, 0) + w
         m_out = sum(s_out)
-        for q1, c1 in base.items():
+        for q1, c1 in enumerate(free_pows[len(free)]):
+            if not c1:
+                continue
             for q2, c2 in rpoly.items():
                 m_in = q1 + q2
                 # x1 carries |S2|, x2 carries |S1|

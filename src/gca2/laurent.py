@@ -9,55 +9,39 @@ coeffring.SparsePoly, shared with CoeffPoly.  Multiplication and exact_div
 are defined here, in the class body, where the benchmark's tracer finds
 them.
 
-Multiplication packs each monomial into one int, key = e1*width + (e2 - lo2),
-where width is one more than the e2 span of the product, worked out from the
-two operands on every call; keys then add like exponent vectors, and divmod
-unpacks them (floor division keeps negative e1 exact).  Keys are Python ints
-with no fixed field width, so packing never wraps, whatever the exponents.
+Multiplication scales by a one-term operand, and otherwise runs one plain
+loop over pairs of terms on (e1, e2) keys.  No faster product is kept: every
+cluster route steps between clusters by lp_substitute_ratio, so no route
+multiplies two many-term Laurent polynomials, and a big-int or packed-key
+product would be code that nothing runs.
 
-When every coefficient is a plain int and the product's dense box (rows x
-width slots) is full enough, the product is one big-int multiply instead
+lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is a
+coefficient tuple, low degree first, such as an exchange polynomial's.  The
+slice of f with x_var-exponent e >= 0 is multiplied by p**e.  When every
+coefficient of f and p is a plain int, that product is one big-int multiply
 (Kronecker substitution; Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", arXiv:0712.4046).  Each operand's
-coefficients go into nb-byte slots of one int, and the two ints are
-multiplied by CPython's C routine.  Slot k of the result holds coefficient k
-of the product, and nb is sized from a proven bound.  Each product
-coefficient is a sum of at most min(|A|, |B|) products, so its absolute value
-is at most min(|A|, |B|) * max|a| * max|b|.  That bound plus a sign bit fits
-in nb bytes, so no slot carries into the next.  Signed coefficients are
-shifted by half a slot, an offset of repeated bytes, so every slot reads
-nonnegative with no division.  The path is taken when slots * (2 + nb/2) <=
-|A| * |B|: about 2 + nb/2 dict-loop term products cost as much as one
-nb-byte slot (a fit over dense and sparse products with 3- to 250-bit
-coefficients).  The same rule keeps sparse operands spread over a wide
-exponent range, and small ones, on the dict loop, so no huge buffer is ever
-allocated.
+multipoint Kronecker substitution", arXiv:0712.4046).  p is packed once into
+nb-byte slots as the int P, and the powers P**e are built by repeated int
+multiplies, never unpacked.  Each slice is then one product
+pack(slice_e) * P**e, unpacked once: slot k holds coefficient k.  One nb
+serves the whole call, sized from the bound max over e >= 0 of
+|slice_e|_1 * |p|_1**e plus a sign bit, since no coefficient of a product
+exceeds the product of its factors' 1-norms; so no slot carries into the
+next.  _pack and _unpack shift signed coefficients by half a slot, an offset
+of repeated bytes, so every slot reads nonnegative with no division.
 
-lp_substitute_ratio uses the same packing for its univariate products.  It
-substitutes x_var -> p(x_other) / y, where p is a coefficient tuple, low
-degree first, such as an exchange polynomial's.  The slice of f with
-x_var-exponent e >= 0 is multiplied by p**e.  When every coefficient of f and
-p is a plain int, p is packed once into nb-byte slots as the int P, and the
-packed powers P**e are built by repeated int multiplies, never unpacked.
-Each slice is then one int product, pack(slice_e) * P**e, unpacked once.
-One nb serves the whole call.  It is sized from the bound max over e >= 0 of
-|slice_e|_1 * |p|_1**e, since no coefficient of a product exceeds the
-product of its factors' 1-norms; the bound also covers p and every P**e.  A
-slice takes this path when the rule above holds for its own slots:
-slots * (2 + nb/2) <= |slice| * |p**e|, where slots is the slice's exponent
-span and |p**e| = e*deg(p) + 1 is the length of the dense power that the
-dict loop walks.  The product's other e*deg(p) slots stand for p**e, which
-the dict loop holds too, as a list built by its own chain of products; the
-slice's slots are what the packed route adds.  So slices spread over a wide
+A slice is packed when slots * (2 + nb/2) <= |slice| * |p**e|: one nb-byte
+slot costs about as much as 2 + nb/2 dict-loop term products (a fit over
+dense and sparse products with 3- to 250-bit coefficients).  Here slots is
+the slice's exponent span and |p**e| = e*deg(p) + 1 is the length of the
+dense power that the dict loop walks; the product's other e*deg(p) slots
+stand for p**e, which the dict loop holds too.  So slices spread over a wide
 exponent range, and sparse ones, stay on the dict loop, and no huge buffer
-is allocated.  _pack and _unpack hold the two's-complement slots and the
-half-slot offset for both kernels.  Slices with e < 0 stay on exact
-univariate division (a few percent of the cross-cluster probe), and
+is allocated.  Slices with e < 0 stay on exact univariate division, and
 CoeffPoly coefficients stay on the dict loop: they do not fit in slots.
-
-Exact division stays on the int heap below.  A Kronecker division would need
-big-int division, which is quadratic on CPython 3.11: one exchange-step
-division took 364 s that way.
+Exact division stays on the int heap below: a Kronecker division would need
+big-int division, which is quadratic on CPython 3.11 (one exchange-step
+division took 364 s that way).
 
 Exact division shifts f and g into the polynomial cone and eliminates the
 *minimal* monomial of the remainder under the graded-lex order (degree
@@ -82,7 +66,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, repeat
 from typing import Sequence
 
 from .coeffring import (CoeffPoly, CoefficientMode, NotDivisible, SparsePoly,
@@ -138,29 +122,13 @@ class LaurentPoly(SparsePoly):
             ((a1, a2), c1), = small.items()
             return LaurentPoly._wrap({(a1 + b1, a2 + b2): c1 * c2
                                       for (b1, b2), c2 in big.items()})
-        lo_s = min(e2 for _, e2 in small)
-        lo_b = min(e2 for _, e2 in big)
-        lo2 = lo_s + lo_b
-        width = max(e2 for _, e2 in small) + max(e2 for _, e2 in big) - lo2 + 1
-        # a cheap necessary condition for the rule _kronecker_mul applies
-        if _packing_pays(width, 0, len(small) * len(big)):
-            out = _kronecker_mul(small, big, lo_s, lo_b, width)
-            if out is not None:
-                return out
-        packed = [(b1 * width + b2 - lo_b, c2) for (b1, b2), c2 in big.items()]
-        acc: dict[int, object] = {}
+        acc: dict[tuple[int, int], object] = {}
         get = acc.get
         for (a1, a2), c1 in small.items():
-            ka = a1 * width + a2 - lo_s
-            for kb, c2 in packed:
-                k = ka + kb
+            for (b1, b2), c2 in big.items():
+                k = (a1 + b1, a2 + b2)
                 acc[k] = get(k, 0) + c1 * c2
-        out = {}
-        for k, c in acc.items():
-            if c:
-                e1, r = divmod(k, width)
-                out[(e1, r + lo2)] = c
-        return LaurentPoly._wrap(out)
+        return LaurentPoly._wrap({k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -274,42 +242,6 @@ def _unpack(v: int, m: int, nb: int) -> list:
     from_bytes = int.from_bytes
     return [from_bytes(raw[i:i + nb], "little", signed=True)
             for i in range(0, m * nb, nb)]
-
-
-def _kronecker_mul(a: dict, b: dict, lo2_a: int, lo2_b: int,
-                   width: int) -> LaurentPoly | None:
-    """Product of two term dicts by one big-int multiply, or None.
-
-    None means a coefficient is not a plain int, or the product's box is too
-    sparse for its slot width to beat the dict loop.  Monomial (e1, e2) of an
-    operand goes to slot (e1 - lo1)*width + (e2 - lo2) of that operand, so
-    slots add like exponents and the product fills rows x width slots.
-    """
-    lo1_a, lo1_b = min(a)[0], min(b)[0]
-    rows = max(a)[0] + max(b)[0] - lo1_a - lo1_b + 1
-    n = rows * width
-    work = len(a) * len(b)
-    # the rule below with nb = 0 first: it needs no scan of the coefficients
-    if (not _packing_pays(n, 0, work)
-            or not all(type(c) is int for c in chain(a.values(), b.values()))):
-        return None
-    # |coefficient of the product| <= bound: each is a sum of at most
-    # min(|A|, |B|) products, so a slot of nb bytes never overflows.
-    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-             * max(map(abs, b.values())))
-    nb = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-    if not _packing_pays(n, nb, work):
-        return None
-
-    def pack(terms: dict, lo1: int, lo2: int) -> int:
-        return _pack((((e1 - lo1) * width + e2 - lo2, c)
-                      for (e1, e2), c in terms.items()),
-                     (max(terms)[0] - lo1 + 1) * width, nb)
-
-    coeffs = _unpack(pack(a, lo1_a, lo2_a) * pack(b, lo1_b, lo2_b), n, nb)
-    lo1, lo2 = lo1_a + lo1_b, lo2_a + lo2_b
-    keys = product(range(lo1, lo1 + rows), range(lo2, lo2 + width))
-    return LaurentPoly._wrap({k: c for k, c in zip(keys, coeffs) if c})
 
 
 def lp_eval_univariate(p: Sequence, arg: LaurentPoly) -> LaurentPoly:

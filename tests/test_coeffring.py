@@ -86,8 +86,17 @@ def test_mode_validation():
         CoefficientMode.numeric((2, 2), (1, 1))  # not monic
     with pytest.raises(ValueError):
         CoefficientMode.numeric((1, -1, 1), (1, 1))  # negative
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degrees must be nonnegative"):
         CoefficientMode.symbolic(-1, 2)
+    # the constructor checks the structure itself: d_i is the degree of P_i,
+    # and the mode is numeric or symbolic, never half of each
+    for d1, d2, p1, p2 in ((5, 1, (1, 1), (1, 1)), (1, 2, (1, 1), (1, 1)),
+                           (1, 1, (1, 1), None), (1, 1, None, (1, 1)),
+                           (1, 1, [1, 1], [1, 1]), (0, -1, None, None)):
+        with pytest.raises(ValueError):
+            CoefficientMode(d1, d2, p1, p2)
+    # non-monic and signed modes still build; numeric() is what refuses them
+    assert CoefficientMode(1, 1, (2, 1), (1, 1)).polys == ((2, 1), (1, 1))
     mode = CoefficientMode.numeric((1, 4, 1), (1, 1, 1, 1))
     assert mode.d1 == 2 and mode.d2 == 3
     assert mode.polys == ((1, 4, 1), (1, 1, 1, 1))

@@ -4,7 +4,8 @@
 code.  `golden/<name>.out` holds the stdout that argv printed when the case
 was captured: the first 23 cases before the Laurent kernels were rewritten
 on packed monomial keys, the last three (`verify all` and two numeric `var`
-cases that reach the Kronecker multiply) before that multiply was added.
+cases with dense, many-term exchange steps) before a big-int (Kronecker)
+Laurent multiply was added; that multiply has since been removed again.
 `expand` cases read their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of

@@ -60,54 +60,6 @@ def test_exact_div_roundtrip_random():
         assert verify.division_roundtrip(ring=ring, seed=seed, cases=500, shape=(6, 4, 9)) is None
 
 
-def test_mul_matches_independent_oracle():
-    """Packed-key products equal conftest.pmul, which shares no library code."""
-    rng = random.Random(2024)
-    big = 2 ** 40
-    shapes = [
-        # (terms, e1 range, e2 range, base) for each operand
-        ((6, (-4, 4), (-4, 4), (0, 0)), (6, (-4, 4), (-4, 4), (0, 0))),
-        ((8, (-6, -1), (0, 1), (0, 0)), (3, (-2, 2), (-9, 9), (0, 0))),
-        ((1, (-5, 5), (-5, 5), (0, 0)), (7, (-5, 5), (-5, 5), (0, 0))),
-        ((5, (0, 3), (0, 3), (big, -big)), (5, (-3, 0), (-3, 0), (-big, big))),
-        ((4, (-2, 2), (0, big), (0, 0)), (4, (-big, big), (-2, 2), (big, 0))),
-    ]
-    for symbolic in (False, True):
-        for sa, sb in shapes:
-            for _ in range(40):
-                a = rand_laurent(rng, symbolic, *sa)
-                b = rand_laurent(rng, symbolic, *sb)
-                expect = pmul(a.terms, b.terms)
-                assert (a * b).terms == expect
-                assert (b * a).terms == expect
-    # empty operands, constants, and coefficients that cancel to zero
-    f = rand_laurent(rng)
-    assert (f * LaurentPoly.zero()).terms == {}
-    assert (LaurentPoly.zero() * f).terms == {}
-    assert (f * 0).terms == {}
-    assert (3 * f).terms == pmul({(0, 0): 3}, f.terms)
-    assert (X1 - X2) * (X1 + X2) == LaurentPoly({(2, 0): 1, (0, 2): -1})
-    g = LaurentPoly({(-1, 0): 1, (0, -1): -1, (1, 1): 2})
-    h = LaurentPoly({(1, 0): 1, (0, 1): 1, (-1, -1): 2})
-    assert (g * h).terms == pmul(g.terms, h.terms)
-    assert all(c for c in (g * h).terms.values())
-
-
-@pytest.fixture
-def kron_calls(monkeypatch):
-    """Record, per product that reaches _kronecker_mul, whether it ran there."""
-    calls = []
-    real = laurent._kronecker_mul
-
-    def spy(*args):
-        out = real(*args)
-        calls.append(out is not None)
-        return out
-
-    monkeypatch.setattr(laurent, "_kronecker_mul", spy)
-    return calls
-
-
 def dense(rng, s1, s2, bits, base=(0, 0), triangle=False):
     """Terms on every monomial of an s1 x s2 box (or its lower-left triangle)."""
     terms = {}
@@ -119,43 +71,37 @@ def dense(rng, s1, s2, bits, base=(0, 0), triangle=False):
     return terms
 
 
-def test_kronecker_mul_matches_oracle_on_dense_supports(kron_calls):
+def test_mul_matches_independent_oracle():
+    """Products equal conftest.pmul, which shares no library code."""
+    rng = random.Random(2024)
+    big = 2 ** 40
+    shapes = [
+        # (terms, e1 range, e2 range, base) for each operand
+        ((6, (-4, 4), (-4, 4), (0, 0)), (6, (-4, 4), (-4, 4), (0, 0))),
+        ((8, (-6, -1), (0, 1), (0, 0)), (3, (-2, 2), (-9, 9), (0, 0))),
+        ((1, (-5, 5), (-5, 5), (0, 0)), (7, (-5, 5), (-5, 5), (0, 0))),
+        ((5, (0, 3), (0, 3), (big, -big)), (5, (-3, 0), (-3, 0), (-big, big))),
+        ((4, (-2, 2), (0, big), (0, 0)), (4, (-big, big), (-2, 2), (big, 0))),
+    ]
+    pairs = []
+    for symbolic in (False, True):
+        for sa, sb in shapes:
+            for _ in range(40):
+                pairs.append((rand_laurent(rng, symbolic, *sa),
+                              rand_laurent(rng, symbolic, *sb)))
+    # dense boxes and triangles with 3- to 300-bit signed coefficients
     rng = random.Random(4046)
-    cases = [  # (operand a, operand b): both above the cutover
+    boxes = [(LaurentPoly(a), LaurentPoly(b)) for a, b in (
         (dense(rng, 7, 7, 3, triangle=True), dense(rng, 6, 6, 3, (-3, 2), True)),
         (dense(rng, 12, 9, 20, (-7, -2), True), dense(rng, 10, 10, 40, triangle=True)),
         (dense(rng, 16, 16, 8, triangle=True), dense(rng, 3, 20, 8, (4, -9))),
         (dense(rng, 14, 14, 300), dense(rng, 15, 13, 300, (-20, 20))),
         (dense(rng, 40, 30, 1, triangle=True), dense(rng, 3, 3, 1, (-1, -1))),
-    ]
-    cases = [(LaurentPoly(a), LaurentPoly(b)) for a, b in cases]
-    for a, b in cases:
-        expect = pmul(a.terms, b.terms)
-        assert (a * b).terms == expect
-        assert (b * a).terms == expect
-    assert kron_calls == [True] * 2 * len(cases)
-    big = max(abs(c) for c in cases[3][0].terms.values())
-    assert big.bit_length() > 290  # signed coefficients near 2**300 were packed
-
-
-def test_kronecker_mul_cancellation(kron_calls):
-    # (box of ones) * (1 - x1)(1 - x2) = (1 - x1^s)(1 - x2^s): every slot
-    # but four cancels (over Z a product of nonzero factors is never empty)
-    s = 12
-    ones = LaurentPoly({(i, j): 1 for i in range(s) for j in range(s)})
-    corners = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
-    assert (ones * corners).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
-    # and with signs: (sum of (-x)^i, i < s) * (1 + x) = 1 - x^s for even s
-    signs = LaurentPoly({(i, j): (-1) ** (i + j) for i in range(s) for j in range(s)})
-    plus = LaurentPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
-    assert (signs * plus).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
-    assert kron_calls == [True, True]
-
-
-def test_kronecker_mul_tight_slot_bound(kron_calls):
-    # aligned n-term boxes with every coefficient +-m: the middle slot of
-    # the product is +-n*m*m, the bound itself; at 8*t - 1 bits the sign
-    # bit is the last free bit of a t-byte slot, at 8*t bits it needs t + 1
+    )]
+    assert max(map(abs, boxes[3][0].terms.values())).bit_length() > 290
+    pairs += boxes
+    # aligned n-term boxes with every coefficient +-m: the middle coefficient
+    # of the product is +-n*m*m, at 7 to 24 bits
     s = 4
     n = s * s
     for bits in (7, 8, 15, 16, 23, 24):
@@ -164,24 +110,39 @@ def test_kronecker_mul_tight_slot_bound(kron_calls):
         for sa, sb in ((1, 1), (1, -1), (-1, -1)):
             a = LaurentPoly({(i, j): sa * m for i in range(s) for j in range(s)})
             b = LaurentPoly({(i, j): sb * m for i in range(s) for j in range(s)})
-            got = (a * b).terms
-            assert got == pmul(a.terms, b.terms)
-            assert got[(s - 1, s - 1)] == sa * sb * n * m * m
-    assert kron_calls == [True] * 18
-
-
-def test_kronecker_mul_falls_back_on_coeffpoly_coefficients(kron_calls):
+            assert (a * b).terms[(s - 1, s - 1)] == sa * sb * n * m * m
+            pairs.append((a, b))
+    # a dense box with one CoeffPoly coefficient
     rng = random.Random(5)
-    a = LaurentPoly(dense(rng, 8, 8, 4))
-    b = dense(rng, 8, 8, 4)
-    b[(3, 3)] = CoeffPoly.rho(1, 3) + 2  # one symbolic coefficient
-    b = LaurentPoly(b)
-    for x, y in ((a, b), (b, a)):
-        assert (x * y).terms == pmul(x.terms, y.terms)
-    assert kron_calls == [False, False]
-
-
-def test_exact_div_of_kronecker_products(kron_calls):
+    a, b = dense(rng, 8, 8, 4), dense(rng, 8, 8, 4)
+    b[(3, 3)] = CoeffPoly.rho(1, 3) + 2
+    pairs.append((LaurentPoly(a), LaurentPoly(b)))
+    for a, b in pairs:
+        expect = pmul(a.terms, b.terms)
+        assert (a * b).terms == expect
+        assert (b * a).terms == expect
+    # empty operands, constants, and coefficients that cancel to zero
+    f = rand_laurent(rng)
+    assert (f * LaurentPoly.zero()).terms == {}
+    assert (LaurentPoly.zero() * f).terms == {}
+    assert (f * 0).terms == {}
+    assert (3 * f).terms == pmul({(0, 0): 3}, f.terms)
+    assert (X1 - X2) * (X1 + X2) == LaurentPoly({(2, 0): 1, (0, 2): -1})
+    g = LaurentPoly({(-1, 0): 1, (0, -1): -1, (1, 1): 2})
+    h = LaurentPoly({(1, 0): 1, (0, 1): 1, (-1, -1): 2})
+    assert (g * h).terms == pmul(g.terms, h.terms)
+    assert all(c for c in (g * h).terms.values())
+    # (box of ones) * (1 - x1)(1 - x2) = (1 - x1^s)(1 - x2^s), and with
+    # signs, (sum of (-x)^i, i < s) * (1 + x) = 1 - x^s for even s: every
+    # term but four cancels
+    s = 12
+    ones = LaurentPoly({(i, j): 1 for i in range(s) for j in range(s)})
+    corners = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
+    assert (ones * corners).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
+    signs = LaurentPoly({(i, j): (-1) ** (i + j) for i in range(s) for j in range(s)})
+    plus = LaurentPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
+    assert (signs * plus).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
+    # exact_div of dense products by a pointed divisor
     rng = random.Random(77)
     for side, bits in ((9, 2), (16, 64), (24, 200)):
         f = LaurentPoly(dense(rng, side, side, bits, (-4, 3), triangle=True))
@@ -191,7 +152,6 @@ def test_exact_div_of_kronecker_products(kron_calls):
         h = f * g
         assert h.terms == pmul(f.terms, g.terms)
         assert h.exact_div(g) == f
-    assert kron_calls == [True] * 3
 
 
 def test_mul_of_widely_spread_operands_is_fast():
