@@ -83,44 +83,14 @@ def test_mul_matches_independent_oracle():
         ((5, (0, 3), (0, 3), (big, -big)), (5, (-3, 0), (-3, 0), (-big, big))),
         ((4, (-2, 2), (0, big), (0, 0)), (4, (-big, big), (-2, 2), (big, 0))),
     ]
-    pairs = []
     for symbolic in (False, True):
         for sa, sb in shapes:
             for _ in range(40):
-                pairs.append((rand_laurent(rng, symbolic, *sa),
-                              rand_laurent(rng, symbolic, *sb)))
-    # dense boxes and triangles with 3- to 300-bit signed coefficients
-    rng = random.Random(4046)
-    boxes = [(LaurentPoly(a), LaurentPoly(b)) for a, b in (
-        (dense(rng, 7, 7, 3, triangle=True), dense(rng, 6, 6, 3, (-3, 2), True)),
-        (dense(rng, 12, 9, 20, (-7, -2), True), dense(rng, 10, 10, 40, triangle=True)),
-        (dense(rng, 16, 16, 8, triangle=True), dense(rng, 3, 20, 8, (4, -9))),
-        (dense(rng, 14, 14, 300), dense(rng, 15, 13, 300, (-20, 20))),
-        (dense(rng, 40, 30, 1, triangle=True), dense(rng, 3, 3, 1, (-1, -1))),
-    )]
-    assert max(map(abs, boxes[3][0].terms.values())).bit_length() > 290
-    pairs += boxes
-    # aligned n-term boxes with every coefficient +-m: the middle coefficient
-    # of the product is +-n*m*m, at 7 to 24 bits
-    s = 4
-    n = s * s
-    for bits in (7, 8, 15, 16, 23, 24):
-        m = isqrt((2 ** bits - 1) // n)
-        assert (n * m * m).bit_length() == bits
-        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
-            a = LaurentPoly({(i, j): sa * m for i in range(s) for j in range(s)})
-            b = LaurentPoly({(i, j): sb * m for i in range(s) for j in range(s)})
-            assert (a * b).terms[(s - 1, s - 1)] == sa * sb * n * m * m
-            pairs.append((a, b))
-    # a dense box with one CoeffPoly coefficient
-    rng = random.Random(5)
-    a, b = dense(rng, 8, 8, 4), dense(rng, 8, 8, 4)
-    b[(3, 3)] = CoeffPoly.rho(1, 3) + 2
-    pairs.append((LaurentPoly(a), LaurentPoly(b)))
-    for a, b in pairs:
-        expect = pmul(a.terms, b.terms)
-        assert (a * b).terms == expect
-        assert (b * a).terms == expect
+                a = rand_laurent(rng, symbolic, *sa)
+                b = rand_laurent(rng, symbolic, *sb)
+                expect = pmul(a.terms, b.terms)
+                assert (a * b).terms == expect
+                assert (b * a).terms == expect
     # empty operands, constants, and coefficients that cancel to zero
     f = rand_laurent(rng)
     assert (f * LaurentPoly.zero()).terms == {}
@@ -132,17 +102,70 @@ def test_mul_matches_independent_oracle():
     h = LaurentPoly({(1, 0): 1, (0, 1): 1, (-1, -1): 2})
     assert (g * h).terms == pmul(g.terms, h.terms)
     assert all(c for c in (g * h).terms.values())
-    # (box of ones) * (1 - x1)(1 - x2) = (1 - x1^s)(1 - x2^s), and with
-    # signs, (sum of (-x)^i, i < s) * (1 + x) = 1 - x^s for even s: every
-    # term but four cancels
+
+
+# The five tests below keep the dense, wide-coefficient inputs that once
+# stressed a Kronecker-substitution multiply; they now pin the plain
+# product loop on the same shapes.
+
+def test_kronecker_mul_matches_oracle_on_dense_supports():
+    rng = random.Random(4046)
+    cases = [  # dense boxes and triangles with 3- to 300-bit signed coefficients
+        (dense(rng, 7, 7, 3, triangle=True), dense(rng, 6, 6, 3, (-3, 2), True)),
+        (dense(rng, 12, 9, 20, (-7, -2), True), dense(rng, 10, 10, 40, triangle=True)),
+        (dense(rng, 16, 16, 8, triangle=True), dense(rng, 3, 20, 8, (4, -9))),
+        (dense(rng, 14, 14, 300), dense(rng, 15, 13, 300, (-20, 20))),
+        (dense(rng, 40, 30, 1, triangle=True), dense(rng, 3, 3, 1, (-1, -1))),
+    ]
+    cases = [(LaurentPoly(a), LaurentPoly(b)) for a, b in cases]
+    for a, b in cases:
+        expect = pmul(a.terms, b.terms)
+        assert (a * b).terms == expect
+        assert (b * a).terms == expect
+    big = max(abs(c) for c in cases[3][0].terms.values())
+    assert big.bit_length() > 290
+
+
+def test_kronecker_mul_cancellation():
+    # (box of ones) * (1 - x1)(1 - x2) = (1 - x1^s)(1 - x2^s): every term
+    # but four cancels (over Z a product of nonzero factors is never empty)
     s = 12
     ones = LaurentPoly({(i, j): 1 for i in range(s) for j in range(s)})
     corners = LaurentPoly({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 1})
     assert (ones * corners).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
+    # and with signs: (sum of (-x)^i, i < s) * (1 + x) = 1 - x^s for even s
     signs = LaurentPoly({(i, j): (-1) ** (i + j) for i in range(s) for j in range(s)})
     plus = LaurentPoly({(0, 0): 1, (1, 0): 1, (0, 1): 1, (1, 1): 1})
     assert (signs * plus).terms == {(0, 0): 1, (s, 0): -1, (0, s): -1, (s, s): 1}
-    # exact_div of dense products by a pointed divisor
+
+
+def test_kronecker_mul_tight_slot_bound():
+    # aligned n-term boxes with every coefficient +-m: the middle coefficient
+    # of the product is +-n*m*m, at 7 to 24 bits
+    s = 4
+    n = s * s
+    for bits in (7, 8, 15, 16, 23, 24):
+        m = isqrt((2 ** bits - 1) // n)
+        assert (n * m * m).bit_length() == bits
+        for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+            a = LaurentPoly({(i, j): sa * m for i in range(s) for j in range(s)})
+            b = LaurentPoly({(i, j): sb * m for i in range(s) for j in range(s)})
+            got = (a * b).terms
+            assert got == pmul(a.terms, b.terms)
+            assert got[(s - 1, s - 1)] == sa * sb * n * m * m
+
+
+def test_kronecker_mul_falls_back_on_coeffpoly_coefficients():
+    rng = random.Random(5)
+    a = LaurentPoly(dense(rng, 8, 8, 4))
+    b = dense(rng, 8, 8, 4)
+    b[(3, 3)] = CoeffPoly.rho(1, 3) + 2  # one symbolic coefficient
+    b = LaurentPoly(b)
+    for x, y in ((a, b), (b, a)):
+        assert (x * y).terms == pmul(x.terms, y.terms)
+
+
+def test_exact_div_of_kronecker_products():
     rng = random.Random(77)
     for side, bits in ((9, 2), (16, 64), (24, 200)):
         f = LaurentPoly(dense(rng, side, side, bits, (-4, 3), triangle=True))
