@@ -20,9 +20,10 @@ SparsePoly is the core CoeffPoly shares with laurent.LaurentPoly: the
 zero-filtering constructor, a no-copy wrapper for term dicts that are
 already clean, constants and scalar coercion, equality, addition,
 subtraction, negation and powers.  Each subclass names the key of its
-constant term and the scalar types it absorbs.  Multiplication and exact
-division stay in the subclasses' own bodies: each is a different kernel, and
-the benchmark's tracer wraps them by reading the class __dict__.
+constant term and the scalar types it absorbs.  Multiplication stays in the
+subclasses' own bodies: each is a different kernel, and the benchmark's
+tracer wraps it by reading the class __dict__.  CoeffPoly has no division:
+every exchange polynomial has constant term 1, so nothing needs one.
 
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
@@ -36,10 +37,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
-
-
-class NotDivisible(ArithmeticError):
-    """Exact division failed: the quotient does not exist over the ring."""
 
 
 class MissingGenerator(KeyError):
@@ -241,49 +238,6 @@ class CoeffPoly(SparsePoly):
             out.update(g for g, _ in m)
         return out
 
-    # -- exact division ----------------------------------------------------
-
-    def exact_div(self, other) -> "CoeffPoly":
-        """Exact quotient self/other, or raise NotDivisible.
-
-        Leading-term elimination under graded lex order on the generator
-        exponents (rho generators before vrho, lower index first).
-        """
-        other = self._coerce(other)
-        if other is None or not other.terms:
-            raise ZeroDivisionError("division by zero CoeffPoly")
-        gens = sorted(self.generators() | other.generators())
-        order = {g: i for i, g in enumerate(gens)}
-
-        def key(m: Mono):
-            vec = [0] * len(gens)
-            for g, e in m:
-                vec[order[g]] = e
-            return (sum(vec), tuple(vec))
-
-        lead_b = max(other.terms, key=key)
-        cb = other.terms[lead_b]
-        rem = dict(self.terms)
-        quot: dict[Mono, int] = {}
-        while rem:
-            lead_r = max(rem, key=key)
-            cr = rem[lead_r]
-            m = _mono_div(lead_r, lead_b)
-            if m is None:
-                raise NotDivisible("coefficient quotient is not polynomial")
-            q, r = divmod(cr, cb)
-            if r:
-                raise NotDivisible("integer coefficient quotient is not exact")
-            quot[m] = q
-            for m2, c2 in other.terms.items():
-                mm = _mono_mul(m, m2)
-                s = rem.get(mm, 0) - q * c2
-                if s:
-                    rem[mm] = s
-                else:
-                    rem.pop(mm, None)
-        return self._wrap(quot)
-
     # -- evaluation --------------------------------------------------------
 
     def eval(self, assignment: Mapping[GeneratorId, int]) -> int:
@@ -324,36 +278,8 @@ def _mono_mul(m1: Mono, m2: Mono) -> Mono:
     return tuple(sorted(d.items()))
 
 
-def _mono_div(m1: Mono, m2: Mono) -> Mono | None:
-    if not m2:
-        return m1
-    d = dict(m1)
-    for g, e in m2:
-        r = d.get(g, 0) - e
-        if r < 0:
-            return None
-        if r:
-            d[g] = r
-        else:
-            d.pop(g, None)
-    return tuple(sorted(d.items()))
-
-
 def _mono_sort_key(m: Mono):
     return (sum(e for _, e in m), tuple((g, e) for g, e in m))
-
-
-# -- exact division of either coefficient type -------------------------------
-
-def cf_exact_div(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(b, int):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        q, r = divmod(a, b)
-        if r:
-            raise NotDivisible(f"{a} is not divisible by {b}")
-        return q
-    return CoeffPoly._coerce(a).exact_div(b)
 
 
 # -- coefficient mode ------------------------------------------------------
@@ -367,6 +293,10 @@ class CoefficientMode:
     low degree first: p1 and p2 in numeric mode, the constant 1 and the
     canonical generators as CoeffPoly in symbolic mode.  It is derived from
     the other fields, so equality, hashing and repr leave it out.
+
+    The constructor refuses a numeric p1 or p2 whose constant term is not 1,
+    which division by powers of P relies on; numeric() also refuses signed,
+    non-monic and non-palindromic ones.
     """
 
     d1: int
@@ -384,6 +314,8 @@ class CoefficientMode:
         if self.d1 < 0 or self.d2 < 0:
             raise ValueError("degrees must be nonnegative")
         if self.is_numeric:
+            if self.p1[0] != 1 or self.p2[0] != 1:
+                raise ValueError("p1 and p2 must have constant term 1")
             polys = (self.p1, self.p2)
         else:
             polys = (tuple(CoeffPoly.rho(t, self.d1) for t in range(self.d1 + 1)),

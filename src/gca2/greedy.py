@@ -38,7 +38,7 @@ from operator import mul
 from .coeffring import CoefficientMode
 from .compat import compatible_structure, compatible_structure_h
 from .dyckpath import DyckPath
-from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported, _uni_mul
+from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported, dense_powers
 # Unused here; perfbench/tracer.py patches these two names on this module.
 from .multinom import compositions_weighted, multinomial  # noqa: F401
 
@@ -89,16 +89,13 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
         outer_vals, inner_vals, outer_count = p1, p2, b1
         structure = lambda s: compatible_structure_h(path, s, d2)
 
-    # free_pows[k] is (inner exchange polynomial in z) ** k as a dense list
-    free_pows = [[one]]
+    free_pow = dense_powers(inner_vals)  # k -> (inner polynomial in z) ** k
     acc: dict[tuple[int, int], object] = {}
     for s_out in product(range(len(outer_vals)), repeat=outer_count):
         free, rsh_idx, valid = structure(s_out)
         c_out = one
         for val in s_out:
             c_out = c_out * outer_vals[val]
-        while len(free_pows) <= len(free):
-            free_pows.append(_uni_mul(free_pows[-1], inner_vals))
         rpoly: dict[int, object] = {}
         for vals in valid:
             w = one
@@ -107,7 +104,7 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             k = sum(vals)
             rpoly[k] = rpoly.get(k, 0) + w
         m_out = sum(s_out)
-        for q1, c1 in enumerate(free_pows[len(free)]):
+        for q1, c1 in enumerate(free_pow(len(free))):
             if not c1:
                 continue
             for q2, c2 in rpoly.items():

@@ -16,11 +16,12 @@ multiplies two many-term Laurent polynomials, and a big-int or packed-key
 product would be code that nothing runs.
 
 lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is a
-coefficient tuple, low degree first, such as an exchange polynomial's.  The
-slice of f with x_var-exponent e >= 0 is multiplied by p**e.  When every
-coefficient of f and p is a plain int, that product is one big-int multiply
-(Kronecker substitution; Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", arXiv:0712.4046).  p is packed once into
+coefficient tuple, low degree first, with constant term 1: an exchange
+polynomial's.  The slice of f with x_var-exponent e >= 0 is multiplied by
+p**e, and one with e < 0 divided by p**-e.  When every coefficient of f and
+p is a plain int, that product is one big-int multiply (Kronecker
+substitution; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", arXiv:0712.4046).  p is packed once into
 nb-byte slots as the int P, and the powers P**e are built by repeated int
 multiplies, never unpacked.  Each slice is then one product
 pack(slice_e) * P**e, unpacked once: slot k holds coefficient k.  One nb
@@ -37,8 +38,9 @@ the slice's exponent span and |p**e| = e*deg(p) + 1 is the length of the
 dense power that the dict loop walks; the product's other e*deg(p) slots
 stand for p**e, which the dict loop holds too.  So slices spread over a wide
 exponent range, and sparse ones, stay on the dict loop, and no huge buffer
-is allocated.  Slices with e < 0 stay on exact univariate division, and
-CoeffPoly coefficients stay on the dict loop: they do not fit in slots.
+is allocated.  Slices with e < 0 stay on exact univariate division, which
+the constant term 1 keeps free of coefficient division, and CoeffPoly
+coefficients stay on the dict loop: they do not fit in slots.
 Exact division stays on the int heap below: a Kronecker division would need
 big-int division, which is quadratic on CPython 3.11 (one exchange-step
 division took 364 s that way).
@@ -51,12 +53,13 @@ exponent vectors", CASC 2007).  Over an integral domain, Z[generators]
 included, an exact quotient of the shifted f by the shifted g has total
 degree at most deg(f) - deg(g) and no negative exponent; a quotient term
 that breaks either bound raises NotDivisible, so the elimination stops on
-every input.  A pointed divisor, i.e. one with a unique minimal monomial
-of coefficient 1 (a cluster variable or a greedy element), makes each step
-division-free; any other nonzero divisor costs one exact coefficient
-division per quotient term.  The cluster routes do not divide here: their
-only divisions are lp_substitute_ratio's univariate ones by powers of an
-exchange polynomial.
+every input.  The divisor's minimal monomial must have coefficient 1 or -1,
+as a pointed divisor's has (a cluster variable or a greedy element, up to
+sign): each quotient term is then the remainder's minimal coefficient or
+its negative, and no coefficient is ever divided.  Any other divisor raises
+NotDivisible.  The cluster routes do not divide here: their only divisions
+are lp_substitute_ratio's univariate ones by powers of an exchange
+polynomial.
 
 JSON form: {"terms": [{"e": [e1, e2], "c": <coefficient JSON>}, ...]} with
 terms sorted by (e1, e2) ascending; see coeffring for the coefficient JSON.
@@ -69,8 +72,12 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Sequence
 
-from .coeffring import (CoeffPoly, CoefficientMode, NotDivisible, SparsePoly,
-                        cf_exact_div, coeff_from_json, coeff_to_json, format_term)
+from .coeffring import (CoeffPoly, CoefficientMode, SparsePoly, coeff_from_json,
+                        coeff_to_json, format_term)
+
+
+class NotDivisible(ArithmeticError):
+    """No Laurent quotient, or the divisor's minimal coefficient is not 1 or -1."""
 
 
 class NotLaurent(ArithmeticError):
@@ -167,8 +174,11 @@ class LaurentPoly(SparsePoly):
         g = {(e1 - gm1 + e2 - gm2) * width + e1 - gm1: c
              for (e1, e2), c in other.terms.items()}
         g_low = min(g)
-        g_low_c = g.pop(g_low)
-        unit = g_low_c == 1
+        corner = g.pop(g_low)
+        if corner != 1 and corner != -1:
+            raise NotDivisible(f"the divisor's minimal coefficient {corner!r} "
+                               f"is not 1 or -1")
+        negate = corner != 1
         g_rest = [(k - g_low, -c) for k, c in g.items()]
         gd, gl1 = divmod(g_low, width)
         gl2 = gd - gl1
@@ -188,7 +198,7 @@ class LaurentPoly(SparsePoly):
                 raise NotDivisible("quotient support escapes the polynomial cone")
             if q1 + q2 > deg_q:
                 raise NotDivisible("quotient degree exceeds deg(f) - deg(g)")
-            qc = c if unit else cf_exact_div(c, g_low_c)
+            qc = -c if negate else c
             quot[(q1 + s1, q2 + s2)] = qc
             for kb, gc in g_rest:
                 kk = k + kb
@@ -258,8 +268,8 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
     """Substitute x_var -> p(x_other) / y and return the result with y in slot var.
 
     p is the coefficient tuple of a univariate polynomial, low degree first,
-    with nonzero constant and leading coefficients (an exchange polynomial's
-    are both 1); anything else raises ValueError.  Each slice of f with
+    with constant term 1 and a nonzero leading coefficient, as an exchange
+    polynomial has; anything else raises ValueError.  Each slice of f with
     x_var-exponent e picks up p**e; negative e means an exact univariate
     division, and a failed division raises NotLaurent naming x_var and e.
     With plain int coefficients, a slice with e >= 0 is one big-int product
@@ -267,8 +277,8 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
-    if not p or not p[0] or not p[-1]:
-        raise ValueError("p needs nonzero constant and leading coefficients")
+    if not p or p[0] != 1 or not p[-1]:
+        raise ValueError("p needs constant term 1 and a nonzero leading coefficient")
     sel = 0 if var == 1 else 1
     oth = 1 - sel
 
@@ -277,12 +287,7 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
         slices.setdefault(e[sel], {})[e[oth]] = c
 
     deg = len(p) - 1
-    pows = [[1]]  # pows[k] is p**k as a dense list, built on demand
-
-    def p_pow(k: int) -> list:
-        while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
-            pows.append(_uni_mul(pows[-1], p))
-        return pows[k]
+    p_pow = dense_powers(p)
 
     all_int = all(type(c) is int for c in chain(p, f.terms.values()))
     if all_int:
@@ -321,6 +326,19 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
     return LaurentPoly._wrap(out)
 
 
+def dense_powers(p: Sequence):
+    """k -> p**k as a dense list, low degree first, built on demand from
+    [p[0]], the 1 of p's coefficient type, and kept for later calls."""
+    pows = [[p[0]]]
+
+    def p_pow(k: int) -> list:
+        while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
+            pows.append(_uni_mul(pows[-1], p))
+        return pows[k]
+
+    return p_pow
+
+
 def _uni_mul(a: list, b: list) -> list:
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -349,7 +367,7 @@ def _uni_mul_sparse(sl: dict[int, object], b: list) -> dict[int, object]:
 
 
 def _uni_exact_div(sl: dict[int, object], b: list) -> list:
-    """Exact quotient of a sparse univariate slice by b with b[0] != 0.
+    """Exact quotient of a sparse univariate slice by b with b[0] == 1.
 
     Entry i of the returned list is the quotient coefficient of exponent
     min(sl) + i; some entries may be 0.
@@ -358,18 +376,12 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> list:
     hi = max(sl)
     deg_b = len(b) - 1
     deg_q = hi - lo - deg_b
-    b0 = b[0]
     work = [sl.get(lo + i, 0) for i in range(hi - lo + 1)]
     quot = [0] * (deg_q + 1)
     for i in range(deg_q + 1):
         c = work[i]
         if not c:
             continue
-        if not b0 == 1:
-            try:
-                c = cf_exact_div(c, b0)
-            except NotDivisible as exc:
-                raise NotLaurent("univariate division leaves a remainder") from exc
         quot[i] = c
         for j in range(1, deg_b + 1):
             work[i + j] = work[i + j] - c * b[j]

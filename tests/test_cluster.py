@@ -212,10 +212,10 @@ def test_not_laurent_names_the_failing_step(mode23):
 
 
 def test_cluster_variable_names_the_failing_cluster_step():
-    # P1 = 2 + z is not monic palindromic, and the Laurent phenomenon fails:
-    # x5 = P1(x4) / x3 = (x1 (2 x2 + 1) + 2 + x2) / (x2 (2 + x2))
-    ctx = AlgebraContext(CoefficientMode(1, 1, (2, 1), (1, 1)))
-    assert ctx.cluster_variable(4) == LaurentPoly({(0, -1): 1, (-1, 0): 1, (-1, -1): 2})
+    # P1 = 1 + 2z is not palindromic, and the Laurent phenomenon fails:
+    # x5 = P1(x4) / x3 = (x1 (x2 + 2) + 2 (1 + 2 x2)) / (x2 (1 + 2 x2))
+    ctx = AlgebraContext(CoefficientMode(1, 1, (1, 2), (1, 1)))
+    assert ctx.cluster_variable(4) == LaurentPoly({(0, -1): 1, (-1, 0): 2, (-1, -1): 1})
     step = r"cluster step 2 -> 1: substituting x2, slice e=-1: "
     with pytest.raises(NotLaurent, match=step):
         ctx.cluster_variable(5)

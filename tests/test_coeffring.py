@@ -2,8 +2,8 @@ import pytest
 
 from gca2 import verify
 from gca2.coeffring import (CoeffPoly, CoefficientMode, GeneratorId,
-                            MissingGenerator, NotDivisible, SparsePoly,
-                            cf_exact_div, coeff_from_json, coeff_to_json)
+                            MissingGenerator, SparsePoly, coeff_from_json,
+                            coeff_to_json)
 from gca2.laurent import LaurentPoly
 
 R1 = CoeffPoly.rho(1, 3)
@@ -23,22 +23,6 @@ def test_mul_examples():
     one = CoeffPoly.const(1)
     assert (one + R1) * (one - R1) == one - R1 * R1
     assert CoeffPoly() * (R1 + V1) == 0
-
-
-def test_exact_div_examples():
-    one = CoeffPoly.const(1)
-    assert cf_exact_div(R1 * R1 - one, R1 - one) == R1 + one
-    assert cf_exact_div(6 * V1, CoeffPoly.const(3)) == 2 * V1
-    with pytest.raises(NotDivisible):
-        cf_exact_div(R1 + one, CoeffPoly.const(2))
-    with pytest.raises(ZeroDivisionError):
-        cf_exact_div(R1, CoeffPoly())
-
-
-def test_exact_div_int_path():
-    assert cf_exact_div(6, 3) == 2
-    with pytest.raises(NotDivisible):
-        cf_exact_div(7, 3)
 
 
 def test_eval_examples():
@@ -69,11 +53,6 @@ def test_ring_axioms_random():
     assert verify.ring_axioms(seed=101, cases=1000, shape=SHAPE) is None
 
 
-def test_div_roundtrip_random():
-    assert verify.division_roundtrip(ring="coeffpoly", seed=202, cases=1000,
-                                     shape=SHAPE) is None
-
-
 def test_eval_homomorphism_random():
     assert verify.eval_homomorphism(seed=303, cases=1000, shape=SHAPE, values=4) is None
 
@@ -89,14 +68,17 @@ def test_mode_validation():
     with pytest.raises(ValueError, match="degrees must be nonnegative"):
         CoefficientMode.symbolic(-1, 2)
     # the constructor checks the structure itself: d_i is the degree of P_i,
-    # and the mode is numeric or symbolic, never half of each
+    # the mode is numeric or symbolic, never half of each, and every exchange
+    # polynomial has constant term 1
     for d1, d2, p1, p2 in ((5, 1, (1, 1), (1, 1)), (1, 2, (1, 1), (1, 1)),
                            (1, 1, (1, 1), None), (1, 1, None, (1, 1)),
-                           (1, 1, [1, 1], [1, 1]), (0, -1, None, None)):
+                           (1, 1, [1, 1], [1, 1]), (0, -1, None, None),
+                           (1, 1, (2, 1), (1, 1)), (1, 1, (1, 1), (3, 1))):
         with pytest.raises(ValueError):
             CoefficientMode(d1, d2, p1, p2)
-    # non-monic and signed modes still build; numeric() is what refuses them
-    assert CoefficientMode(1, 1, (2, 1), (1, 1)).polys == ((2, 1), (1, 1))
+    # non-monic and signed modes with constant term 1 still build; numeric()
+    # is what refuses them
+    assert CoefficientMode(1, 1, (1, 2), (1, 1)).polys == ((1, 2), (1, 1))
     mode = CoefficientMode.numeric((1, 4, 1), (1, 1, 1, 1))
     assert mode.d1 == 2 and mode.d2 == 3
     assert mode.polys == ((1, 4, 1), (1, 1, 1, 1))

@@ -6,7 +6,11 @@ was captured: the first 23 cases before the Laurent kernels were rewritten
 on packed monomial keys, the last three (`verify all` and two numeric `var`
 cases with dense, many-term exchange steps) before a big-int (Kronecker)
 Laurent multiply was added; that multiply has since been removed again.
-`expand` cases read their input from `golden/` by a relative path.
+`verify_num23_all_text.out` has since lost one line, `PASS coeffring: exact
+division round trip [300 cases]`, when `CoeffPoly` division was deleted:
+every exchange polynomial has constant term 1, so nothing divides one
+coefficient by another.  `expand` cases read their input from `golden/` by
+a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
 output format justifies rewriting it, with

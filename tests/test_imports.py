@@ -32,3 +32,16 @@ def test_no_dead_imports():
             tree = ast.parse(path.read_text(), filename=str(path))
             found |= {f"{path.stem}.{name}" for name in unused_imports(tree)}
     assert found == KEPT_FOR_THE_TRACER
+
+
+def test_no_private_imports_across_modules():
+    """A module's _names are its own: no other gca2 module imports one."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "gca2"):
+                found |= {f"{path.stem}: {node.module}.{alias.name}"
+                          for alias in node.names if alias.name.startswith("_")}
+    assert not found

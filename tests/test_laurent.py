@@ -8,8 +8,8 @@ import pytest
 from conftest import expected_x3, pmul, ppow
 from gca2 import laurent, verify
 from gca2.cluster import AlgebraContext
-from gca2.coeffring import CoeffPoly, NotDivisible
-from gca2.laurent import (LaurentPoly, NotLaurent, NotPointed,
+from gca2.coeffring import CoeffPoly
+from gca2.laurent import (LaurentPoly, NotDivisible, NotLaurent, NotPointed,
                           SymbolicModeUnsupported, from_json,
                           lp_eval_univariate, lp_is_positive,
                           lp_substitute_ratio, lp_to_pointed, render, to_json)
@@ -52,6 +52,12 @@ def test_exact_div_examples():
         (X1 + X2).exact_div(X1 - X2)
     with pytest.raises(ZeroDivisionError):
         X1.exact_div(LaurentPoly.zero())
+    # the divisor's minimal coefficient must be 1 or -1: the quotient's
+    # coefficients are then the remainder's, up to sign
+    assert (X1 * X1).exact_div(-X1) == -X1
+    assert (X1 * X1 - X1 * X2).exact_div(X1 - X2) == X1  # corner -x2
+    with pytest.raises(NotDivisible):
+        (2 * X1).exact_div(2 * X1)
 
 
 def test_exact_div_roundtrip_random():
@@ -178,7 +184,8 @@ def test_exact_div_of_kronecker_products():
 
 
 def test_mul_of_widely_spread_operands_is_fast():
-    """64-term operands spread over 2**40 stay on the dict loop: no huge buffer."""
+    """64-term operands spread over 2**40 multiply fast: the product loop's
+    cost follows the term counts, not the exponent spread."""
     code = (
         "import random, time\n"
         "from gca2.laurent import LaurentPoly\n"
@@ -210,6 +217,8 @@ def test_exact_div_of_oracle_products():
                 f = rand_laurent(rng, symbolic, base=base)
                 g = rand_laurent(rng, symbolic, e1=(-3, 3), e2=(-5, 2))
                 if g:
+                    m1, m2 = g.min_exponents()
+                    g = g + LaurentPoly.monomial(m1 - 1, m2 - 1)  # unit corner
                     prod = LaurentPoly(pmul(f.terms, g.terms))
                     assert prod.exact_div(g) == f
 
@@ -217,8 +226,7 @@ def test_exact_div_of_oracle_products():
 def test_exact_div_rejects_non_divisible_without_hanging():
     """A pointed divisor once let the lowest remainder term grow forever."""
     code = (
-        "from gca2.coeffring import NotDivisible\n"
-        "from gca2.laurent import LaurentPoly\n"
+        "from gca2.laurent import LaurentPoly, NotDivisible\n"
         "x1, x2 = LaurentPoly.var(1), LaurentPoly.var(2)\n"
         "try:\n"
         "    (x1 * x1 + x1 + 1 + x2).exact_div(x1 + 1)\n"
@@ -255,7 +263,8 @@ def test_substitute_ratio_examples():
     # a genuine denominator is detected
     with pytest.raises(NotLaurent):
         lp_substitute_ratio(X1 + LaurentPoly.monomial(-1, 0), 1, (1, 1))
-    for p in ((), (0, 1), (1, 1, 0)):  # no constant or no leading coefficient
+    # constant term not 1, or no leading coefficient
+    for p in ((), (0, 1), (2, 1), (1, 1, 0)):
         with pytest.raises(ValueError):
             lp_substitute_ratio(X1, 1, p)
 
@@ -370,24 +379,24 @@ def test_substitute_ratio_packed_cancellation(slice_paths):
 
 
 def test_substitute_ratio_tight_slot_bound(slice_paths):
-    # slice M + x + ... + x^9 and p = K + x + x^2 with K = 2**k, at e = 16:
-    # the largest output coefficient, M*K**16 at x^0, has as many bits as the
-    # bound |slice|_1 * |p|_1**16 that sizes the slots.  At 8*t - 1 bits the
-    # sign bit is the last free bit of a t-byte slot; at 8*t bits it needs
-    # t + 1.
+    # slice 1 + x + ... + x^8 + M x^9 and p = 1 + x + K x^2 with K = 2**k, at
+    # e = 16: the largest output coefficient, M*K**16 at x^41, has as many
+    # bits as the bound |slice|_1 * |p|_1**16 that sizes the slots.  At
+    # 8*t - 1 bits the sign bit is the last free bit of a t-byte slot; at
+    # 8*t bits it needs t + 1.
     e = 16
     for bits in (135, 136, 191, 192, 255, 256):
         k = (bits - 8) // 16
         m = 3 << (bits - 16 * k - 2)  # bits - 16*k bits
         for sign in (1, -1):
-            sl = {0: sign * m, **{i: 1 for i in range(1, 10)}}
-            p = (2 ** k, 1, 1)
+            sl = {**{i: 1 for i in range(9)}, 9: sign * m}
+            p = (1, 1, 2 ** k)
             bound = sum(map(abs, sl.values())) * (2 ** k + 2) ** e
             assert bound.bit_length() == bits
             f = sliced(1, {e: in_var(1, sl)})
             got = lp_substitute_ratio(f, 1, p)
             assert_substitution(f, 1, p, got)
-            assert got.terms[(-e, 0)] == sign * m * 2 ** (k * e)
+            assert got.terms[(-e, 9 + 2 * e)] == sign * m * 2 ** (k * e)
             assert max(abs(c) for c in got.terms.values()).bit_length() == bits
     assert slice_paths == [True] * 12
 
