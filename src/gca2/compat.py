@@ -19,6 +19,16 @@ vanishes on shadow minus remote shadow, and the pair conditions hold for
 edges of the remote shadow against the support of S2.  Everything here is
 exhaustively cross-checked against the raw definition in the test suite.
 
+compatible_structure checks those pair conditions by a deadline.  A pair
+(h, v) with a VGC witness needs nothing from S1; the others need the walk
+of f_{S1}(h e) forward from h to reach 0 before v.  So each remote-shadow
+edge h has one deadline, the distance to the nearest support edge v with
+no VGC witness inside hv, and none when there is no such v.  The first zero
+comes before the deadline iff some zero does.  f starts at S1(h) >= 0, a
+horizontal edge adds its value and a vertical edge subtracts 1, so a walk
+from S1(h) > 0 can only reach 0 inside a run of vertical edges, and does so
+in a run of r of them iff f <= r at its start.
+
 The horizontal side is the vertical side run on the transpose.  Reading
 D(a1, a2) backwards with East and North swapped gives D(a2, a1)
 (DyckPath.transpose): h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k},
@@ -139,7 +149,11 @@ def is_compatible(path: DyckPath, s1: Grading, s2: Grading) -> bool:
 
 
 def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
-    """True when every (h_j, v_k) with j in hs and k in vs has a witness."""
+    """True when every (h_j, v_k) with j in hs and k in vs has a witness.
+
+    It serves is_compatible and the brute-force oracle enumerate_bruteforce
+    only; compatible_structure checks the same pairs by deadline walks.
+    """
     n = path.n
     for j in hs:
         zh = fz1[j - 1]
@@ -307,27 +321,73 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
 
     Returns (free, rsh, valid) where free is the list of horizontal indices
     outside the shadow of S2 (their values are unconstrained), rsh the sorted
-    indices of the remote shadow, and valid the list of value assignments on
-    rsh that complete to a compatible pair.  Edges in shadow minus remote
-    shadow are forced to zero.
+    indices of the remote shadow, and valid the list, in product order, of
+    value assignments on rsh that complete to a compatible pair.  Edges in
+    shadow minus remote shadow are forced to zero.
+
+    An assignment is valid iff every remote edge with a deadline (see the
+    module docstring) has value 0 or its walk reaches 0 before the deadline.
+    The walks are planned once per S2 by _walk_plans, in three steps:
+    deadline, since only the nearest unwitnessed support edge binds; first
+    zero versus any zero, since the first zero is before the deadline iff
+    some zero is; zeros only inside vertical runs, since f > 0 cannot fall
+    below 0 and reaches it in a run of r vertical edges iff f <= r there.
     """
     fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
     _, shadow, remote = _shadow_core(path, s2, fz2)
     rsh_idx = sorted(remote)
     free = [j for j in range(1, path.a1 + 1) if j not in shadow]
-    supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
+    plans = _walk_plans(path, s2, fz2, rsh_idx)
     valid = []
-    base = [0] * path.a1
     for vals in product(range(d1 + 1), repeat=len(rsh_idx)):
-        for j, val in zip(rsh_idx, vals):
-            base[j - 1] = val
-        s1 = tuple(base)
-        fz1 = {j - 1: _first_zero(path, s1, HORIZONTAL, j) for j in rsh_idx}
-        if _pairs_ok(path, fz1, fz2, rsh_idx, supp):
+        for s, steps in plans:
+            f = vals[s]
+            if f:  # a zero value is its own witness
+                for adds, run in steps:
+                    for t in adds:
+                        f += vals[t]
+                    if f <= run:  # f > 0 reaches 0 inside this run
+                        break
+                    f -= run
+                else:  # no zero before the deadline
+                    break
+        else:
             valid.append(vals)
-        for j in rsh_idx:
-            base[j - 1] = 0
     return free, rsh_idx, valid
+
+
+def _walk_plans(path: DyckPath, s2: Grading, fz2: list, rsh_idx: list) -> list:
+    """(s, steps) for each remote edge h_{rsh_idx[s]} that has a deadline.
+
+    The walk from the edge runs forward to its deadline: the first support
+    edge v_k at a distance t with no VGC witness, fz2[k-1] None or >= t.  It
+    is kept as steps (adds, run): add the values of the slots in adds, then
+    cross run vertical edges.  Horizontal edges outside the remote shadow
+    add 0 and drop out, and so does whatever follows the last vertical run.
+    """
+    n, kinds = path.n, path.kinds
+    slot_at = {path.pos_h[j - 1]: s for s, j in enumerate(rsh_idx)}
+    reach_at = {p: n if z is None else z  # farthest t at which v_k is a deadline
+                for p, z, val in zip(path.pos_v, fz2, s2) if val}
+    plans = []
+    for s, j in enumerate(rsh_idx):
+        ph = path.pos_h[j - 1]
+        steps, adds, run = [], [], 0
+        for t in range(1, n):
+            p = (ph + t) % n
+            if kinds[p] == VERTICAL:
+                if t <= reach_at.get(p, -1):
+                    if run:
+                        steps.append((tuple(adds), run))
+                    plans.append((s, steps))
+                    break
+                run += 1
+            elif p in slot_at:
+                if run:
+                    steps.append((tuple(adds), run))
+                    adds, run = [], 0
+                adds.append(slot_at[p])
+    return plans
 
 
 # compatible_structure_h calls the body by this name, so that a wrapper put on

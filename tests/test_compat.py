@@ -4,12 +4,12 @@ import pytest
 
 from gca2 import compat, verify
 from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
-                         RTooSmall, compatible_structure_h,
-                         enumerate_bruteforce, enumerate_fast,
-                         fstat_h, fstat_v, is_compatible, local_shadow_h,
-                         local_shadow_v, omega, pair_record, phi_pullback,
-                         rsh_block_size_h, shadow_report_h, shadow_report_v,
-                         support_region)
+                         RTooSmall, compatible_structure,
+                         compatible_structure_h, enumerate_bruteforce,
+                         enumerate_fast, fstat_h, fstat_v, is_compatible,
+                         local_shadow_h, local_shadow_v, omega, pair_record,
+                         phi_pullback, rsh_block_size_h, shadow_report_h,
+                         shadow_report_v, support_region)
 from gca2.dyckpath import DyckPath, EdgeRef, Subpath
 
 D52 = DyckPath.build(5, 2)
@@ -95,6 +95,18 @@ def test_is_compatible_transpose_symmetry():
                         is_compatible(tp, s2[::-1], s1[::-1]), (a1, a2, s1, s2)
 
 
+def expand_structure(free, rsh, valid, d, length):
+    """Every grading that (free, rsh, valid) describes, values up to d."""
+    got = []
+    for vals in valid:
+        for fvals in product(range(d + 1), repeat=len(free)):
+            s = [0] * length
+            for i, val in zip(rsh + free, vals + fvals):
+                s[i - 1] = val
+            got.append(tuple(s))
+    return got
+
+
 def test_compatible_structure_h_matches_definition_oracle():
     # expanding (free, rsh, valid) gives exactly {S2 : (S1, S2) compatible}
     for a1 in range(5):
@@ -105,17 +117,69 @@ def test_compatible_structure_h_matches_definition_oracle():
                           if brute_compatible(path, s1, s2)]
                 for d2 in range(4):
                     free, rsh, valid = compatible_structure_h(path, s1, d2)
-                    got = []
-                    for vals in valid:
-                        for fvals in product(range(d2 + 1), repeat=len(free)):
-                            s2 = [0] * a2
-                            for k, val in zip(rsh + free, vals + fvals):
-                                s2[k - 1] = val
-                            got.append(tuple(s2))
+                    got = expand_structure(free, rsh, valid, d2, a2)
                     want = [s2 for s2 in oracle if max(s2, default=0) <= d2]
                     assert valid == sorted(set(valid)), (a1, a2, s1, d2)  # product order
                     assert len(got) == len(set(got)), (a1, a2, s1, d2)
                     assert set(got) == set(want), (a1, a2, s1, d2)
+
+
+def test_compatible_structure_matches_definition_oracle():
+    # expanding (free, rsh, valid) gives exactly {S1 : (S1, S2) compatible}
+    for a1 in range(5):
+        for a2 in range(5):
+            path = DyckPath.build(a1, a2)
+            for s2 in product(range(3), repeat=a2):
+                oracle = [s1 for s1 in product(range(4), repeat=a1)
+                          if brute_compatible(path, s1, s2)]
+                for d1 in range(4):
+                    free, rsh, valid = compatible_structure(path, s2, d1)
+                    got = expand_structure(free, rsh, valid, d1, a1)
+                    want = [s1 for s1 in oracle if max(s1, default=0) <= d1]
+                    assert valid == sorted(set(valid)), (a1, a2, s2, d1)  # product order
+                    assert len(got) == len(set(got)), (a1, a2, s2, d1)
+                    assert set(got) == set(want), (a1, a2, s2, d1)
+
+
+def all_pairs_structure(path, s2, d1):
+    """(free, rsh, valid) by a full _first_zero walk from every remote edge
+    and _pairs_ok against the support of S2, for each assignment."""
+    fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, path.a2 + 1)]
+    _, shadow, remote = compat._shadow_core(path, s2, fz2)
+    rsh = sorted(remote)
+    supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
+    valid = []
+    for vals in product(range(d1 + 1), repeat=len(rsh)):
+        s1 = [0] * path.a1
+        for j, val in zip(rsh, vals):
+            s1[j - 1] = val
+        fz1 = {j - 1: compat._first_zero(path, tuple(s1), "h", j) for j in rsh}
+        if compat._pairs_ok(path, fz1, fz2, rsh, supp):
+            valid.append(vals)
+    return [j for j in range(1, path.a1 + 1) if j not in shadow], rsh, valid
+
+
+def test_compatible_structure_matches_all_pairs_check():
+    # paths past criterion 10's max_a=4, each S2 with values up to the
+    # largest d2 <= 3 that keeps (d2+1)^a2 <= 729; a1 = 0, a2 = 0 and d1 = 0
+    # included.  The grid must reach walks that wrap past the path's end and
+    # walks that add the values of other remote edges.
+    wrapped = chained = 0
+    for a1 in range(10):
+        for a2 in range(7):
+            path = DyckPath.build(a1, a2)
+            d2 = max(d for d in (1, 2, 3) if (d + 1) ** a2 <= 729)
+            for s2 in product(range(d2 + 1), repeat=a2):
+                for d1 in range(3):
+                    assert compatible_structure(path, s2, d1) == \
+                        all_pairs_structure(path, s2, d1), (a1, a2, s2, d1)
+                fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
+                rsh = sorted(compat._shadow_core(path, s2, fz2)[2])
+                for s, steps in compat._walk_plans(path, s2, fz2, rsh):
+                    length = sum(len(adds) + run for adds, run in steps)
+                    wrapped += path.pos_h[rsh[s] - 1] + length >= path.n
+                    chained += any(adds for adds, _ in steps)
+    assert wrapped > 0 and chained > 0
 
 
 def test_local_shadow_examples():
