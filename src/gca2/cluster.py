@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import chain, islice
 
 from .coeffring import CoefficientMode
-from .greedy import greedy_combinatorial
+from .greedy import greedy_combinatorial, reflect_params
 from .laurent import LaurentPoly, NotLaurent, lp_substitute_ratio
 # Unused here; perfbench/tracer.py patches this name on this module.
 from .laurent import lp_eval_univariate  # noqa: F401
@@ -88,17 +88,27 @@ class AlgebraContext:
         return self.greedy_params_of_cluster_monomial(k, -1, 0)
 
     def greedy_params_of_cluster_monomial(self, k: int, a1: int, a2: int) -> tuple[int, int]:
-        """Greedy parameters of x_k^-a1 * x_{k+1}^-a2 for a1, a2 <= 0."""
+        """Greedy parameters of x_k^-a1 * x_{k+1}^-a2 for a1, a2 <= 0.
+
+        The reflection fixing x1 sends x_j to x_{2-j}, the one fixing x2 sends
+        x_j to x_{4-j}, and each sends x[a] to x[reflect_params(a)].  Their
+        composite shifts every index by 2, so cluster k is cluster 1 (k odd)
+        or cluster 0 (k even) shifted (k-1)//2 or k//2 times; cluster 0 is
+        the image of (x_2, x_1) under the first reflection.  Unlike the
+        Chebyshev closed form, which drops the max of reflect_params, this
+        holds in every type, the periodic finite types and d1*d2 = 0 included.
+        """
         if a1 > 0 or a2 > 0:
             raise ValueError("cluster monomials need a1, a2 <= 0")
-        if k == 1:
-            return (a1, a2)
-        u = self.chebyshev_u
-        if k >= 2:
-            return (-a1 * u(k - 3, 1) - a2 * u(k - 2, 1),
-                    -a1 * u(k - 4, 2) - a2 * u(k - 3, 2))
-        return (-a1 * u(-k - 1, 1) - a2 * u(-k - 2, 1),
-                -a1 * u(-k, 2) - a2 * u(-k - 1, 2))
+        mode = self.mode
+        if k % 2:
+            a, shifts = (a1, a2), (k - 1) // 2
+        else:
+            a, shifts = reflect_params(mode, 1, a2, a1), k // 2
+        first, second = (1, 2) if shifts >= 0 else (2, 1)
+        for _ in range(abs(shifts)):
+            a = reflect_params(mode, second, *reflect_params(mode, first, *a))
+        return a
 
     # -- cross-cluster expansion ----------------------------------------------
 

@@ -168,14 +168,12 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 
 # -- local shadows and shadow reports ----------------------------------------
 
-def _shadow_core(path: DyckPath, s2: Grading, fz2: list):
-    """(local, shadow, remote) of S2 in h-edge indices, from its first zeros.
+def _local_shadows(path: DyckPath, fz2: list) -> list:
+    """local[k-1]: the h-edge indices on the minimal path e..v_k, all of them
+    if there is none.
 
-    fz2[k-1] is _first_zero(path, s2, VERTICAL, k).  local[k-1] holds the
-    indices on the minimal path e..v_k (all of them if there is none); the
-    h-edges at positions p..q are ph[p]+1..ph[q+1] with ph = path.prefix_h.
-    The shadow is their union; the remote shadow drops the last S2(v_{ell+1})
-    h-edges of height ell, which all come just before v_{ell+1}.
+    fz2[k-1] is _first_zero(path, s2, VERTICAL, k).  The h-edges at
+    positions p..q are ph[p]+1..ph[q+1] with ph = path.prefix_h.
     """
     a1, n, ph = path.a1, path.n, path.prefix_h
     local = []
@@ -186,13 +184,42 @@ def _shadow_core(path: DyckPath, s2: Grading, fz2: list):
             local.append(range(ph[end - t] + 1, ph[end] + 1))
         else:  # wraps: the tail of the loop, then its head
             local.append({*range(ph[end - t + n] + 1, a1 + 1), *range(1, ph[end] + 1)})
-    shadow = set().union(*local)
-    remote = set(shadow)
-    for ell, before in enumerate(path.h_by_height()):
-        cut = s2[ell]
+    return local
+
+
+def _shadow_masks(path: DyckPath, s2: Grading, fz2: list) -> tuple[int, int]:
+    """(shadow, remote) of S2 as bit masks, bit j standing for h_j.
+
+    The shadow is the union of the local shadows that _local_shadows lists,
+    each one run of bits, or two when it wraps; it is built here without
+    them.  The remote shadow drops the last S2(v_{ell+1}) h-edges of height
+    ell.  Those come just before v_{ell+1}, so they end at h_last with last =
+    ph[pos(v_{ell+1})] and start no earlier than the first of that height.
+    """
+    a1, n, ph = path.a1, path.n, path.prefix_h
+    whole = (2 << a1) - 2  # bits 1..a1
+    shadow = 0
+    for end, t in zip(path.pos_v, fz2):
+        if t is None:
+            shadow = whole
+            break
+        head = (2 << ph[end]) - 2  # bits 1..ph[end]
+        if t <= end:
+            shadow |= head & -(2 << ph[end - t])  # from bit ph[end - t] + 1 on
+        else:  # wraps: the tail of the loop, then its head
+            shadow |= head | whole & -(2 << ph[end - t + n])
+    remote, first = shadow, 1
+    for end, cut in zip(path.pos_v, s2):
+        last = ph[end]
         if cut:
-            remote.difference_update(e.index for e in before[-cut:])
-    return local, shadow, remote
+            remote &= ~((2 << last) - (1 << max(first, last + 1 - cut)))
+        first = last + 1
+    return shadow, remote
+
+
+def _bits(mask: int, a1: int) -> list:
+    """Indices j in 1..a1 whose bit is set in mask, in increasing order."""
+    return [j for j in range(1, a1 + 1) if mask >> j & 1]
 
 
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
@@ -213,10 +240,10 @@ def local_shadow_h(path: DyckPath, s1: Grading, j: int):
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
-    local, shadow, remote = _shadow_core(path, s2, fz2)
+    shadow, remote = (_bits(mask, path.a1) for mask in _shadow_masks(path, s2, fz2))
     return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j in shadow),
                         frozenset(EdgeRef(HORIZONTAL, j) for j in remote),
-                        _partition(path, remote, local))
+                        _partition(path, remote, _local_shadows(path, fz2)))
 
 
 def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
@@ -235,7 +262,7 @@ def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
 def _partition(path, remote, local) -> dict:
     """Group the remote shadow of a vertical grading by (owner index, height).
 
-    remote and local are h-edge indices as _shadow_core gives them.  The owner
+    remote is a list of h-edge indices and local is _local_shadows.  The owner
     of h_j is the v_k whose local shadow holds j at the shortest backward path
     distance.  Blocks and their edges come in path order, which is index order.
     """
@@ -333,10 +360,11 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     some zero is; zeros only inside vertical runs, since f > 0 cannot fall
     below 0 and reaches it in a run of r vertical edges iff f <= r there.
     """
+    a1 = path.a1
     fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
-    _, shadow, remote = _shadow_core(path, s2, fz2)
-    rsh_idx = sorted(remote)
-    free = [j for j in range(1, path.a1 + 1) if j not in shadow]
+    shadow, remote = _shadow_masks(path, s2, fz2)
+    rsh_idx = _bits(remote, a1)
+    free = _bits(~shadow, a1)
     plans = _walk_plans(path, s2, fz2, rsh_idx)
     valid = []
     for vals in product(range(d1 + 1), repeat=len(rsh_idx)):

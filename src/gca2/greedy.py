@@ -9,6 +9,13 @@ where c_{S1,S2} multiplies one exchange-polynomial coefficient per edge
 (rho_{S1(h)} for horizontal, vrho_{S2(v)} for vertical).  It works in both
 coefficient modes and is the symbolic-mode definition of x[a1, a2].
 
+Neither factor of a pair's term depends on which edge carries which value,
+only on how many edges carry each value: a grading with count_v edges of
+value v has weight prod_v P[v]^count_v and degree sum_v v * count_v.  So
+equal value counts mean equal weight and equal degree, and the sum first
+counts the pairs per value counts, in integers, and then does the
+coefficient arithmetic once per distinct count, not once per pair.
+
 The recursive construction (numeric mode only) fills the pointed coefficient
 table c(p, q) in order of increasing p+q from c(0,0)=1: each entry is the
 max of two truncated convolutions with power series,
@@ -71,16 +78,23 @@ def reflect_params(mode: CoefficientMode, axis: int, a1: int, a2: int) -> tuple[
 def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly:
     """The greedy element as a Laurent polynomial, built from compatible pairs.
 
-    Pairs are summed per grading on the cheaper edge family: the partner
-    edges outside its shadow contribute a full exchange-polynomial factor
-    each, and the finitely many remote-shadow assignments are enumerated
-    explicitly.
+    Pairs are summed per grading on the cheaper edge family, the outer one:
+    the partner edges outside its shadow are free and contribute a full
+    exchange-polynomial factor each, and the finitely many remote-shadow
+    assignments are enumerated explicitly.
+
+    Equal value counts mean equal weight and equal degree (see the module
+    docstring), so the first pass only counts: it tallies the pairs by
+    (outer value counts, free edges, remote-shadow value counts), each
+    count vector packed into one int.  The second pass multiplies once per
+    distinct tally key: the remote weights are summed per (outer counts,
+    free edges) and multiplied by the free edges' power of P, and the outer
+    weight multiplies once per outer counts.
     """
     b1, b2 = max(a1, 0), max(a2, 0)
     path = DyckPath.build(b1, b2)
     d1, d2 = mode.d1, mode.d2
     p1, p2 = mode.polys
-    one = p1[0]  # the constant 1, in the mode's coefficient type
     by_vertical = (d2 + 1) ** b2 <= (d1 + 1) ** b1
     if by_vertical:
         outer_vals, inner_vals, outer_count = p2, p1, b2
@@ -89,30 +103,70 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
         outer_vals, inner_vals, outer_count = p1, p2, b1
         structure = lambda s: compatible_structure_h(path, s, d2)
 
-    free_pow = dense_powers(inner_vals)  # k -> (inner polynomial in z) ** k
-    acc: dict[tuple[int, int], object] = {}
+    # value counts packed in base radix: digit v - 1 holds count_v for v >= 1;
+    # 0 adds no weight and no degree, so it is not counted.  No grading is
+    # longer than max(b1, b2), so no count reaches the radix.
+    radix = max(b1, b2) + 1
+    _check_radix(outer_count, radix)
+    digit = [0] + [radix ** v for v in range(max(d1, d2))]
+    # (outer counts, free edges) -> {inner counts: number of pairs}
+    tally: dict[tuple[int, int], dict[int, int]] = {}
     for s_out in product(range(len(outer_vals)), repeat=outer_count):
         free, rsh_idx, valid = structure(s_out)
-        c_out = one
-        for val in s_out:
-            c_out = c_out * outer_vals[val]
-        rpoly: dict[int, object] = {}
+        _check_radix(len(rsh_idx), radix)
+        inner = tally.setdefault((sum(map(digit.__getitem__, s_out)), len(free)), {})
         for vals in valid:
-            w = one
-            for val in vals:
-                w = w * inner_vals[val]
-            k = sum(vals)
-            rpoly[k] = rpoly.get(k, 0) + w
-        m_out = sum(s_out)
-        for q1, c1 in enumerate(free_pow(len(free))):
+            c = sum(map(digit.__getitem__, vals))
+            inner[c] = inner.get(c, 0) + 1
+
+    free_pow = dense_powers(inner_vals)  # k -> (inner polynomial in z) ** k
+    by_out: dict[int, dict[int, object]] = {}  # outer counts -> {|inner|: coefficient}
+    for (out_counts, n_free), inner in tally.items():
+        rpoly: dict[int, object] = {}
+        for c, mult in inner.items():
+            k, w = _unpack(c, radix, inner_vals)
+            rpoly[k] = rpoly.get(k, 0) + (w * mult if mult > 1 else w)
+        poly = by_out.setdefault(out_counts, {})
+        for q1, c1 in enumerate(free_pow(n_free)):
             if not c1:
                 continue
             for q2, c2 in rpoly.items():
-                m_in = q1 + q2
-                # x1 carries |S2|, x2 carries |S1|
-                key = (m_out - a1, m_in - a2) if by_vertical else (m_in - a1, m_out - a2)
-                acc[key] = acc.get(key, 0) + c_out * c1 * c2
+                poly[q1 + q2] = poly.get(q1 + q2, 0) + c1 * c2
+    acc: dict[tuple[int, int], object] = {}
+    for out_counts, poly in by_out.items():
+        m_out, c_out = _unpack(out_counts, radix, outer_vals)
+        unit = c_out is outer_vals[0]  # no factor other than 1: skip the products
+        for m_in, c in poly.items():
+            # x1 carries |S2|, x2 carries |S1|
+            key = (m_out - a1, m_in - a2) if by_vertical else (m_in - a1, m_out - a2)
+            acc[key] = acc.get(key, 0) + (c if unit else c_out * c)
     return LaurentPoly(acc)
+
+
+def _check_radix(length: int, radix: int) -> None:
+    """Refuse to pack the value counts of a grading of this length in this
+    radix: a count that reached the radix would carry into the next digit."""
+    if length >= radix:
+        raise OverflowError(f"a grading of length {length} may hold a count "
+                            f"that reaches the packing radix {radix}")
+
+
+def _unpack(counts: int, radix: int, vals) -> tuple:
+    """(sum_v v * count_v, prod_v vals[v] ** count_v) of packed value counts.
+
+    vals[0] and vals[-1] are the constant 1, so they add no factor, and the
+    weight is vals[0] itself when no other value occurs.
+    """
+    top = len(vals) - 1
+    deg, w, v = 0, vals[0], 0
+    while counts:
+        v += 1
+        counts, count = divmod(counts, radix)
+        if count:
+            deg += v * count
+            if v < top:
+                w = w * vals[v] ** count
+    return deg, w
 
 
 def power_series(p, n: int, num_terms: int) -> list[int]:

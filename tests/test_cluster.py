@@ -118,10 +118,50 @@ def test_chebyshev_values(mode23):
                 d * ctx.chebyshev_u(k, j) - ctx.chebyshev_u(k - 1, j - 1)
 
 
+# d1*d2 = 1, 2, 3 (periods 5, 6, 8) and d1 = 0, where x_k is periodic or a
+# monomial times one fixed factor
+FINITE = [ALL_ONES[(1, 1)], ALL_ONES[(1, 2)],
+          CoefficientMode.numeric((1, 1), (1, 1, 1, 1)), ALL_ONES[(0, 2)]]
+
+
 def test_cluster_variables_are_greedy_elements():
     # validates the parity convention for d_j before larger k is trusted
     modes = [ALL_ONES[key] for key in ((2, 3), (2, 2), (1, 1))]
     assert verify.cluster_variables_are_greedy(modes=modes, ks=range(-2, 6)) is None
+    # several periods of every finite type, both ways from cluster 1
+    assert verify.cluster_variables_are_greedy(modes=FINITE, ks=range(-8, 12)) is None
+
+
+def test_cluster_monomial_params_in_finite_type():
+    for mode in FINITE:
+        ctx = AlgebraContext(mode)
+        for k in range(-8, 12):
+            for a1 in range(-2, 1):
+                for a2 in range(-2, 1):
+                    want = (ctx.cluster_variable(k) ** -a1
+                            * ctx.cluster_variable(k + 1) ** -a2)
+                    got = ctx.greedy(*ctx.greedy_params_of_cluster_monomial(k, a1, a2))
+                    assert got == want, (mode, k, a1, a2)
+
+
+def test_cluster_monomial_params_match_chebyshev_in_infinite_type():
+    # for d1*d2 >= 4 the reflection walk gives the Chebyshev closed form
+    for key in ((2, 2), (2, 3), (3, 3)):
+        ctx = AlgebraContext(ALL_ONES[key])
+        u = ctx.chebyshev_u
+        for k in range(-8, 12):
+            for a1 in range(-2, 1):
+                for a2 in range(-2, 1):
+                    if k >= 2:
+                        want = (-a1 * u(k - 3, 1) - a2 * u(k - 2, 1),
+                                -a1 * u(k - 4, 2) - a2 * u(k - 3, 2))
+                    elif k <= 0:
+                        want = (-a1 * u(-k - 1, 1) - a2 * u(-k - 2, 1),
+                                -a1 * u(-k, 2) - a2 * u(-k - 1, 2))
+                    else:
+                        want = (a1, a2)
+                    assert ctx.greedy_params_of_cluster_monomial(k, a1, a2) == want, \
+                        (key, k, a1, a2)
 
 
 def test_greedy_params_of_cluster_variable(mode23):

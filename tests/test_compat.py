@@ -16,31 +16,34 @@ D52 = DyckPath.build(5, 2)
 
 
 def brute_compatible(path, s1, s2):
-    """Straight transcription of the defining condition, as an oracle."""
-    n = path.n
+    """Straight transcription of the defining condition, as an oracle.
+
+    For each (h, v), e moves away from h (HGC) or back from v (VGC) one
+    edge at a time over the proper part of hv, and the two statistics of
+    the subpath he (resp. ev) are kept as running sums.
+    """
     if path.a1 == 0 or path.a2 == 0:
         return True
-    for j in range(1, path.a1 + 1):
-        for k in range(1, path.a2 + 1):
-            ph, pv = path.pos_h[j - 1], path.pos_v[k - 1]
+    n = path.n
+
+    def witness(start, step, length, kind, s):
+        # is there t < length where, on the t + 1 edges from start, the
+        # edges not of kind count as many as s sums to over those of kind?
+        other = total = 0
+        for t in range(length):
+            p = (start + step * t) % n
+            if path.kinds[p] == kind:
+                total += s[path.indices[p] - 1]
+            else:
+                other += 1
+            if other == total:
+                return True
+        return False
+
+    for ph in path.pos_h:
+        for pv in path.pos_v:
             length = (pv - ph) % n  # edges in hv, minus one
-            found = False
-            for t in range(length):  # e = edge at distance t from h, t < length
-                sub = Subpath(path.edge_at(ph), path.edge_at(ph + t))
-                if path.count_v(sub) == sum(
-                        s1[path.indices[p] - 1] for p in path.positions(sub)
-                        if path.kinds[p] == "h"):
-                    found = True
-                    break
-            if not found:
-                for t in range(length):  # e at distance t back from v, t < length
-                    sub = Subpath(path.edge_at(pv - t), path.edge_at(pv))
-                    if path.count_h(sub) == sum(
-                            s2[path.indices[p] - 1] for p in path.positions(sub)
-                            if path.kinds[p] == "v"):
-                        found = True
-                        break
-            if not found:
+            if not (witness(ph, 1, length, "h", s1) or witness(pv, -1, length, "v", s2)):
                 return False
     return True
 
@@ -141,11 +144,22 @@ def test_compatible_structure_matches_definition_oracle():
                     assert set(got) == set(want), (a1, a2, s2, d1)
 
 
+def set_shadow(path, s2, fz2):
+    """(shadow, remote) of S2 as sets: the union of the local shadows, and
+    that union less the last S2(v_{ell+1}) h-edges of height ell."""
+    shadow = set().union(*compat._local_shadows(path, fz2))
+    remote = set(shadow)
+    for ell, before in enumerate(path.h_by_height()):
+        if s2[ell]:
+            remote.difference_update(e.index for e in before[-s2[ell]:])
+    return shadow, remote
+
+
 def all_pairs_structure(path, s2, d1):
     """(free, rsh, valid) by a full _first_zero walk from every remote edge
     and _pairs_ok against the support of S2, for each assignment."""
     fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, path.a2 + 1)]
-    _, shadow, remote = compat._shadow_core(path, s2, fz2)
+    shadow, remote = set_shadow(path, s2, fz2)
     rsh = sorted(remote)
     supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
     valid = []
@@ -174,7 +188,7 @@ def test_compatible_structure_matches_all_pairs_check():
                     assert compatible_structure(path, s2, d1) == \
                         all_pairs_structure(path, s2, d1), (a1, a2, s2, d1)
                 fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
-                rsh = sorted(compat._shadow_core(path, s2, fz2)[2])
+                rsh = sorted(set_shadow(path, s2, fz2)[1])
                 for s, steps in compat._walk_plans(path, s2, fz2, rsh):
                     length = sum(len(adds) + run for adds, run in steps)
                     wrapped += path.pos_h[rsh[s] - 1] + length >= path.n
@@ -212,18 +226,22 @@ def test_shadow_report_examples():
 
 def test_shadow_core_is_the_report_shadow():
     # the integer core behind compatible_structure and shadow_report_v: each
-    # local index set is the h-edges of the local subpath of local_shadow_v
+    # local index set is the h-edges of the local subpath of local_shadow_v,
+    # and the bit masks hold exactly the set union and its remote part
     for a1 in range(7):
         for a2 in range(7):
             path = DyckPath.build(a1, a2)
             for s2 in product(range(4), repeat=a2):
                 fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
-                local, _, _ = compat._shadow_core(path, s2, fz2)
+                local = compat._local_shadows(path, fz2)
                 for k, idx in enumerate(local, start=1):
                     sub = local_shadow_v(path, s2, k)
                     want = (range(1, a1 + 1) if sub is WHOLE_LOOP else
                             [e.index for e in path.subpath_edges(sub) if e.kind == "h"])
                     assert sorted(idx) == sorted(want), (a1, a2, s2, k)
+                masks = compat._shadow_masks(path, s2, fz2)
+                for mask, want in zip(masks, set_shadow(path, s2, fz2)):
+                    assert mask == sum(1 << j for j in want), (a1, a2, s2)
 
 
 def test_remote_shadow_partition_properties():

@@ -1,9 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
 from conftest import ALL_ONES, palindromic, reference_greedy_table
-from gca2 import verify
+from gca2 import greedy, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode
 from gca2.compat import support_region
@@ -108,6 +109,36 @@ def test_cross_method_nontrivial_coefficients():
     mode = CoefficientMode.numeric((1, 2, 1), (1, 3, 3, 1))
     assert verify.recursion_equals_combinatorial(
         modes=[mode], points=verify.square(-1, 3)) is None
+
+
+def test_symbolic_greedy_specializes_to_the_numeric_recursion():
+    # the count-grouped pair sum against an oracle that shares none of its
+    # code: symbolic x[a1, a2] at seeded generator values (no value 1, some
+    # 0) is the numeric recursion's x[a1, a2] for the specialized P1, P2.
+    # The box reaches negative parameters and the square points (b, b),
+    # whose outer gradings of b equal values hold the largest count the
+    # packing must keep below its radix max(b1, b2) + 1.
+    rng = random.Random(16)
+    box = verify.square(-2, 5)
+    assert any(a1 == a2 > 0 for a1, a2 in box)
+    for d1, d2 in ((2, 2), (2, 3), (3, 3), (1, 4), (0, 2)):
+        sym = CoefficientMode.symbolic(d1, d2)
+        gens = set().union(*(c.generators() for p in sym.polys for c in p))
+        for _ in range(2):
+            values = {g: rng.choice((0, 2, 3, 5)) for g in sorted(gens)}
+            num = CoefficientMode.numeric(*(tuple(c.eval(values) for c in p)
+                                            for p in sym.polys))
+            for a in box:
+                got = {e: c.eval(values) for e, c in greedy_combinatorial(sym, *a).terms.items()}
+                want = greedy_recursive(num, *a).to_laurent().terms
+                assert {e: c for e, c in got.items() if c} == want, (num, a)
+
+
+def test_count_packing_refuses_a_count_that_reaches_the_radix():
+    greedy._check_radix(4, 5)
+    for length in (5, 6):
+        with pytest.raises(OverflowError):
+            greedy._check_radix(length, 5)
 
 
 def test_pointedness(mode23, sym23):
