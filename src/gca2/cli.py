@@ -16,6 +16,7 @@ outside the algebra and verification failures exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -238,8 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built on the first main call and reused after it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     mode = _build_mode(args)
     return args.func(args, mode)
 

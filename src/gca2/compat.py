@@ -168,31 +168,13 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 
 # -- local shadows and shadow reports ----------------------------------------
 
-def _local_shadows(path: DyckPath, fz2: list) -> list:
-    """local[k-1]: the h-edge indices on the minimal path e..v_k, all of them
-    if there is none.
-
-    fz2[k-1] is _first_zero(path, s2, VERTICAL, k).  The h-edges at
-    positions p..q are ph[p]+1..ph[q+1] with ph = path.prefix_h.
-    """
-    a1, n, ph = path.a1, path.n, path.prefix_h
-    local = []
-    for end, t in zip(path.pos_v, fz2):
-        if t is None:
-            local.append(range(1, a1 + 1))
-        elif t <= end:
-            local.append(range(ph[end - t] + 1, ph[end] + 1))
-        else:  # wraps: the tail of the loop, then its head
-            local.append({*range(ph[end - t + n] + 1, a1 + 1), *range(1, ph[end] + 1)})
-    return local
-
-
 def _shadow_masks(path: DyckPath, s2: Grading, fz2: list) -> tuple[int, int]:
     """(shadow, remote) of S2 as bit masks, bit j standing for h_j.
 
-    The shadow is the union of the local shadows that _local_shadows lists,
-    each one run of bits, or two when it wraps; it is built here without
-    them.  The remote shadow drops the last S2(v_{ell+1}) h-edges of height
+    The shadow is the union of the local shadows, the h-edges on the minimal
+    paths e..v_k (all of them if there is none): each is one run of bits, or
+    two when it wraps.  The h-edges at positions p..q are ph[p]+1..ph[q+1].
+    The remote shadow drops the last S2(v_{ell+1}) h-edges of height
     ell.  Those come just before v_{ell+1}, so they end at h_last with last =
     ph[pos(v_{ell+1})] and start no earlier than the first of that height.
     """
@@ -243,7 +225,7 @@ def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     shadow, remote = (_bits(mask, path.a1) for mask in _shadow_masks(path, s2, fz2))
     return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j in shadow),
                         frozenset(EdgeRef(HORIZONTAL, j) for j in remote),
-                        _partition(path, remote, _local_shadows(path, fz2)))
+                        _partition(path, remote, fz2))
 
 
 def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
@@ -259,19 +241,21 @@ def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
                         dict(blocks))
 
 
-def _partition(path, remote, local) -> dict:
+def _partition(path, remote, fz2) -> dict:
     """Group the remote shadow of a vertical grading by (owner index, height).
 
-    remote is a list of h-edge indices and local is _local_shadows.  The owner
-    of h_j is the v_k whose local shadow holds j at the shortest backward path
-    distance.  Blocks and their edges come in path order, which is index order.
+    remote is a list of h-edge indices and fz2[k-1] is _first_zero(path, s2,
+    VERTICAL, k).  h_j lies in the local shadow of v_k iff fz2[k-1] is None
+    or v_k is at most fz2[k-1] steps after h_j; its owner is the nearest such
+    v_k.  Blocks and their edges come in path order, which is index order.
     """
     n = path.n
     blocks: dict = {}
     for j in sorted(remote):
         pe = path.pos_h[j - 1]
-        owner = min((k for k in range(1, path.a2 + 1) if j in local[k - 1]),
-                    key=lambda k: (path.pos_v[k - 1] - pe) % n)
+        _, owner = min(((pv - pe) % n, k)
+                       for k, (pv, t) in enumerate(zip(path.pos_v, fz2), start=1)
+                       if t is None or (pv - pe) % n <= t)
         blocks.setdefault((owner, path.height(j)), []).append(EdgeRef(HORIZONTAL, j))
     return {key: tuple(edges) for key, edges in blocks.items()}
 

@@ -41,23 +41,23 @@ exponent range, and sparse ones, stay on the dict loop, and no huge buffer
 is allocated.  Slices with e < 0 stay on exact univariate division, which
 the constant term 1 keeps free of coefficient division, and CoeffPoly
 coefficients stay on the dict loop: they do not fit in slots.
-Exact division stays on the int heap below: a Kronecker division would need
+Exact division stays on the heap below: a Kronecker division would need
 big-int division, which is quadratic on CPython 3.11 (one exchange-step
 division took 364 s that way).
 
-Exact division shifts f and g into the polynomial cone and eliminates the
-*minimal* monomial of the remainder under the graded-lex order (degree
-first, then e1), keyed as (e1+e2)*width + e1 in an int heap (Monagan and
-Pearce, "Polynomial division using dynamic arrays, heaps, and packed
-exponent vectors", CASC 2007).  Over an integral domain, Z[generators]
-included, an exact quotient of the shifted f by the shifted g has total
-degree at most deg(f) - deg(g) and no negative exponent; a quotient term
-that breaks either bound raises NotDivisible, so the elimination stops on
-every input.  The divisor's minimal monomial must have coefficient 1 or -1,
-as a pointed divisor's has (a cluster variable or a greedy element, up to
-sign): each quotient term is then the remainder's minimal coefficient or
-its negative, and no coefficient is ever divided.  Any other divisor raises
-NotDivisible.  The cluster routes do not divide here: their only divisions
+Exact division eliminates the *minimal* monomial of the remainder under the
+graded-lex order (degree first, then e1), popped from a heap of (e1 + e2,
+e1, e2) tuples (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Over an integral
+domain, Z[generators] included, an exact quotient of f by g has no term
+below min(f) - min(g) in either variable and no term of total degree above
+max deg(f) - max deg(g), the degrees of their top homogeneous parts; a
+quotient term that breaks either bound raises NotDivisible, so the
+elimination stops on every input.  The divisor's minimal monomial must have
+coefficient 1 or -1, as a pointed divisor's has (a cluster variable or a
+greedy element, up to sign): each quotient term is then the remainder's
+minimal coefficient or its negative, and no coefficient is ever divided.
+Any other divisor raises NotDivisible.  The cluster routes do not divide here: their only divisions
 are lp_substitute_ratio's univariate ones by powers of an exchange
 polynomial.
 
@@ -160,54 +160,45 @@ class LaurentPoly(SparsePoly):
             raise ZeroDivisionError("division by the zero Laurent polynomial")
         if not self.terms:
             return LaurentPoly.zero()
+        # an exact quotient lies in the cone from (lo1, lo2) with degree <= hi
         fm1, fm2 = self.min_exponents()
         gm1, gm2 = other.min_exponents()
-        deg_f = max(e1 + e2 for e1, e2 in self.terms) - fm1 - fm2
-        deg_g = max(e1 + e2 for e1, e2 in other.terms) - gm1 - gm2
-        deg_q = deg_f - deg_g
-        # Every exponent below is shifted to the polynomial cone, and the
-        # quotient-degree bound keeps each e1 in [0, deg_f], so width > e1
-        # and key = (e1+e2)*width + e1 orders monomials graded-lex.
-        width = deg_f + 1
-        rem = {(e1 - fm1 + e2 - fm2) * width + e1 - fm1: c
-               for (e1, e2), c in self.terms.items()}
-        g = {(e1 - gm1 + e2 - gm2) * width + e1 - gm1: c
-             for (e1, e2), c in other.terms.items()}
-        g_low = min(g)
-        corner = g.pop(g_low)
+        lo1, lo2 = fm1 - gm1, fm2 - gm2
+        hi = (max(e1 + e2 for e1, e2 in self.terms)
+              - max(e1 + e2 for e1, e2 in other.terms))
+        _, g1, g2 = min((e1 + e2, e1, e2) for e1, e2 in other.terms)
+        corner = other.terms[g1, g2]
         if corner != 1 and corner != -1:
             raise NotDivisible(f"the divisor's minimal coefficient {corner!r} "
                                f"is not 1 or -1")
         negate = corner != 1
-        g_rest = [(k - g_low, -c) for k, c in g.items()]
-        gd, gl1 = divmod(g_low, width)
-        gl2 = gd - gl1
-        s1, s2 = fm1 - gm1, fm2 - gm2
+        g_rest = [(b1 - g1, b2 - g2, -c)
+                  for (b1, b2), c in other.terms.items() if (b1, b2) != (g1, g2)]
         quot: dict = {}
-        heap = list(rem)
+        rem = dict(self.terms)
+        heap = [(e1 + e2, e1, e2) for e1, e2 in rem]
         heapq.heapify(heap)
         pop, push, get = heapq.heappop, heapq.heappush, rem.get
         while heap:
-            k = pop(heap)
-            c = rem.pop(k)
+            _, e1, e2 = pop(heap)
+            c = rem.pop((e1, e2))
             if not c:
                 continue
-            d, e1 = divmod(k, width)
-            q1, q2 = e1 - gl1, d - e1 - gl2
-            if q1 < 0 or q2 < 0:
+            q1, q2 = e1 - g1, e2 - g2
+            if q1 < lo1 or q2 < lo2:
                 raise NotDivisible("quotient support escapes the polynomial cone")
-            if q1 + q2 > deg_q:
+            if q1 + q2 > hi:
                 raise NotDivisible("quotient degree exceeds deg(f) - deg(g)")
             qc = -c if negate else c
-            quot[(q1 + s1, q2 + s2)] = qc
-            for kb, gc in g_rest:
-                kk = k + kb
-                r = get(kk)
+            quot[q1, q2] = qc
+            for b1, b2, gc in g_rest:
+                k1, k2 = e1 + b1, e2 + b2
+                r = get((k1, k2))
                 if r is None:
-                    push(heap, kk)
-                    rem[kk] = qc * gc
+                    push(heap, (k1 + k2, k1, k2))
+                    rem[k1, k2] = qc * gc
                 else:
-                    rem[kk] = r + qc * gc
+                    rem[k1, k2] = r + qc * gc
         return LaurentPoly._wrap(quot)
 
 

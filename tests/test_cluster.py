@@ -8,6 +8,7 @@ from conftest import ALL_ONES, expected_x3, expected_x4, expected_x5
 from gca2 import verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
+from gca2.compat import support_region
 from gca2.greedy import greedy_combinatorial, reflect_params
 from gca2.laurent import LaurentPoly, NotLaurent, lp_to_pointed
 
@@ -130,6 +131,33 @@ def test_cluster_variables_are_greedy_elements():
     assert verify.cluster_variables_are_greedy(modes=modes, ks=range(-2, 6)) is None
     # several periods of every finite type, both ways from cluster 1
     assert verify.cluster_variables_are_greedy(modes=FINITE, ks=range(-8, 12)) is None
+
+
+def region_exponents(mode, a1, a2):
+    """Exponents x1^(m2 - a1) x2^(m1 - a2) of the magnitudes (m1, m2) that
+    support_region admits on D(max(a1, 0), max(a2, 0))."""
+    b1, b2 = max(a1, 0), max(a2, 0)
+    return {(m2 - a1, m1 - a2) for m1 in range(mode.d1 * b1 + 1)
+            for m2 in range(mode.d2 * b2 + 1)
+            if support_region(mode.d1, mode.d2, b1, b2, m1, m2)}
+
+
+def test_cluster_variable_support_is_the_region_of_its_params():
+    # an oracle that shares no code with the walk: with positive inner
+    # coefficients the support of x_k is the region at its greedy parameters
+    # (35,941 terms at x_8 and x_-5 of (3,3)); with a zero inner coefficient
+    # it is a proper subset past cluster 0..2
+    for p1, p2 in (((1, 1, 1), (1, 1, 1, 1)), ((1, 1, 1, 1), (1, 1, 1, 1)),
+                   ((1, 2, 1), (1, 3, 3, 1)), ((1, 0, 1), (1, 1, 1, 1))):
+        mode = CoefficientMode.numeric(p1, p2)
+        ctx = AlgebraContext(mode)
+        for k in range(-5, 9):
+            support = set(ctx.cluster_variable(k).terms)
+            region = region_exponents(mode, *ctx.greedy_params_of_cluster_variable(k))
+            if 0 in p1 and k not in (0, 1, 2):
+                assert support < region, (p1, p2, k)
+            else:
+                assert support == region, (p1, p2, k)
 
 
 def test_cluster_monomial_params_in_finite_type():

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 
 from gca2 import compat, verify
+from gca2.coeffring import CoefficientMode
 from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
                          RTooSmall, compatible_structure,
                          compatible_structure_h, enumerate_bruteforce,
@@ -11,6 +12,7 @@ from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
                          phi_pullback, rsh_block_size_h, shadow_report_h,
                          shadow_report_v, support_region)
 from gca2.dyckpath import DyckPath, EdgeRef, Subpath
+from gca2.greedy import greedy_recursive
 
 D52 = DyckPath.build(5, 2)
 
@@ -144,10 +146,15 @@ def test_compatible_structure_matches_definition_oracle():
                     assert set(got) == set(want), (a1, a2, s2, d1)
 
 
-def set_shadow(path, s2, fz2):
-    """(shadow, remote) of S2 as sets: the union of the local shadows, and
-    that union less the last S2(v_{ell+1}) h-edges of height ell."""
-    shadow = set().union(*compat._local_shadows(path, fz2))
+def set_shadow(path, s2):
+    """(shadow, remote) of S2 as sets: the union of the h-edges of the local
+    subpaths of local_shadow_v, and that union less the last S2(v_{ell+1})
+    h-edges of height ell."""
+    shadow = set()
+    for k in range(1, path.a2 + 1):
+        sub = local_shadow_v(path, s2, k)
+        shadow.update(range(1, path.a1 + 1) if sub is WHOLE_LOOP else
+                      [e.index for e in path.subpath_edges(sub) if e.kind == "h"])
     remote = set(shadow)
     for ell, before in enumerate(path.h_by_height()):
         if s2[ell]:
@@ -155,11 +162,10 @@ def set_shadow(path, s2, fz2):
     return shadow, remote
 
 
-def all_pairs_structure(path, s2, d1):
+def all_pairs_structure(path, s2, d1, fz2, shadow, remote):
     """(free, rsh, valid) by a full _first_zero walk from every remote edge
-    and _pairs_ok against the support of S2, for each assignment."""
-    fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, path.a2 + 1)]
-    shadow, remote = set_shadow(path, s2, fz2)
+    and _pairs_ok against the support of S2, for each assignment; fz2 and
+    set_shadow's (shadow, remote) are computed once per S2 by the caller."""
     rsh = sorted(remote)
     supp = [k for k in range(1, path.a2 + 1) if s2[k - 1] > 0]
     valid = []
@@ -184,11 +190,13 @@ def test_compatible_structure_matches_all_pairs_check():
             path = DyckPath.build(a1, a2)
             d2 = max(d for d in (1, 2, 3) if (d + 1) ** a2 <= 729)
             for s2 in product(range(d2 + 1), repeat=a2):
+                fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
+                shadow, remote = set_shadow(path, s2)
                 for d1 in range(3):
                     assert compatible_structure(path, s2, d1) == \
-                        all_pairs_structure(path, s2, d1), (a1, a2, s2, d1)
-                fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
-                rsh = sorted(set_shadow(path, s2, fz2)[1])
+                        all_pairs_structure(path, s2, d1, fz2, shadow, remote), \
+                        (a1, a2, s2, d1)
+                rsh = sorted(remote)
                 for s, steps in compat._walk_plans(path, s2, fz2, rsh):
                     length = sum(len(adds) + run for adds, run in steps)
                     wrapped += path.pos_h[rsh[s] - 1] + length >= path.n
@@ -225,22 +233,15 @@ def test_shadow_report_examples():
 
 
 def test_shadow_core_is_the_report_shadow():
-    # the integer core behind compatible_structure and shadow_report_v: each
-    # local index set is the h-edges of the local subpath of local_shadow_v,
-    # and the bit masks hold exactly the set union and its remote part
+    # the bit masks behind compatible_structure and shadow_report_v hold
+    # exactly the union of the local subpaths' h-edges and its remote part
     for a1 in range(7):
         for a2 in range(7):
             path = DyckPath.build(a1, a2)
             for s2 in product(range(4), repeat=a2):
                 fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
-                local = compat._local_shadows(path, fz2)
-                for k, idx in enumerate(local, start=1):
-                    sub = local_shadow_v(path, s2, k)
-                    want = (range(1, a1 + 1) if sub is WHOLE_LOOP else
-                            [e.index for e in path.subpath_edges(sub) if e.kind == "h"])
-                    assert sorted(idx) == sorted(want), (a1, a2, s2, k)
                 masks = compat._shadow_masks(path, s2, fz2)
-                for mask, want in zip(masks, set_shadow(path, s2, fz2)):
+                for mask, want in zip(masks, set_shadow(path, s2)):
                     assert mask == sum(1 << j for j in want), (a1, a2, s2)
 
 
@@ -335,12 +336,35 @@ def test_support_region_contains_all_magnitudes():
     assert verify.grading_and_support(sizes=range(5), degrees=degrees) is None
 
 
+def magnitude_region(d1, d2, a1, a2):
+    """The (m1, m2) that support_region admits, searched one past each bound."""
+    return {(m1, m2) for m1 in range(d1 * a1 + 2) for m2 in range(d2 * a2 + 2)
+            if support_region(d1, d2, a1, a2, m1, m2)}
+
+
 def test_support_region_is_sharp_on_the_magnitude_lattice():
     # every admissible magnitude pair is realized for a representative case
     for (d1, d2, a1, a2) in ((2, 3, 3, 2), (2, 2, 2, 3), (1, 1, 2, 2)):
         seen = {(sum(s1), sum(s2))
                 for s1, s2 in enumerate_bruteforce(a1, a2, d1, d2)}
-        region = {(m1, m2) for m1 in range(d1 * a1 + 2)
-                  for m2 in range(d2 * a2 + 2)
-                  if support_region(d1, d2, a1, a2, m1, m2)}
-        assert seen <= region
+        assert seen == magnitude_region(d1, d2, a1, a2), (d1, d2, a1, a2)
+    # and on every case with d1, d2 <= 3, a1, a2 <= 4 and at most 20,000
+    # gradings but two, where the region admits (m1, m2) = (3, 3) and
+    # neither the enumeration nor the all-ones greedy table realizes it
+    cases, misses = 0, {}
+    for d1, d2, a1, a2 in product(range(4), range(4), range(5), range(5)):
+        if (d1 + 1) ** a1 * (d2 + 1) ** a2 > 20000:
+            continue
+        cases += 1
+        seen = {(sum(s1), sum(s2)) for s1, s2 in enumerate_fast(a1, a2, d1, d2)}
+        region = magnitude_region(d1, d2, a1, a2)
+        assert seen <= region, (d1, d2, a1, a2)
+        if seen != region:
+            misses[d1, d2, a1, a2] = region - seen
+    assert cases == 397
+    assert misses == {(1, 2, 4, 3): {(3, 3)}, (2, 1, 3, 4): {(3, 3)}}
+    for d1, d2, a1, a2 in misses:
+        mode = CoefficientMode.numeric((1,) * (d1 + 1), (1,) * (d2 + 1))
+        table = greedy_recursive(mode, a1, a2)
+        assert {(q, p) for p, q in table.coeffs} == \
+            magnitude_region(d1, d2, a1, a2) - {(3, 3)}, (d1, d2, a1, a2)
