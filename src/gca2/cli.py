@@ -116,17 +116,57 @@ def cmd_greedy(args, mode) -> int:
 def cmd_pairs(args, mode) -> int:
     if args.a1 < 0 or args.a2 < 0:
         return _usage_error("pairs expects nonnegative sizes A1 A2")
-    # one %-template per S2 block: S2 and m2 baked in, %d slots for S1 and m1
-    slots = ",".join(["%d"] * args.a1)
+    a1, d1, json_out = args.a1, mode.d1, args.format == "json"
+    head = '{"s1":[' if json_out else "s1=" if a1 else "s1=-"
+    zeros = ",".join("0" * a1)  # the text of S1 = 0; h_j's value is at 2j - 2
+    digits = [str(n) for n in range(d1 * a1 + 1)]  # every S1 value and every m1
+    values = digits[:d1 + 1]
     write = sys.stdout.write
-    for s2, block in compat.pair_blocks(args.a1, args.a2, mode.d1, mode.d2):
-        s2_text = ",".join(map(str, s2))
-        if args.format == "json":
-            tmpl = f'{{"s1":[{slots}],"s2":[{s2_text}],"m1":%d,"m2":{sum(s2)}}}\n'
+    for s2, free, rsh_idx, valid in compat.s2_structures(a1, args.a2, d1, mode.d2):
+        texts, m1s, rest = _walk_block(head, values, zeros, free, rsh_idx, valid)
+        s2_text, m2 = ",".join(map(str, s2)), sum(s2)
+        if json_out:
+            mid, end = f'{rest}],"s2":[{s2_text}],"m1":', f',"m2":{m2}}}\n'
         else:
-            tmpl = f"s1={slots or '-'} s2={s2_text or '-'} m1=%d m2={sum(s2)}\n"
-        write("".join([tmpl % (*s1, sum(s1)) for s1 in block]))
+            mid, end = f"{rest} s2={s2_text or '-'} m1=", f" m2={m2}\n"
+        tails = [mid + m1 + end for m1 in digits[:max(m1s, default=0) + 1]]
+        write("".join([t + tails[m] for t, m in zip(texts, m1s)]))
     return 0
+
+
+def _walk_block(head, values, zeros, free, rsh_idx, valid):
+    """(texts, m1s, rest): the S1 of one S2 block in numeric order, by one walk.
+
+    valid becomes a trie of dicts {value: child}, keys in increasing value as
+    valid is in product order.  A partial record is a text, its running m1
+    and its trie node.  The walk visits the free and remote-shadow edges in
+    path order: a free edge extends each record by every value, a remote one
+    by its node's children, and the forced zeros in between are copied from
+    zeros.  Shared prefixes are rendered once; rest is the zeros' tail.
+    """
+    if not valid:
+        return [], [], ""
+    trie: dict = {}
+    for vals in valid:
+        node = trie
+        for v in vals:
+            node = node.setdefault(v, {})
+    span = range(len(values))
+    last_rsh = rsh_idx[-1] if rsh_idx else 0
+    texts, m1s, nodes, at = [head], [0], [trie], 0
+    for j in sorted(free + rsh_idx):
+        pieces = [zeros[at:2 * j - 2] + v for v in values]
+        at = 2 * j - 1
+        if j in free:
+            texts = [t + p for t in texts for p in pieces]
+            m1s = [m + v for m in m1s for v in span]
+            if j < last_rsh:
+                nodes = [n for n in nodes for _ in span]
+        else:
+            texts = [t + pieces[v] for t, n in zip(texts, nodes) for v in n]
+            m1s = [m + v for m, n in zip(m1s, nodes) for v in n]
+            nodes = [c for n in nodes for c in n.values()]
+    return texts, m1s, zeros[at:]
 
 
 def cmd_expand(args, mode) -> int:

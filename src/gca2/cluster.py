@@ -33,7 +33,6 @@ class AlgebraContext:
     def __init__(self, mode: CoefficientMode):
         self.mode = mode
         self._memo: dict[int, LaurentPoly] = {}
-        self._u: dict[tuple[int, int], int] = {}
 
     # -- exchange polynomials and cluster variables ---------------------------
 
@@ -61,28 +60,6 @@ class AlgebraContext:
             if e:
                 out = out * self.cluster_variable(kk) ** e
         return out
-
-    # -- Chebyshev bookkeeping ------------------------------------------------
-
-    def _d(self, j: int) -> int:
-        return self.mode.d1 if j % 2 else self.mode.d2
-
-    def chebyshev_u(self, k: int, j: int) -> int:
-        """Two-parameter Chebyshev value u_{k,j}."""
-        if k == -1:
-            return 0
-        if k == 0:
-            return 1
-        key = (k, j)
-        u = self._u
-        if key not in u:
-            if k >= 1:
-                u[key] = (self._d(j - 1) * self.chebyshev_u(k - 1, j - 1)
-                          - self.chebyshev_u(k - 2, j - 2))
-            else:
-                u[key] = (self._d(j + 1) * self.chebyshev_u(k + 1, j + 1)
-                          - self.chebyshev_u(k + 2, j + 2))
-        return u[key]
 
     def greedy_params_of_cluster_variable(self, k: int) -> tuple[int, int]:
         return self.greedy_params_of_cluster_monomial(k, -1, 0)

@@ -420,6 +420,14 @@ def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
             sorted(vals[::-1] for vals in valid))
 
 
+def s2_structures(a1: int, a2: int, d1: int, d2: int):
+    """Yield (S2, free, rsh, valid) of compatible_structure for every S2 on
+    D(a1, a2), S2 in product order."""
+    path = DyckPath.build(a1, a2)
+    for s2 in product(range(d2 + 1), repeat=a2):
+        yield (s2, *compatible_structure(path, s2, d1))
+
+
 def pair_blocks(a1: int, a2: int, d1: int, d2: int):
     """Yield (S2, sorted list of the S1 compatible with it), S2 in product order.
 
@@ -427,10 +435,8 @@ def pair_blocks(a1: int, a2: int, d1: int, d2: int):
     value lists: 0 on shadow minus remote shadow, the assigned value on the
     remote shadow and every value in [0, d1] off the shadow.
     """
-    path = DyckPath.build(a1, a2)
     values = range(d1 + 1)
-    for s2 in product(range(d2 + 1), repeat=a2):
-        free, rsh_idx, valid = compatible_structure(path, s2, d1)
+    for s2, free, rsh_idx, valid in s2_structures(a1, a2, d1, d2):
         lists = [(0,)] * a1
         for j in free:
             lists[j - 1] = values

@@ -7,6 +7,8 @@ polynomial toolkit so they do not depend on the library under test.
 
 from __future__ import annotations
 
+from functools import cache
+
 import pytest
 
 from gca2.coeffring import CoefficientMode
@@ -178,6 +180,22 @@ def reference_greedy_table(mode: CoefficientMode, a1: int, a2: int):
                         f"nonzero entry {val} in the guard ring at ({p},{q})")
                 c[(p, q)] = val
     return c, pmax, qmax
+
+
+@cache
+def chebyshev_u(d1: int, d2: int, k: int, j: int) -> int:
+    """Two-parameter Chebyshev value u_{k,j}, with d_j = d1 for odd j and d2 for even j.
+
+    u_{-1,j} = 0, u_{0,j} = 1 and u_{k+1,j+1} = d_j u_{k,j} - u_{k-1,j-1}, run
+    forward for k >= 1 and backward for k <= -2.
+    """
+    if k in (-1, 0):
+        return k + 1
+    if k >= 1:
+        d = d1 if (j - 1) % 2 else d2
+        return d * chebyshev_u(d1, d2, k - 1, j - 1) - chebyshev_u(d1, d2, k - 2, j - 2)
+    d = d1 if (j + 1) % 2 else d2
+    return d * chebyshev_u(d1, d2, k + 1, j + 1) - chebyshev_u(d1, d2, k + 2, j + 2)
 
 
 def palindromic(d: int, inner) -> tuple:

@@ -162,6 +162,19 @@ def test_pairs_block_templates_match_record_oracle(capsys):
             assert out == "".join(_record_line(s1, s2, fmt) for s1, s2 in brute), argv
 
 
+def test_pairs_two_digit_values_match_record_oracle(capsys):
+    # with d1 >= 10 numeric order differs from text order ("10" < "2"), so a
+    # renderer that orders records by their text fails here
+    for a1, a2, d1, d2 in product(range(4), range(3), (10, 11), (1, 2)):
+        brute = compat.enumerate_bruteforce(a1, a2, d1, d2)
+        for fmt in ("json", "text"):
+            argv = ["--d1", str(d1), "--d2", str(d2), "--format", fmt,
+                    "pairs", str(a1), str(a2)]
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            assert out == "".join(_record_line(s1, s2, fmt) for s1, s2 in brute), argv
+
+
 class _Writes:
     def __init__(self):
         self.chunks = []

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 import pytest
 
-from conftest import ALL_ONES, expected_x3, expected_x4, expected_x5
+from conftest import ALL_ONES, chebyshev_u, expected_x3, expected_x4, expected_x5
 from gca2 import verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
@@ -103,20 +104,19 @@ def test_standard_monomial_is_pointed(mode23):
 
 
 def test_chebyshev_values(mode23):
-    ctx = AlgebraContext(mode23)
+    u = partial(chebyshev_u, mode23.d1, mode23.d2)
     for j in range(-3, 4):
-        assert ctx.chebyshev_u(0, j) == 1
-        assert ctx.chebyshev_u(-1, j) == 0
-    assert ctx.chebyshev_u(1, 1) == 3
-    assert ctx.chebyshev_u(1, 2) == 2
-    assert ctx.chebyshev_u(2, 1) == 5
-    assert ctx.chebyshev_u(-2, 1) == -1
+        assert u(0, j) == 1
+        assert u(-1, j) == 0
+    assert u(1, 1) == 3
+    assert u(1, 2) == 2
+    assert u(2, 1) == 5
+    assert u(-2, 1) == -1
     # recursion holds on a window in both directions
     for k in range(-3, 5):
         for j in range(-4, 5):
             d = mode23.d1 if j % 2 else mode23.d2
-            assert ctx.chebyshev_u(k + 1, j + 1) == \
-                d * ctx.chebyshev_u(k, j) - ctx.chebyshev_u(k - 1, j - 1)
+            assert u(k + 1, j + 1) == d * u(k, j) - u(k - 1, j - 1)
 
 
 # d1*d2 = 1, 2, 3 (periods 5, 6, 8) and d1 = 0, where x_k is periodic or a
@@ -176,7 +176,7 @@ def test_cluster_monomial_params_match_chebyshev_in_infinite_type():
     # for d1*d2 >= 4 the reflection walk gives the Chebyshev closed form
     for key in ((2, 2), (2, 3), (3, 3)):
         ctx = AlgebraContext(ALL_ONES[key])
-        u = ctx.chebyshev_u
+        u = partial(chebyshev_u, *key)
         for k in range(-8, 12):
             for a1 in range(-2, 1):
                 for a2 in range(-2, 1):
@@ -221,8 +221,7 @@ def test_greedy_params_of_cluster_monomial(mode23):
 def test_factorization_of_cluster_monomials(mode23):
     # x[a1 u_{k-3,1} + a2 u_{k-2,1}, a1 u_{k-4,2} + a2 u_{k-3,2}]
     #   = x[u_{k-3,1}, u_{k-4,2}]^a1 * x[u_{k-2,1}, u_{k-3,2}]^a2
-    ctx = AlgebraContext(mode23)
-    u = ctx.chebyshev_u
+    u = partial(chebyshev_u, mode23.d1, mode23.d2)
     for k in (2, 3):
         for a1 in range(3):
             for a2 in range(3):

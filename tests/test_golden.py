@@ -9,8 +9,10 @@ Laurent multiply was added; that multiply has since been removed again.
 `verify_num23_all_text.out` has since lost one line, `PASS coeffring: exact
 division round trip [300 cases]`, when `CoeffPoly` division was deleted:
 every exchange polynomial has constant term 1, so nothing divides one
-coefficient by another.  `expand` cases read their input from `golden/` by
-a relative path.
+coefficient by another.  The two `pairs_num10_1_3_1` cases (d1 = 10, so
+S1 values and m1 reach two digits) were captured before `pairs` rendered
+its blocks by a prefix-sharing walk.  `expand` cases read their input from
+`golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
 output format justifies rewriting it, with
