@@ -428,14 +428,16 @@ def s2_structures(a1: int, a2: int, d1: int, d2: int):
         yield (s2, *compatible_structure(path, s2, d1))
 
 
-def pair_blocks(a1: int, a2: int, d1: int, d2: int):
-    """Yield (S2, sorted list of the S1 compatible with it), S2 in product order.
+def enumerate_fast(a1: int, a2: int, d1: int, d2: int) -> list:
+    """Same pairs as enumerate_bruteforce, via the shadow pruning.
 
-    A block is, per valid remote-shadow assignment, the product of per-edge
-    value lists: 0 on shadow minus remote shadow, the assigned value on the
-    remote shadow and every value in [0, d1] off the shadow.
+    The S1 compatible with one S2 are, per valid remote-shadow assignment,
+    the product of per-edge value lists: 0 on shadow minus remote shadow,
+    the assigned value on the remote shadow and every value in [0, d1] off
+    the shadow.  Each S2 block is sorted before it is appended.
     """
     values = range(d1 + 1)
+    out = []
     for s2, free, rsh_idx, valid in s2_structures(a1, a2, d1, d2):
         lists = [(0,)] * a1
         for j in free:
@@ -446,17 +448,8 @@ def pair_blocks(a1: int, a2: int, d1: int, d2: int):
                 lists[j - 1] = (val,)
             block.extend(product(*lists))
         block.sort()
-        yield s2, block
-
-
-def enumerate_fast(a1: int, a2: int, d1: int, d2: int) -> list:
-    """Same pairs as enumerate_bruteforce, via the shadow pruning."""
-    return [(s1, s2) for s2, block in pair_blocks(a1, a2, d1, d2) for s1 in block]
-
-
-def pair_record(s1: Grading, s2: Grading) -> dict:
-    """JSON record for one compatible pair: the schema cli.cmd_pairs renders."""
-    return {"s1": list(s1), "s2": list(s2), "m1": sum(s1), "m2": sum(s2)}
+        out.extend((s1, s2) for s1 in block)
+    return out
 
 
 # -- reflection of vertical gradings and the induced horizontal map -----------

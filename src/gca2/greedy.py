@@ -10,11 +10,12 @@ where c_{S1,S2} multiplies one exchange-polynomial coefficient per edge
 coefficient modes and is the symbolic-mode definition of x[a1, a2].
 
 Neither factor of a pair's term depends on which edge carries which value,
-only on how many edges carry each value: a grading with count_v edges of
-value v has weight prod_v P[v]^count_v and degree sum_v v * count_v.  So
-equal value counts mean equal weight and equal degree, and the sum first
-counts the pairs per value counts, in integers, and then does the
-coefficient arithmetic once per distinct count, not once per pair.
+only on the multiset of values, kept as the grading's sorted tuple: the
+weight is the product of P[v] over its values and the degree their sum.  So
+the sum first counts the pairs per sorted tuple, in integers, and then does
+the coefficient arithmetic once per distinct tuple, not once per pair.  The
+horizontal family is the vertical family of the transposed path D(a2, a1),
+so the sum only ever enumerates vertical gradings on one of the two paths.
 
 The recursive construction (numeric mode only) fills the pointed coefficient
 table c(p, q) in order of increasing p+q from c(0,0)=1: each entry is the
@@ -43,10 +44,11 @@ from itertools import product
 from operator import mul
 
 from .coeffring import CoefficientMode
-from .compat import compatible_structure, compatible_structure_h
+from .compat import compatible_structure
 from .dyckpath import DyckPath
 from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported, dense_powers
-# Unused here; perfbench/tracer.py patches these two names on this module.
+# Unused here; perfbench/tracer.py patches these three names on this module.
+from .compat import compatible_structure_h  # noqa: F401
 from .multinom import compositions_weighted, multinomial  # noqa: F401
 
 
@@ -57,12 +59,7 @@ class NotInAlgebra(ValueError):
 def pair_weight(mode: CoefficientMode, s1, s2):
     """Monomial coefficient attached to one compatible pair."""
     p1, p2 = mode.polys
-    w = p1[0]  # the constant 1, in the mode's coefficient type
-    for val in s1:
-        w = w * p1[val]
-    for val in s2:
-        w = w * p2[val]
-    return w
+    return _weight(p1, s1) * _weight(p2, s2)
 
 
 def reflect_params(mode: CoefficientMode, axis: int, a1: int, a2: int) -> tuple[int, int]:
@@ -81,92 +78,72 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     Pairs are summed per grading on the cheaper edge family, the outer one:
     the partner edges outside its shadow are free and contribute a full
     exchange-polynomial factor each, and the finitely many remote-shadow
-    assignments are enumerated explicitly.
+    assignments are enumerated explicitly.  The outer family is always the
+    vertical one of the path walked: when the horizontal family is cheaper,
+    the path is the transpose D(b2, b1), on which S1 is vertical and S2
+    horizontal.
 
-    Equal value counts mean equal weight and equal degree (see the module
+    Equal value multisets mean equal weight and equal degree (see the module
     docstring), so the first pass only counts: it tallies the pairs by
-    (outer value counts, free edges, remote-shadow value counts), each
-    count vector packed into one int.  The second pass multiplies once per
-    distinct tally key: the remote weights are summed per (outer counts,
-    free edges) and multiplied by the free edges' power of P, and the outer
-    weight multiplies once per outer counts.
+    (outer values, free edges, remote-shadow values), each values entry a
+    sorted tuple.  The second pass multiplies once per distinct tally key:
+    the remote weights are summed per (outer values, free edges) and
+    multiplied by the free edges' power of P, and the outer weight
+    multiplies once per outer values.
     """
     b1, b2 = max(a1, 0), max(a2, 0)
-    path = DyckPath.build(b1, b2)
-    d1, d2 = mode.d1, mode.d2
     p1, p2 = mode.polys
-    by_vertical = (d2 + 1) ** b2 <= (d1 + 1) ** b1
-    if by_vertical:
-        outer_vals, inner_vals, outer_count = p2, p1, b2
-        structure = lambda s: compatible_structure(path, s, d1)
+    transposed = (mode.d2 + 1) ** b2 > (mode.d1 + 1) ** b1
+    if transposed:
+        path, outer_vals, inner_vals = DyckPath.build(b2, b1), p1, p2
     else:
-        outer_vals, inner_vals, outer_count = p1, p2, b1
-        structure = lambda s: compatible_structure_h(path, s, d2)
+        path, outer_vals, inner_vals = DyckPath.build(b1, b2), p2, p1
 
-    # value counts packed in base radix: digit v - 1 holds count_v for v >= 1;
-    # 0 adds no weight and no degree, so it is not counted.  No grading is
-    # longer than max(b1, b2), so no count reaches the radix.
-    radix = max(b1, b2) + 1
-    _check_radix(outer_count, radix)
-    digit = [0] + [radix ** v for v in range(max(d1, d2))]
-    # (outer counts, free edges) -> {inner counts: number of pairs}
-    tally: dict[tuple[int, int], dict[int, int]] = {}
-    for s_out in product(range(len(outer_vals)), repeat=outer_count):
-        free, rsh_idx, valid = structure(s_out)
-        _check_radix(len(rsh_idx), radix)
-        inner = tally.setdefault((sum(map(digit.__getitem__, s_out)), len(free)), {})
+    # (outer values, free edges) -> {remote-shadow values: number of pairs}
+    tally: dict[tuple[tuple, int], dict[tuple, int]] = {}
+    for s_out in product(range(len(outer_vals)), repeat=path.a2):
+        free, _, valid = compatible_structure(path, s_out, len(inner_vals) - 1)
+        inner = tally.setdefault((tuple(sorted(s_out)), len(free)), {})
         for vals in valid:
-            c = sum(map(digit.__getitem__, vals))
-            inner[c] = inner.get(c, 0) + 1
+            key = tuple(sorted(vals))
+            inner[key] = inner.get(key, 0) + 1
 
     free_pow = dense_powers(inner_vals)  # k -> (inner polynomial in z) ** k
-    by_out: dict[int, dict[int, object]] = {}  # outer counts -> {|inner|: coefficient}
-    for (out_counts, n_free), inner in tally.items():
+    by_out: dict[tuple, dict[int, object]] = {}  # outer values -> {|inner|: coefficient}
+    for (out_key, n_free), inner in tally.items():
         rpoly: dict[int, object] = {}
-        for c, mult in inner.items():
-            k, w = _unpack(c, radix, inner_vals)
+        for key, mult in inner.items():
+            k, w = sum(key), _weight(inner_vals, key)
             rpoly[k] = rpoly.get(k, 0) + (w * mult if mult > 1 else w)
-        poly = by_out.setdefault(out_counts, {})
+        poly = by_out.setdefault(out_key, {})
         for q1, c1 in enumerate(free_pow(n_free)):
             if not c1:
                 continue
             for q2, c2 in rpoly.items():
                 poly[q1 + q2] = poly.get(q1 + q2, 0) + c1 * c2
     acc: dict[tuple[int, int], object] = {}
-    for out_counts, poly in by_out.items():
-        m_out, c_out = _unpack(out_counts, radix, outer_vals)
+    for out_key, poly in by_out.items():
+        m_out, c_out = sum(out_key), _weight(outer_vals, out_key)
         unit = c_out is outer_vals[0]  # no factor other than 1: skip the products
         for m_in, c in poly.items():
             # x1 carries |S2|, x2 carries |S1|
-            key = (m_out - a1, m_in - a2) if by_vertical else (m_in - a1, m_out - a2)
+            key = (m_in - a1, m_out - a2) if transposed else (m_out - a1, m_in - a2)
             acc[key] = acc.get(key, 0) + (c if unit else c_out * c)
     return LaurentPoly(acc)
 
 
-def _check_radix(length: int, radix: int) -> None:
-    """Refuse to pack the value counts of a grading of this length in this
-    radix: a count that reached the radix would carry into the next digit."""
-    if length >= radix:
-        raise OverflowError(f"a grading of length {length} may hold a count "
-                            f"that reaches the packing radix {radix}")
-
-
-def _unpack(counts: int, radix: int, vals) -> tuple:
-    """(sum_v v * count_v, prod_v vals[v] ** count_v) of packed value counts.
+def _weight(vals, values):
+    """Product of vals[v] over the values v of a grading.
 
     vals[0] and vals[-1] are the constant 1, so they add no factor, and the
     weight is vals[0] itself when no other value occurs.
     """
     top = len(vals) - 1
-    deg, w, v = 0, vals[0], 0
-    while counts:
-        v += 1
-        counts, count = divmod(counts, radix)
-        if count:
-            deg += v * count
-            if v < top:
-                w = w * vals[v] ** count
-    return deg, w
+    w = vals[0]
+    for v in values:
+        if 0 < v < top:
+            w = w * vals[v]
+    return w
 
 
 def power_series(p, n: int, num_terms: int) -> list[int]:

@@ -145,7 +145,8 @@ def test_bench_stdout_is_deterministic():
 def _record_line(s1, s2, fmt):
     """One pair rendered on its own, as the CLI printed it one record at a time."""
     if fmt == "json":
-        return json.dumps(compat.pair_record(s1, s2), separators=(",", ":")) + "\n"
+        record = {"s1": list(s1), "s2": list(s2), "m1": sum(s1), "m2": sum(s2)}
+        return json.dumps(record, separators=(",", ":")) + "\n"
     return (f"s1={','.join(map(str, s1)) or '-'} "
             f"s2={','.join(map(str, s2)) or '-'} m1={sum(s1)} m2={sum(s2)}\n")
 
@@ -196,9 +197,11 @@ def test_pairs_streams_one_write_per_s2_block(monkeypatch):
     with redirect_stdout(sink):
         assert cli.main(["--d1", "2", "--d2", "3", "pairs", "6", "3"]) == 0
     assert len(sink.chunks) == 4 ** 3  # (d2 + 1) ** a2 blocks
-    blocks = list(compat.pair_blocks(6, 3, 2, 3))
-    assert [s2 for s2, _ in blocks] == list(product(range(4), repeat=3))
-    assert [chunk.count("\n") for chunk in sink.chunks] == [len(b) for _, b in blocks]
+    blocks = list(compat.s2_structures(6, 3, 2, 3))
+    assert [s2 for s2, *_ in blocks] == list(product(range(4), repeat=3))
+    # each valid remote assignment completes to (d1 + 1) ** |free| records
+    assert [chunk.count("\n") for chunk in sink.chunks] == \
+        [len(valid) * (2 + 1) ** len(free) for _, free, _, valid in blocks]
 
 
 def test_usage_errors_exit_2():

@@ -8,7 +8,7 @@ from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
                          RTooSmall, compatible_structure,
                          compatible_structure_h, enumerate_bruteforce,
                          enumerate_fast, fstat_h, fstat_v, is_compatible,
-                         local_shadow_h, local_shadow_v, omega, pair_record,
+                         local_shadow_h, local_shadow_v, omega,
                          phi_pullback, rsh_block_size_h, shadow_report_h,
                          shadow_report_v, support_region)
 from gca2.dyckpath import DyckPath, EdgeRef, Subpath
@@ -291,11 +291,6 @@ def test_enumeration_order_lexicographic():
     keys = [(s2, s1) for s1, s2 in pairs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-
-
-def test_pair_record():
-    assert pair_record((2, 1, 0, 0, 0), (1, 3)) == \
-        {"s1": [2, 1, 0, 0, 0], "s2": [1, 3], "m1": 3, "m2": 4}
 
 
 def test_phi_pullback_examples():

@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 from conftest import ALL_ONES, palindromic, reference_greedy_table
-from gca2 import greedy, verify
+from gca2 import verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode
-from gca2.compat import support_region
+from gca2.compat import enumerate_bruteforce, support_region
 from gca2.greedy import (NotInAlgebra, greedy_combinatorial, greedy_expand,
                          greedy_recursive, pair_weight, power_series,
                          reflect_params)
@@ -30,6 +30,26 @@ def test_greedy_combinatorial_examples(mode23):
     assert greedy_combinatorial(mode23, -2, -3) == LaurentPoly.monomial(2, 3)
     assert greedy_combinatorial(mode23, 1, 1) == LaurentPoly({
         (-1, -1): 1, (0, -1): 1, (1, -1): 1, (2, -1): 1, (-1, 0): 1, (-1, 1): 1})
+
+
+def test_greedy_combinatorial_is_the_sum_over_compatible_pairs():
+    # the definition: x[a1, a2] sums c_{S1,S2} x1^(|S2|-a1) x2^(|S1|-a2) over
+    # the brute-force pairs on D(b1, b2), the weight one rho or vrho per
+    # edge.  The modes put the outer family on either side, and d = 0 has
+    # P = 1; the points reach negative parameters.
+    for d1, d2 in ((2, 3), (3, 2), (1, 4), (0, 2), (3, 0)):
+        mode = CoefficientMode.symbolic(d1, d2)
+        for a1, a2 in product(range(-1, 4), repeat=2):
+            b1, b2 = max(a1, 0), max(a2, 0)
+            want = LaurentPoly.zero()
+            for s1, s2 in enumerate_bruteforce(b1, b2, d1, d2):
+                w = CoeffPoly.const(1)
+                for t in s1:
+                    w = w * CoeffPoly.rho(t, d1)
+                for t in s2:
+                    w = w * CoeffPoly.vrho(t, d2)
+                want = want + LaurentPoly.monomial(sum(s2) - a1, sum(s1) - a2, w)
+            assert greedy_combinatorial(mode, a1, a2) == want, (d1, d2, a1, a2)
 
 
 def test_greedy_recursive_examples(mode23):
@@ -116,8 +136,7 @@ def test_symbolic_greedy_specializes_to_the_numeric_recursion():
     # code: symbolic x[a1, a2] at seeded generator values (no value 1, some
     # 0) is the numeric recursion's x[a1, a2] for the specialized P1, P2.
     # The box reaches negative parameters and the square points (b, b),
-    # whose outer gradings of b equal values hold the largest count the
-    # packing must keep below its radix max(b1, b2) + 1.
+    # whose outer gradings can give one value to all b edges.
     rng = random.Random(16)
     box = verify.square(-2, 5)
     assert any(a1 == a2 > 0 for a1, a2 in box)
@@ -132,13 +151,6 @@ def test_symbolic_greedy_specializes_to_the_numeric_recursion():
                 got = {e: c.eval(values) for e, c in greedy_combinatorial(sym, *a).terms.items()}
                 want = greedy_recursive(num, *a).to_laurent().terms
                 assert {e: c for e, c in got.items() if c} == want, (num, a)
-
-
-def test_count_packing_refuses_a_count_that_reaches_the_radix():
-    greedy._check_radix(4, 5)
-    for length in (5, 6):
-        with pytest.raises(OverflowError):
-            greedy._check_radix(length, 5)
 
 
 def test_pointedness(mode23, sym23):
