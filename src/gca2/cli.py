@@ -106,9 +106,8 @@ def cmd_greedy(args, mode) -> int:
     extra = {"point": [args.a1, args.a2], "method": args.method}
     if args.clusters:
         ctx = AlgebraContext(mode)
-        verdicts = {str(k): laurent.lp_is_positive(g)
-                    for k, g in ctx.iter_cluster_expansions(f, lo, hi)}
-        extra["positive_in_clusters"] = dict(sorted(verdicts.items(), key=lambda t: int(t[0])))
+        verdicts = ctx.positive_in_clusters(f, lo, hi)
+        extra["positive_in_clusters"] = {str(k): verdicts[k] for k in sorted(verdicts)}
     _emit_poly(f, mode, args, extra)
     return 0
 

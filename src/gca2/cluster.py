@@ -9,10 +9,13 @@ One walk steps between clusters: each step eliminates one coordinate
 through the exchange relation (an exact univariate division per negative
 power, see laurent.lp_substitute_ratio), so a Laurent polynomial in
 (x_1, x_2) becomes one in (x_k, x_{k+1}), with x_k in slot 1 and x_{k+1} in
-slot 2.  A cluster variable x_k is a coordinate of cluster k - 1 or k walked
-back to cluster 1; a step that leaves a denominator raises NotLaurent, so
-every computed variable is a runtime witness of the Laurent phenomenon.  A
-context memoizes the variables; published entries are immutable, so
+slot 2, the order lp_substitute_ratio returns.  A cluster variable x_k is a
+coordinate of cluster k - 1 or k walked back to cluster 1; a step that
+leaves a denominator raises NotLaurent, so every computed variable is a
+runtime witness of the Laurent phenomenon.  The positivity probe takes the
+same walk, but only decides the outermost cluster of each direction, whose
+expansion holds most of the walk's terms (lp_substitute_ratio_is_positive).
+A context memoizes the variables; published entries are immutable, so
 concurrent readers are safe once a value is stored.
 """
 
@@ -22,7 +25,8 @@ from itertools import chain, islice
 
 from .coeffring import CoefficientMode
 from .greedy import greedy_combinatorial, reflect_params
-from .laurent import LaurentPoly, NotLaurent, lp_substitute_ratio
+from .laurent import (LaurentPoly, NotLaurent, lp_is_positive, lp_substitute_ratio,
+                      lp_substitute_ratio_is_positive)
 # Unused here; perfbench/tracer.py patches this name on this module.
 from .laurent import lp_eval_univariate  # noqa: F401
 
@@ -89,17 +93,19 @@ class AlgebraContext:
 
     # -- cross-cluster expansion ----------------------------------------------
 
-    def _exchange(self, f: LaurentPoly, var: int, k: int, label: str) -> LaurentPoly:
-        """f with x_var replaced by P(x_other) / x_var, P the polynomial applied
-        to x_k; a NotLaurent failure is re-raised under label."""
+    def _exchange(self, step, f: LaurentPoly, var: int, k: int, label: str):
+        """step(f, var, P), P the polynomial applied to x_k: f with x_var
+        replaced by P(x_other) / x_var, or a verdict on that; a NotLaurent
+        failure is re-raised under label."""
         try:
-            return lp_substitute_ratio(f, var, self._exchange_poly(k))
+            return step(f, var, self._exchange_poly(k))
         except NotLaurent as exc:
             raise NotLaurent(f"{label}: {exc}") from exc
 
-    def _walk(self, f: LaurentPoly, start: int, stop: int):
+    def _walk(self, f: LaurentPoly, start: int, stop: int, last=None):
         """Yield (k, f rewritten in cluster (x_k, x_{k+1})) for k from start to
-        stop, either way, f given in cluster start."""
+        stop, either way, f given in cluster start.  With last, the step into
+        cluster stop yields last(f, var, P) instead of the expansion."""
         k = start
         yield k, f
         while k != stop:
@@ -107,19 +113,31 @@ class AlgebraContext:
                 var, j, nxt = 1, k + 1, k + 1
             else:  # eliminate x_{k+1} using x_{k+1} x_{k-1} = P(x_k)
                 var, j, nxt = 2, k, k - 1
-            f = self._exchange(f, var, j, f"cluster step {k} -> {nxt}").swap_vars()
+            step = last if last and nxt == stop else lp_substitute_ratio
+            f = self._exchange(step, f, var, j, f"cluster step {k} -> {nxt}")
             k = nxt
             yield k, f
 
-    def iter_cluster_expansions(self, f: LaurentPoly, lo: int, hi: int):
-        """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi],
-        walking up from cluster 1 first, then down from it."""
+    def _range_walk(self, f: LaurentPoly, lo: int, hi: int, last=None):
+        """The steps of _walk (see there for last) for k in [lo, hi], walking
+        up from cluster 1 first, then down from it."""
         if lo > hi:
             raise ValueError("empty cluster range")
-        down = islice(self._walk(f, 1, min(lo, 1)), 1, None)  # cluster 1 came up
-        for k, g in chain(self._walk(f, 1, max(hi, 1)), down):
+        down = islice(self._walk(f, 1, min(lo, 1), last), 1, None)  # cluster 1 came up
+        for k, g in chain(self._walk(f, 1, max(hi, 1), last), down):
             if lo <= k <= hi:
                 yield k, g
+
+    def iter_cluster_expansions(self, f: LaurentPoly, lo: int, hi: int):
+        """Yield (k, expansion of f in cluster (x_k, x_{k+1})) for k in [lo, hi]."""
+        return self._range_walk(f, lo, hi)
+
+    def positive_in_clusters(self, f: LaurentPoly, lo: int, hi: int) -> dict[int, bool]:
+        """{k: lp_is_positive(expansion of f in cluster k)} for k in [lo, hi],
+        by the walk of iter_cluster_expansions; the outermost cluster of each
+        direction is decided by lp_substitute_ratio_is_positive instead."""
+        walk = self._range_walk(f, lo, hi, lp_substitute_ratio_is_positive)
+        return {k: g if type(g) is bool else lp_is_positive(g) for k, g in walk}
 
     def expand_in_cluster(self, f: LaurentPoly, k: int) -> LaurentPoly:
         """f rewritten as a Laurent polynomial in (x_k, x_{k+1})."""
@@ -133,11 +151,13 @@ class AlgebraContext:
         """Image of f under the reflection fixing x_p (p = 1 or 2).
 
         sigma_2 is the exchange that eliminates x_1 through P1(x_2), sigma_1
-        the one that eliminates x_2 through P2(x_1), with no swap.
+        the one that eliminates x_2 through P2(x_1), the new variable kept in
+        the eliminated one's slot.
         """
         if p not in (1, 2):
             raise ValueError("reflection index must be 1 or 2")
-        return self._exchange(f, 3 - p, p, f"reflection p={p}")
+        label = f"reflection p={p}"
+        return self._exchange(lp_substitute_ratio, f, 3 - p, p, label).swap_vars()
 
     # -- greedy bridge ------------------------------------------------------------
 

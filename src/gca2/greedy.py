@@ -59,7 +59,7 @@ class NotInAlgebra(ValueError):
 def pair_weight(mode: CoefficientMode, s1, s2):
     """Monomial coefficient attached to one compatible pair."""
     p1, p2 = mode.polys
-    return _weight(p1, s1) * _weight(p2, s2)
+    return _weigher(p1)(s1) * _weigher(p2)(s2)
 
 
 def reflect_params(mode: CoefficientMode, axis: int, a1: int, a2: int) -> tuple[int, int]:
@@ -109,11 +109,12 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             inner[key] = inner.get(key, 0) + 1
 
     free_pow = dense_powers(inner_vals)  # k -> (inner polynomial in z) ** k
+    inner_weight, outer_weight = _weigher(inner_vals), _weigher(outer_vals)
     by_out: dict[tuple, dict[int, object]] = {}  # outer values -> {|inner|: coefficient}
     for (out_key, n_free), inner in tally.items():
         rpoly: dict[int, object] = {}
         for key, mult in inner.items():
-            k, w = sum(key), _weight(inner_vals, key)
+            k, w = sum(key), inner_weight(key)
             rpoly[k] = rpoly.get(k, 0) + (w * mult if mult > 1 else w)
         poly = by_out.setdefault(out_key, {})
         for q1, c1 in enumerate(free_pow(n_free)):
@@ -123,7 +124,7 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
                 poly[q1 + q2] = poly.get(q1 + q2, 0) + c1 * c2
     acc: dict[tuple[int, int], object] = {}
     for out_key, poly in by_out.items():
-        m_out, c_out = sum(out_key), _weight(outer_vals, out_key)
+        m_out, c_out = sum(out_key), outer_weight(out_key)
         unit = c_out is outer_vals[0]  # no factor other than 1: skip the products
         for m_in, c in poly.items():
             # x1 carries |S2|, x2 carries |S1|
@@ -132,18 +133,24 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     return LaurentPoly(acc)
 
 
-def _weight(vals, values):
-    """Product of vals[v] over the values v of a grading.
+def _weigher(vals):
+    """values -> the product of vals[v] over the values v of a grading.
 
-    vals[0] and vals[-1] are the constant 1, so they add no factor, and the
-    weight is vals[0] itself when no other value occurs.
+    vals[0] is the constant 1, and so is vals[-1] for a monic P: a border
+    value whose coefficient is 1 adds no factor, and the weight is vals[0]
+    itself when no other value occurs.
     """
-    top = len(vals) - 1
-    w = vals[0]
-    for v in values:
-        if 0 < v < top:
-            w = w * vals[v]
-    return w
+    top = len(vals) - 1 if vals[-1] == 1 else len(vals)
+    one = vals[0]
+
+    def weight(values):
+        w = one
+        for v in values:
+            if 0 < v < top:
+                w = w * vals[v]
+        return w
+
+    return weight
 
 
 def power_series(p, n: int, num_terms: int) -> list[int]:

@@ -17,9 +17,10 @@ product would be code that nothing runs.
 
 lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is a
 coefficient tuple, low degree first, with constant term 1: an exchange
-polynomial's.  The slice of f with x_var-exponent e >= 0 is multiplied by
-p**e, and one with e < 0 divided by p**-e.  When every coefficient of f and
-p is a plain int, that product is one big-int multiply (Kronecker
+polynomial's.  It returns the result in cluster order, x_other in slot var
+and y in the other, so a step of the cluster walk needs no swap.  The slice
+of f with x_var-exponent e >= 0 is multiplied by p**e, and one with e < 0
+divided by p**-e.  When every coefficient of f and p is a plain int, that product is one big-int multiply (Kronecker
 substitution; Harvey, "Faster polynomial multiplication via multipoint
 Kronecker substitution", arXiv:0712.4046).  p is packed once into
 nb-byte slots as the int P, and the powers P**e are built by repeated int
@@ -30,6 +31,13 @@ serves the whole call, sized from the bound max over e >= 0 of
 exceeds the product of its factors' 1-norms; so no slot carries into the
 next.  _pack and _unpack shift signed coefficients by half a slot, an offset
 of repeated bytes, so every slot reads nonnegative with no division.
+
+lp_substitute_ratio_is_positive decides the sign of the substitution from
+the same slices and builds nothing: a packed product v of m slots has every
+coefficient >= 0 iff (v + off) & off == off, off = _slot_offset(m, nb),
+since adding half a slot to each slot carries nothing into the next and
+leaves its top bit set exactly when its coefficient is >= 0.  The other
+slices are checked by min().
 
 A slice is packed when slots * (2 + nb/2) <= |slice| * |p**e|: one nb-byte
 slot costs about as much as 2 + nb/2 dict-loop term products (a fit over
@@ -255,16 +263,12 @@ def lp_eval_univariate(p: Sequence, arg: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
-    """Substitute x_var -> p(x_other) / y and return the result with y in slot var.
-
-    p is the coefficient tuple of a univariate polynomial, low degree first,
-    with constant term 1 and a nonzero leading coefficient, as an exchange
-    polynomial has; anything else raises ValueError.  Each slice of f with
-    x_var-exponent e picks up p**e; negative e means an exact univariate
-    division, and a failed division raises NotLaurent naming x_var and e.
-    With plain int coefficients, a slice with e >= 0 is one big-int product
-    with the packed power (see the module docstring).
+def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
+    """Yield (e, lo, q, m, nb) per slice of f, e ascending: the terms with
+    x_var-exponent e times p**e, or divided by p**-e when e < 0.  q is an int
+    packed in m nb-byte slots, or a list (a division, zeros included), slot
+    or entry i the coefficient of x^(lo + i); or a dict {exponent: nonzero
+    coefficient} from the dict loop.  See lp_substitute_ratio for the errors.
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
@@ -280,8 +284,8 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
     deg = len(p) - 1
     p_pow = dense_powers(p)
 
-    all_int = all(type(c) is int for c in chain(p, f.terms.values()))
-    if all_int:
+    nb = None
+    if all(type(c) is int for c in chain(p, f.terms.values())):
         # |coefficient of slice_e * p**e| <= |slice_e|_1 * |p|_1**e, and p
         # itself goes into the same slots
         norm = sum(map(abs, p))
@@ -291,30 +295,69 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
         big_p = _pack(enumerate(p), deg + 1, nb)
         pw, pw_e = 1, 0  # pw == big_p ** pw_e
 
-    out: dict[tuple[int, int], object] = {}
     for e, sl in sorted(slices.items()):
         lo = min(sl)
         m = max(sl) - lo + 1
-        exps = count(lo)  # coeffs[i] is the coefficient of x^(lo + i)
         if e < 0:
             try:
                 if m - 1 < -e * deg:  # checked before p**-e is built
                     raise NotLaurent("slice shorter than the divisor")
-                coeffs = _uni_exact_div(sl, p_pow(-e))
+                q = _uni_exact_div(sl, p_pow(-e))
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
-        elif all_int and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
+        elif nb and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
             pw *= big_p ** (e - pw_e)
             pw_e = e
-            packed_sl = _pack(((i - lo, c) for i, c in sl.items()), m, nb)
-            coeffs = _unpack(packed_sl * pw, m + e * deg, nb)
+            q = _pack(((i - lo, c) for i, c in sl.items()), m, nb) * pw
+            m += e * deg
         else:
-            res = _uni_mul_sparse(sl, p_pow(e))
-            exps, coeffs = res.keys(), res.values()
+            q = _uni_mul_sparse(sl, p_pow(e))
+        yield e, lo, q, m, nb
+
+
+def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
+    """Substitute x_var -> p(x_other) / y and return the result in cluster
+    order: x_other in slot var, y in the other slot.
+
+    p is the coefficient tuple of a univariate polynomial, low degree first,
+    with constant term 1 and a nonzero leading coefficient, as an exchange
+    polynomial has; anything else raises ValueError.  Each slice of f with
+    x_var-exponent e picks up p**e; negative e means an exact univariate
+    division, and a failed division raises NotLaurent naming x_var and e.
+    With plain int coefficients, a slice with e >= 0 is one big-int product
+    with the packed power, whose sign lp_substitute_ratio_is_positive reads
+    from its slots' top bits (see the module docstring).
+    """
+    out: dict[tuple[int, int], object] = {}
+    for e, lo, q, m, nb in _substituted_slices(f, var, p):
+        if type(q) is dict:
+            exps, coeffs = q.keys(), q.values()
+        else:
+            exps, coeffs = count(lo), _unpack(q, m, nb) if type(q) is int else q
         row = repeat(-e)
-        keys = zip(row, exps) if var == 1 else zip(exps, row)
+        keys = zip(exps, row) if var == 1 else zip(row, exps)
         out.update(compress(zip(keys, coeffs), coeffs))
     return LaurentPoly._wrap(out)
+
+
+def lp_substitute_ratio_is_positive(f: LaurentPoly, var: int, p: Sequence) -> bool:
+    """lp_is_positive(lp_substitute_ratio(f, var, p)), from the slices'
+    signs (see the module docstring); every division slice (e < 0, first)
+    is computed, so NotLaurent is raised as lp_substitute_ratio raises it.
+    Coefficients other than plain ints go through the built result."""
+    if not all(type(c) is int for c in chain(p, f.terms.values())):
+        return lp_is_positive(lp_substitute_ratio(f, var, p))
+    positive = bool(f.terms)
+    for e, _, q, m, nb in _substituted_slices(f, var, p):
+        if positive:
+            if type(q) is int:
+                off = _slot_offset(m, nb)
+                positive = (q + off) & off == off
+            else:
+                positive = min(q.values() if type(q) is dict else q) >= 0
+        elif e >= 0:
+            break
+    return positive
 
 
 def dense_powers(p: Sequence):
@@ -407,13 +450,10 @@ def lp_to_pointed(f: LaurentPoly) -> PointedForm:
 
 def lp_is_positive(f: LaurentPoly) -> bool:
     """True iff f is nonzero with all integer coefficients >= 0 (numeric mode)."""
-    positive = bool(f.terms)
-    for c in f.terms.values():
-        if isinstance(c, CoeffPoly):
-            raise SymbolicModeUnsupported("positivity is decided in numeric mode only")
-        if c < 0:
-            positive = False
-    return positive
+    try:
+        return bool(f.terms) and min(f.terms.values()) >= 0
+    except TypeError:  # CoeffPoly coefficients have no order
+        raise SymbolicModeUnsupported("positivity is decided in numeric mode only") from None
 
 
 # -- serialization and rendering ----------------------------------------------

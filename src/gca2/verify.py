@@ -16,7 +16,7 @@ from .cluster import AlgebraContext
 from .coeffring import CoeffPoly, CoefficientMode, GeneratorId
 from .dyckpath import DyckPath, Subpath
 from .greedy import greedy_combinatorial, greedy_recursive, reflect_params
-from .laurent import LaurentPoly, NotLaurent, lp_is_positive, lp_to_pointed
+from .laurent import LaurentPoly, NotLaurent, lp_to_pointed
 
 ALL_ONES = {(d1, d2): CoefficientMode.numeric((1,) * (d1 + 1), (1,) * (d2 + 1))
             for d1, d2 in ((1, 1), (2, 2), (2, 3), (3, 3), (1, 2), (0, 2), (3, 0))}
@@ -241,13 +241,9 @@ def positivity(*, modes, points, clusters):
     for mode in modes:
         ctx = AlgebraContext(mode)
         for a in points:
-            seen = []
-            for k, g in ctx.iter_cluster_expansions(ctx.greedy(*a), clusters[0], clusters[-1]):
-                if not lp_is_positive(g):
-                    return mode, a, k
-                seen.append(k)
-            if sorted(seen) != list(clusters):
-                return mode, a, seen
+            verdicts = ctx.positive_in_clusters(ctx.greedy(*a), clusters[0], clusters[-1])
+            if not all(verdicts.values()) or sorted(verdicts) != list(clusters):
+                return mode, a, verdicts
 
 
 M23, SYM23 = ALL_ONES[(2, 3)], CoefficientMode.symbolic(2, 3)

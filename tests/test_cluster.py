@@ -11,7 +11,7 @@ from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
 from gca2.compat import support_region
 from gca2.greedy import greedy_combinatorial, reflect_params
-from gca2.laurent import LaurentPoly, NotLaurent, lp_to_pointed
+from gca2.laurent import LaurentPoly, NotLaurent, lp_is_positive, lp_to_pointed
 
 
 def test_cluster_variable_golden(mode23):
@@ -248,6 +248,33 @@ def test_cluster_expansions_reach_any_range(mode23):
     assert sorted(ks) == list(range(-8, 10))
     with pytest.raises(ValueError):
         next(ctx.iter_cluster_expansions(LaurentPoly.var(1), 2, 1))
+
+
+def test_positive_in_clusters_matches_the_built_expansions(mode23):
+    # ranges that walk both ways, only up, only down, not at all, or only
+    # through clusters outside the range; greedy elements are positive, the
+    # differences of cluster variables are not
+    ctx = AlgebraContext(mode23)
+    x = ctx.cluster_variable
+    fs = (greedy_combinatorial(mode23, 2, 1), greedy_combinatorial(mode23, -1, 3),
+          x(3) - x(1), x(0) + x(4) - 2 * x(2), LaurentPoly.zero())
+    seen = set()
+    for f in fs:
+        for lo, hi in ((1, 1), (2, 4), (-3, 0), (0, 2), (-2, 4), (3, 3), (-1, -1)):
+            want = {k: lp_is_positive(g) for k, g in ctx.iter_cluster_expansions(f, lo, hi)}
+            assert ctx.positive_in_clusters(f, lo, hi) == want, (f, lo, hi)
+            seen.update(want.values())
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        ctx.positive_in_clusters(x(1), 2, 1)
+    # a NotLaurent step raises the same message, built or decided
+    f = LaurentPoly({(1, 0): 1, (-1, 0): 1})  # x1 + x1^-1 is not Laurent in cluster 2
+    for lo, hi in ((1, 2), (1, 3), (-1, 2)):
+        with pytest.raises(NotLaurent) as built:
+            dict(ctx.iter_cluster_expansions(f, lo, hi))
+        with pytest.raises(NotLaurent, match="cluster step 1 -> 2") as decided:
+            ctx.positive_in_clusters(f, lo, hi)
+        assert str(decided.value) == str(built.value)
 
 
 def test_expand_in_cluster_is_consistent_with_variables(mode23):

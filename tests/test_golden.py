@@ -11,8 +11,11 @@ division round trip [300 cases]`, when `CoeffPoly` division was deleted:
 every exchange polynomial has constant term 1, so nothing divides one
 coefficient by another.  The two `pairs_num10_1_3_1` cases (d1 = 10, so
 S1 values and m1 reach two digits) were captured before `pairs` rendered
-its blocks by a prefix-sharing walk.  `expand` cases read their input from
-`golden/` by a relative path.
+its blocks by a prefix-sharing walk.  The eight `greedy_*_clusters_<lo>_<hi>`
+cases (ranges that walk both ways, only up, only down or not at all) were
+captured before the positivity probe decided its outermost clusters without
+building their expansions.  `expand` cases read their input from `golden/`
+by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
 output format justifies rewriting it, with

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -50,6 +51,23 @@ def test_greedy_combinatorial_is_the_sum_over_compatible_pairs():
                     w = w * CoeffPoly.vrho(t, d2)
                 want = want + LaurentPoly.monomial(sum(s2) - a1, sum(s1) - a2, w)
             assert greedy_combinatorial(mode, a1, a2) == want, (d1, d2, a1, a2)
+
+
+def test_non_monic_border_values_weigh_their_coefficient():
+    # P = (1, 2) has top coefficient 2: an edge of value 1 weighs 2 wherever
+    # it sits, free, outer or in the remote shadow, so the sum matches the
+    # definition whichever family is the outer one
+    for mode in (CoefficientMode(1, 1, (1, 2), (1, 1)), CoefficientMode(1, 1, (1, 1), (1, 2))):
+        p1, p2 = mode.polys
+        for a1, a2 in ((0, 1), (1, 0), (1, 1)):
+            want = {}
+            for s1, s2 in enumerate_bruteforce(a1, a2, 1, 1):
+                e = (sum(s2) - a1, sum(s1) - a2)
+                w = prod(p1[t] for t in s1) * prod(p2[t] for t in s2)
+                want[e] = want.get(e, 0) + w
+            assert greedy_combinatorial(mode, a1, a2).terms == want, (mode, a1, a2)
+    assert pair_weight(CoefficientMode(1, 1, (1, 2), (1, 1)), (1,), ()) == 2
+    assert pair_weight(CoefficientMode(1, 1, (1, 1), (1, 2)), (1,), (1,)) == 2
 
 
 def test_greedy_recursive_examples(mode23):

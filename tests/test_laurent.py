@@ -254,12 +254,12 @@ def test_eval_univariate():
 
 
 def test_substitute_ratio_examples():
-    # x1 -> (1+x2+x2^2)/y
+    # x1 -> (1+x2+x2^2)/y, in cluster order: x2 in slot 1, y in slot 2
     got = lp_substitute_ratio(X1, 1, (1, 1, 1))
-    assert got == LaurentPoly({(-1, 0): 1, (-1, 1): 1, (-1, 2): 1})
-    # the generalized variable maps back to the old one
+    assert got == LaurentPoly({(0, -1): 1, (1, -1): 1, (2, -1): 1})
+    # the generalized variable maps back to the old one, now in slot 2
     x3 = LaurentPoly({(-1, 0): 1, (-1, 1): 1, (-1, 2): 1})
-    assert lp_substitute_ratio(x3, 1, (1, 1, 1)) == X1
+    assert lp_substitute_ratio(x3, 1, (1, 1, 1)) == X2
     # a genuine denominator is detected
     with pytest.raises(NotLaurent):
         lp_substitute_ratio(X1 + LaurentPoly.monomial(-1, 0), 1, (1, 1))
@@ -274,7 +274,8 @@ def test_substitute_ratio_double_inverts_cluster_variables(mode23):
     p = mode23.polys[0]
     for k in range(1, 6):
         f = ctx.cluster_variable(k)
-        assert lp_substitute_ratio(lp_substitute_ratio(f, 1, p), 1, p) == f
+        # the first call leaves x2 in slot 1 and the new variable in slot 2
+        assert lp_substitute_ratio(lp_substitute_ratio(f, 1, p), 2, p) == f
 
 
 @pytest.fixture
@@ -304,9 +305,12 @@ def assert_substitution(f, var, p, got):
     """got == f(x_var -> p(x_other) / y), row by row with conftest.pmul and
     ppow only.
 
-    Row -e of got must be slice_e * num**e for e >= 0, num = p(x_other); for
-    e < 0 it must give slice_e back when multiplied by num**-e.
+    got is in cluster order, x_other in slot var and y in the other slot, so
+    swapped back y sits in slot var.  Row -e of that must be slice_e *
+    num**e for e >= 0, num = p(x_other); for e < 0 it must give slice_e back
+    when multiplied by num**-e.
     """
+    got = got.swap_vars()
     num = LaurentPoly(in_var(var, dict(enumerate(p))))
     sel = var - 1
     f_rows, got_rows = rows(f.terms, sel), rows(got.terms, sel)
@@ -373,7 +377,7 @@ def test_substitute_ratio_packed_cancellation(slice_paths):
         f = sliced(var, {12: ppow(minus, 12), -2: pmul(minus, ppow(plus, 2))})
         got = lp_substitute_ratio(f, var, (1, 1))
         assert_substitution(f, var, (1, 1), got)
-        assert len(rows(got.terms, var - 1)[-12]) == 13  # x^0, x^2, ..., x^24
+        assert len(rows(got.terms, 2 - var)[-12]) == 13  # x^0, x^2, ..., x^24
         assert all(c for c in got.terms.values())
     assert slice_paths == [True, True]
 
@@ -396,7 +400,7 @@ def test_substitute_ratio_tight_slot_bound(slice_paths):
             f = sliced(1, {e: in_var(1, sl)})
             got = lp_substitute_ratio(f, 1, p)
             assert_substitution(f, 1, p, got)
-            assert got.terms[(-e, 9 + 2 * e)] == sign * m * 2 ** (k * e)
+            assert got.terms[(9 + 2 * e, -e)] == sign * m * 2 ** (k * e)
             assert max(abs(c) for c in got.terms.values()).bit_length() == bits
     assert slice_paths == [True] * 12
 
@@ -446,7 +450,78 @@ def test_substitute_ratio_exponents_beyond_the_recursion_limit():
     with pytest.raises(NotLaurent, match="slice e=-1100"):
         lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, (1, 1))
     got = lp_substitute_ratio(LaurentPoly.monomial(0, 1100), 2, (1, 1))
-    assert got.terms == {(j, -1100): comb(1100, j) for j in range(1101)}
+    assert got.terms == {(-1100, j): comb(1100, j) for j in range(1101)}
+
+
+def verdict_or_error(fn, *args):
+    """fn(*args), or the type and message of the NotLaurent it raises."""
+    try:
+        return fn(*args)
+    except NotLaurent as exc:
+        return NotLaurent, str(exc)
+
+
+def random_verdict_case(rng):
+    """(f, var, p): p of degree 1-4 and f with up to three slices at e in
+    [-2, 3], each all-nonnegative or signed, coefficients up to 10**30.  A
+    slice with e < 0 is a multiple of p(x_other)**-e two times in three, and
+    one in four slices is spread out with gaps of 40, so all three slice
+    paths (packed, dict loop, division) and NotLaurent are reached."""
+    top = rng.choice((2, 10 ** 3, 10 ** 30))
+    var, deg = rng.choice((1, 2)), rng.randint(1, 4)
+    low = -top if rng.random() < 0.5 else 0
+    p = (1, *(rng.randint(low, top) for _ in range(deg - 1)), rng.randint(1, top))
+    num = LaurentPoly(in_var(var, dict(enumerate(p)))).terms
+    low = -top if rng.random() < 0.4 else 0
+    slices = {}
+    for e in rng.sample(range(-2, 4), rng.randint(0, 3)):
+        gap = 40 if rng.random() < 0.25 else 1
+        lo = rng.randint(-3, 3)
+        q = in_var(var, {lo + gap * i: rng.randint(low, top) or 1
+                         for i in range(rng.randint(1, 5))})
+        slices[e] = pmul(q, ppow(num, -e)) if e < 0 and rng.random() < 2 / 3 else q
+    return sliced(var, slices), var, p
+
+
+def test_substitute_ratio_verdict_matches_the_built_result(monkeypatch):
+    # the verdict must equal lp_is_positive of the built result, NotLaurent
+    # message included; the spy and the counts show that every slice form
+    # and every outcome is reached
+    forms = set()
+    real = laurent._substituted_slices
+
+    def spy(f, var, p):
+        for item in real(f, var, p):
+            forms.add(type(item[2]))
+            yield item
+
+    monkeypatch.setattr(laurent, "_substituted_slices", spy)
+    rng = random.Random(2020)
+    outcomes = {True: 0, False: 0, NotLaurent: 0}
+    for _ in range(20_000):
+        f, var, p = random_verdict_case(rng)
+        want = verdict_or_error(lambda: lp_is_positive(lp_substitute_ratio(f, var, p)))
+        got = verdict_or_error(laurent.lp_substitute_ratio_is_positive, f, var, p)
+        assert got == want, (f, var, p)
+        outcomes[want if type(want) is bool else NotLaurent] += 1
+    assert forms == {int, list, dict}
+    assert min(outcomes.values()) > 1_000, outcomes
+
+
+def test_substitute_ratio_verdict_edge_cases():
+    is_positive = laurent.lp_substitute_ratio_is_positive
+    assert not is_positive(LaurentPoly.zero(), 1, (1, 1))  # zero is not positive
+    assert is_positive(X1, 1, (1, 1)) and not is_positive(-X1, 2, (1, 1))
+    for var, p in ((3, (1, 1)), (1, ()), (1, (2, 1)), (2, (1, 1, 0))):
+        with pytest.raises(ValueError):
+            is_positive(X1, var, p)
+    with pytest.raises(NotLaurent, match="substituting x1, slice e=-1100: slice shorter"):
+        is_positive(LaurentPoly.monomial(-1100, 0), 1, (1, 1))
+    # CoeffPoly coefficients: decided on the built result, as lp_is_positive does
+    sym = (1, CoeffPoly.rho(1, 3), 1)
+    with pytest.raises(SymbolicModeUnsupported):
+        is_positive(X1, 1, sym)
+    assert is_positive(X2, 1, sym) and not is_positive(LaurentPoly.zero(), 1, sym)
 
 
 def test_to_pointed_examples():

@@ -35,11 +35,15 @@ def test_tracer_counts_every_layer_and_uninstalls(capsys):
                    for name, value in attrs.items() if vars(owner).get(name) is not value}
         for argv in (["--p1", "1,2,1", "--p2", "1,1,1,1", "var", "6"],
                      ["--d1", "2", "--d2", "3", "var", "5"],
-                     ["--p1", "1,1,1", "--p2", "1,1,1,1", "greedy", "3", "2",
-                      "--method", "recursive", "--clusters=-1..2"],
                      # the exact_div calls: var walks clusters without dividing
                      ["--d1", "2", "--d2", "3", "verify", "laurent"]):
             assert cli.main(argv) == 0, argv
+        # the probe decides the outermost cluster of each direction without
+        # lp_substitute_ratio, but the inner step 1 -> 0 still goes through it
+        before_probe = tracer.calls.get("laurent.subst", 0)
+        assert cli.main(["--p1", "1,1,1", "--p2", "1,1,1,1", "greedy", "3", "2",
+                         "--method", "recursive", "--clusters=-1..2"]) == 0
+        assert tracer.calls.get("laurent.subst", 0) - before_probe == 1
         before_pairs = tracer.calls.get("compat.structure", 0)
         assert cli.main(["--d1", "2", "--d2", "3", "pairs", "4", "2"]) == 0
         # the streamed pairs still ask for one structure per S2: (d2 + 1) ** a2
