@@ -29,6 +29,16 @@ horizontal edge adds its value and a vertical edge subtracts 1, so a walk
 from S1(h) > 0 can only reach 0 inside a run of vertical edges, and does so
 in a run of r of them iff f <= r at its start.
 
+The backward walk of f_{S2}(e v) from v, which finds the local shadow of v
+and the VGC witnesses, is the mirror image: f > 0 reaches 0 inside a run
+of r horizontal edges iff f <= r at the run's start, and at its f-th edge.
+So it is read one run at a time, from tables that depend on the path alone
+(_walks): per v_k the walk's runs, the local-shadow mask for each first-zero
+distance and the remote-shadow cut for each value of S2(v_k); per h_j the
+edges after it.  They are kept on the path, built on its first use; as
+DyckPath.build makes a new path on every call, they last for one greedy
+element or one s2_structures loop.
+
 The horizontal side is the vertical side run on the transpose.  Reading
 D(a1, a2) backwards with East and North swapped gives D(a2, a1)
 (DyckPath.transpose): h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k},
@@ -168,40 +178,78 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 
 # -- local shadows and shadow reports ----------------------------------------
 
-def _shadow_masks(path: DyckPath, s2: Grading, fz2: list) -> tuple[int, int]:
-    """(shadow, remote) of S2 as bit masks, bit j standing for h_j.
+def _walks(path: DyckPath) -> tuple:
+    """(per_v, fwd, bits) of path, built on first use and kept on the path.
 
-    The shadow is the union of the local shadows, the h-edges on the minimal
-    paths e..v_k (all of them if there is none): each is one run of bits, or
-    two when it wraps.  The h-edges at positions p..q are ph[p]+1..ph[q+1].
-    The remote shadow drops the last S2(v_{ell+1}) h-edges of height
-    ell.  Those come just before v_{ell+1}, so they end at h_last with last =
-    ph[pos(v_{ell+1})] and start no earlier than the first of that height.
+    per_v[k-1] = (segs, masks, cuts) for v_k, with bit j standing for h_j:
+      segs   the backward walk from v_k over the whole loop, one (slot, run,
+             at) per vertical edge v_{slot+1} it meets, at distance at and
+             followed by run horizontal edges;
+      masks  the local shadow, the h-edges on the minimal path e..v_k, for
+             each first-zero distance t < n: one run of bits, or when the
+             path wraps the tail of the loop and its head; masks[n] is the
+             whole loop, the local shadow when there is no zero;
+      cuts   what S2(v_k) = c drops from the remote shadow: the last c
+             h-edges of height k-1, which end at h_last just before v_k and
+             start no earlier than the first of that height; c runs up to the
+             count of that height, beyond which the cut is the same.
+    The h-edges at positions p..q are prefix_h[p]+1..prefix_h[q+1].
+    fwd[j-1] lists the edges after h_j in forward order, v_k as k-1 and h_i
+    as -i, and bits pairs each j with its bit.
     """
-    a1, n, ph = path.a1, path.n, path.prefix_h
+    walks = getattr(path, "_walks", None)
+    if walks is not None:
+        return walks
+    a1, n, kinds, ph = path.a1, path.n, path.kinds, path.prefix_h
     whole = (2 << a1) - 2  # bits 1..a1
-    shadow = 0
-    for end, t in zip(path.pos_v, fz2):
-        if t is None:
-            shadow = whole
-            break
-        head = (2 << ph[end]) - 2  # bits 1..ph[end]
-        if t <= end:
-            shadow |= head & -(2 << ph[end - t])  # from bit ph[end - t] + 1 on
-        else:  # wraps: the tail of the loop, then its head
-            shadow |= head | whole & -(2 << ph[end - t + n])
-    remote, first = shadow, 1
-    for end, cut in zip(path.pos_v, s2):
-        last = ph[end]
-        if cut:
-            remote &= ~((2 << last) - (1 << max(first, last + 1 - cut)))
+    per_v, first = [], 1
+    for end in path.pos_v:
+        segs = []
+        for t in range(n):
+            p = end - t  # wraps by going negative, indexing from the end
+            if kinds[p] == VERTICAL:
+                segs.append([path.indices[p] - 1, 0, t])
+            else:
+                segs[-1][1] += 1
+        head, last = (2 << ph[end]) - 2, ph[end]  # head: bits 1..ph[end]
+        masks = [head & -(2 << ph[end - t]) if t <= end  # from bit ph[end - t] + 1
+                 else head | whole & -(2 << ph[end - t + n]) for t in range(n)]
+        cuts = tuple((2 << last) - (1 << max(first, last + 1 - c))
+                     for c in range(last - first + 2))
+        per_v.append((tuple(map(tuple, segs)), (*masks, whole), cuts))
         first = last + 1
-    return shadow, remote
+    fwd = tuple(tuple(path.indices[q] - 1 if kinds[q] == VERTICAL else -path.indices[q]
+                      for q in ((p + t) % n for t in range(1, n)))
+                for p in path.pos_h)
+    path._walks = walks = (tuple(per_v), fwd, tuple((j, 1 << j) for j in range(1, a1 + 1)))
+    return walks
 
 
-def _bits(mask: int, a1: int) -> list:
-    """Indices j in 1..a1 whose bit is set in mask, in increasing order."""
-    return [j for j in range(1, a1 + 1) if mask >> j & 1]
+def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
+    """(fz, shadow, remote) of S2 from the tables per_v of _walks.
+
+    fz[k-1] is the first-zero distance of the backward walk from v_k, n when
+    there is none; the shadow is the union of the local shadows and the
+    remote shadow is the shadow less the cuts.
+    """
+    fz, shadow, cut = [], 0, 0
+    for (segs, masks, cuts), val in zip(per_v, s2):
+        if not val:  # the zero is at v_k itself, a local shadow with no h-edge
+            fz.append(0)
+            continue
+        f = 0
+        for slot, run, at in segs:
+            f += s2[slot]
+            if f <= run:
+                t = at + f
+                break
+            f -= run
+        else:
+            t = n
+        fz.append(t)
+        shadow |= masks[t]
+        cut |= cuts[val] if val < len(cuts) else cuts[-1]
+    return fz, shadow, shadow & ~cut
 
 
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
@@ -221,11 +269,12 @@ def local_shadow_h(path: DyckPath, s1: Grading, j: int):
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
-    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
-    shadow, remote = (_bits(mask, path.a1) for mask in _shadow_masks(path, s2, fz2))
-    return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j in shadow),
-                        frozenset(EdgeRef(HORIZONTAL, j) for j in remote),
-                        _partition(path, remote, fz2))
+    per_v, _, bits = _walks(path)
+    fz, shadow, remote = _shadow(per_v, s2, path.n)
+    rsh = [j for j, bit in bits if remote & bit]
+    return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j, bit in bits if shadow & bit),
+                        frozenset(EdgeRef(HORIZONTAL, j) for j in rsh),
+                        _partition(path, rsh, fz))
 
 
 def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
@@ -241,21 +290,22 @@ def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
                         dict(blocks))
 
 
-def _partition(path, remote, fz2) -> dict:
+def _partition(path, remote, fz) -> dict:
     """Group the remote shadow of a vertical grading by (owner index, height).
 
-    remote is a list of h-edge indices and fz2[k-1] is _first_zero(path, s2,
-    VERTICAL, k).  h_j lies in the local shadow of v_k iff fz2[k-1] is None
-    or v_k is at most fz2[k-1] steps after h_j; its owner is the nearest such
-    v_k.  Blocks and their edges come in path order, which is index order.
+    remote is a sorted list of h-edge indices and fz[k-1] the first-zero
+    distance from v_k, n when there is none (_shadow).  h_j lies in the local
+    shadow of v_k iff v_k is at most fz[k-1] steps after h_j; its owner is the
+    nearest such v_k.  Blocks and their edges come in path order, which is
+    index order.
     """
     n = path.n
     blocks: dict = {}
-    for j in sorted(remote):
+    for j in remote:
         pe = path.pos_h[j - 1]
         _, owner = min(((pv - pe) % n, k)
-                       for k, (pv, t) in enumerate(zip(path.pos_v, fz2), start=1)
-                       if t is None or (pv - pe) % n <= t)
+                       for k, (pv, t) in enumerate(zip(path.pos_v, fz), start=1)
+                       if (pv - pe) % n <= t)
         blocks.setdefault((owner, path.height(j)), []).append(EdgeRef(HORIZONTAL, j))
     return {key: tuple(edges) for key, edges in blocks.items()}
 
@@ -336,20 +386,37 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     value assignments on rsh that complete to a compatible pair.  Edges in
     shadow minus remote shadow are forced to zero.
 
-    An assignment is valid iff every remote edge with a deadline (see the
-    module docstring) has value 0 or its walk reaches 0 before the deadline.
-    The walks are planned once per S2 by _walk_plans, in three steps:
-    deadline, since only the nearest unwitnessed support edge binds; first
-    zero versus any zero, since the first zero is before the deadline iff
-    some zero is; zeros only inside vertical runs, since f > 0 cannot fall
-    below 0 and reaches it in a run of r vertical edges iff f <= r there.
+    The shadow comes from the path's tables (_walks, see the module
+    docstring).  An assignment is valid iff every remote edge with a
+    deadline has value 0 or its walk reaches 0 before the deadline.  Each
+    such walk is planned once per S2 as steps (adds, run): add the values
+    of the slots in adds, then cross run vertical edges.  Only the nearest
+    unwitnessed support edge binds, the first zero is before it iff some
+    zero is, and f > 0 reaches 0 in a run of r vertical edges iff f <= r at
+    its start.  Horizontal edges outside the remote shadow add 0 and drop
+    out, and so does whatever follows the last vertical run.
     """
-    a1 = path.a1
-    fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
-    shadow, remote = _shadow_masks(path, s2, fz2)
-    rsh_idx = _bits(remote, a1)
-    free = _bits(~shadow, a1)
-    plans = _walk_plans(path, s2, fz2, rsh_idx)
+    per_v, fwd, bits = _walks(path)
+    fz, shadow, remote = _shadow(per_v, s2, path.n)
+    rsh_idx = [j for j, bit in bits if remote & bit]
+    free = [j for j, bit in bits if not shadow & bit]
+    slot_at = {-j: s for s, j in enumerate(rsh_idx)}
+    plans = []
+    for s, j in enumerate(rsh_idx):
+        steps, adds, run = [], [], 0
+        for t, e in enumerate(fwd[j - 1], 1):
+            if e >= 0:  # v_{e+1}, a deadline if in the support and unwitnessed
+                if s2[e] and t <= fz[e]:
+                    if run:
+                        steps.append((tuple(adds), run))
+                    plans.append((s, steps))
+                    break
+                run += 1
+            elif e in slot_at:
+                if run:
+                    steps.append((tuple(adds), run))
+                    adds, run = [], 0
+                adds.append(slot_at[e])
     valid = []
     for vals in product(range(d1 + 1), repeat=len(rsh_idx)):
         for s, steps in plans:
@@ -366,40 +433,6 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
         else:
             valid.append(vals)
     return free, rsh_idx, valid
-
-
-def _walk_plans(path: DyckPath, s2: Grading, fz2: list, rsh_idx: list) -> list:
-    """(s, steps) for each remote edge h_{rsh_idx[s]} that has a deadline.
-
-    The walk from the edge runs forward to its deadline: the first support
-    edge v_k at a distance t with no VGC witness, fz2[k-1] None or >= t.  It
-    is kept as steps (adds, run): add the values of the slots in adds, then
-    cross run vertical edges.  Horizontal edges outside the remote shadow
-    add 0 and drop out, and so does whatever follows the last vertical run.
-    """
-    n, kinds = path.n, path.kinds
-    slot_at = {path.pos_h[j - 1]: s for s, j in enumerate(rsh_idx)}
-    reach_at = {p: n if z is None else z  # farthest t at which v_k is a deadline
-                for p, z, val in zip(path.pos_v, fz2, s2) if val}
-    plans = []
-    for s, j in enumerate(rsh_idx):
-        ph = path.pos_h[j - 1]
-        steps, adds, run = [], [], 0
-        for t in range(1, n):
-            p = (ph + t) % n
-            if kinds[p] == VERTICAL:
-                if t <= reach_at.get(p, -1):
-                    if run:
-                        steps.append((tuple(adds), run))
-                    plans.append((s, steps))
-                    break
-                run += 1
-            elif p in slot_at:
-                if run:
-                    steps.append((tuple(adds), run))
-                    adds, run = [], 0
-                adds.append(slot_at[p])
-    return plans
 
 
 # compatible_structure_h calls the body by this name, so that a wrapper put on
@@ -422,7 +455,8 @@ def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
 
 def s2_structures(a1: int, a2: int, d1: int, d2: int):
     """Yield (S2, free, rsh, valid) of compatible_structure for every S2 on
-    D(a1, a2), S2 in product order."""
+    D(a1, a2), S2 in product order; one path serves them all, and its walk
+    tables with it."""
     path = DyckPath.build(a1, a2)
     for s2 in product(range(d2 + 1), repeat=a2):
         yield (s2, *compatible_structure(path, s2, d1))

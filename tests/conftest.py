@@ -33,8 +33,8 @@ def padd(*polys: dict) -> dict:
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
-            else:
-                del out[e]
+            else:  # the first contribution may itself be 0
+                out.pop(e, None)
     return out
 
 
@@ -46,8 +46,8 @@ def pmul(a: dict, b: dict) -> dict:
             s = out.get(e, 0) + ca * cb
             if s:
                 out[e] = s
-            else:
-                del out[e]
+            else:  # the first contribution may itself be 0
+                out.pop(e, None)
     return out
 
 

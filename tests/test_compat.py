@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -179,6 +180,26 @@ def all_pairs_structure(path, s2, d1, fz2, shadow, remote):
     return [j for j in range(1, path.a1 + 1) if j not in shadow], rsh, valid
 
 
+def deadline_walk(path, s2, fz2, remote, j):
+    """(wrapped, chained) of the forward walk from the remote edge h_j to its
+    deadline, or None when it has none: the nearest v_k in the support of S2
+    at a distance t with no VGC witness, fz2[k-1] None or >= t.  wrapped
+    when the deadline lies past the path's end; chained when a vertical edge
+    before the deadline comes after another remote edge, whose value the
+    walk then carries."""
+    n, ph = path.n, path.pos_h[j - 1]
+    seen_remote = chained = False
+    for t in range(1, n):
+        e = path.edge_at(ph + t)
+        if e.kind == "h":
+            seen_remote |= e.index in remote
+        elif s2[e.index - 1] and (fz2[e.index - 1] is None or fz2[e.index - 1] >= t):
+            return ph + t >= n, chained
+        else:
+            chained |= seen_remote
+    return None
+
+
 def test_compatible_structure_matches_all_pairs_check():
     # paths past criterion 10's max_a=4, each S2 with values up to the
     # largest d2 <= 3 that keeps (d2+1)^a2 <= 729; a1 = 0, a2 = 0 and d1 = 0
@@ -196,12 +217,32 @@ def test_compatible_structure_matches_all_pairs_check():
                     assert compatible_structure(path, s2, d1) == \
                         all_pairs_structure(path, s2, d1, fz2, shadow, remote), \
                         (a1, a2, s2, d1)
-                rsh = sorted(remote)
-                for s, steps in compat._walk_plans(path, s2, fz2, rsh):
-                    length = sum(len(adds) + run for adds, run in steps)
-                    wrapped += path.pos_h[rsh[s] - 1] + length >= path.n
-                    chained += any(adds for adds, _ in steps)
+                for j in remote:
+                    walk = deadline_walk(path, s2, fz2, remote, j)
+                    if walk:
+                        wrapped += walk[0]
+                        chained += walk[1]
     assert wrapped > 0 and chained > 0
+
+
+def test_compatible_structure_reuses_one_path():
+    # one path object serves S2 in shuffled order with interleaved d1, and
+    # its transpose serves compatible_structure_h in between: every answer
+    # equals the one from a fresh path.  a1 = 0, a2 = 0, and a2 > a1, where
+    # vertical runs are longer than one, are included.
+    rng = random.Random(5)
+    for a1, a2 in ((0, 3), (3, 0), (2, 5), (3, 6), (4, 4), (6, 3), (5, 2)):
+        path = DyckPath.build(a1, a2)
+        calls = [("v", s2, d1) for s2 in product(range(3), repeat=a2) for d1 in range(3)]
+        calls += [("h", s1, d2) for s1 in product(range(3), repeat=a1) for d2 in range(3)]
+        rng.shuffle(calls)
+        for kind, s, d in calls:
+            fresh = DyckPath.build(a1, a2)
+            if kind == "v":
+                got, want = (compatible_structure(p, s, d) for p in (path, fresh))
+            else:
+                got, want = (compatible_structure_h(p, s, d) for p in (path, fresh))
+            assert got == want, (a1, a2, kind, s, d)
 
 
 def test_local_shadow_examples():
@@ -233,16 +274,22 @@ def test_shadow_report_examples():
 
 
 def test_shadow_core_is_the_report_shadow():
-    # the bit masks behind compatible_structure and shadow_report_v hold
-    # exactly the union of the local subpaths' h-edges and its remote part
+    # the shadow that compatible_structure and shadow_report_v share holds
+    # exactly the union of the local subpaths' h-edges and its remote part.
+    # Its run-wise walks find the edge-by-edge walks' first zeros (n for
+    # none); a zero missed at the end of a run hides in the union, since
+    # the walk then goes on as if it started at the next vertical edge.
     for a1 in range(7):
         for a2 in range(7):
             path = DyckPath.build(a1, a2)
+            per_v = compat._walks(path)[0]
             for s2 in product(range(4), repeat=a2):
-                fz2 = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
-                masks = compat._shadow_masks(path, s2, fz2)
-                for mask, want in zip(masks, set_shadow(path, s2)):
-                    assert mask == sum(1 << j for j in want), (a1, a2, s2)
+                rep = shadow_report_v(path, s2)
+                got = [{e.index for e in edges} for edges in (rep.shadow, rep.remote_shadow)]
+                assert got == list(set_shadow(path, s2)), (a1, a2, s2)
+                fz = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
+                assert compat._shadow(per_v, s2, path.n)[0] == \
+                    [path.n if t is None else t for t in fz], (a1, a2, s2)
 
 
 def test_remote_shadow_partition_properties():

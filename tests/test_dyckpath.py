@@ -20,6 +20,13 @@ def test_build_degenerate():
         DyckPath.build(-1, 2)
 
 
+def test_build_returns_a_new_path_every_call():
+    # what a path keeps (its transpose, compat's walk tables) lasts as long
+    # as the caller's path and is never shared with a later build
+    assert DyckPath.build(5, 2) is not DyckPath.build(5, 2)
+    assert DyckPath.build(5, 2).transpose() is not DyckPath.build(5, 2).transpose()
+
+
 def test_closed_form_matches_staircase_oracle():
     assert verify.closed_form(max_a=30) is None
 

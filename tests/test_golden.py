@@ -14,7 +14,11 @@ S1 values and m1 reach two digits) were captured before `pairs` rendered
 its blocks by a prefix-sharing walk.  The eight `greedy_*_clusters_<lo>_<hi>`
 cases (ranges that walk both ways, only up, only down or not at all) were
 captured before the positivity probe decided its outermost clusters without
-building their expansions.  `expand` cases read their input from `golden/`
+building their expansions.  `pairs_sym23_2_4_text` (a2 > a1, so the backward
+walks wrap and cross runs of vertical edges) and `greedy_sym22_comb_4_4_json`
+(the diagonal path, where `greedy_combinatorial` keeps the vertical family
+outer because the transpose test is a strict `>`) were captured before
+`compatible_structure` read per-path walk tables.  `expand` cases read their input from `golden/`
 by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of

@@ -5,7 +5,7 @@ from math import comb, isqrt
 
 import pytest
 
-from conftest import expected_x3, pmul, ppow
+from conftest import expected_x3, padd, pmul, ppow
 from gca2 import laurent, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly
@@ -33,6 +33,13 @@ def rand_laurent(rng, symbolic=False, n=None, e1=(-4, 4), e2=(-4, 4), base=(0, 0
             c = rng.randint(-9, 9)
         terms[e] = c
     return LaurentPoly(terms)
+
+
+def test_oracle_toolkit_drops_zero_terms():
+    # a term whose first contribution is 0 is never stored, nor deleted
+    assert pmul({(0, 0): 1, (0, 1): 0}, {(0, 0): 1}) == {(0, 0): 1}
+    assert padd({(0, 0): 1, (0, 1): 0}) == {(0, 0): 1}
+    assert ppow({(0, 0): 1, (0, 1): 0, (0, 2): 1}, 2) == {(0, 0): 1, (0, 2): 2, (0, 4): 1}
 
 
 def test_ring_examples():
