@@ -14,7 +14,10 @@ coordinate of cluster k - 1 or k walked back to cluster 1; a step that
 leaves a denominator raises NotLaurent, so every computed variable is a
 runtime witness of the Laurent phenomenon.  The positivity probe takes the
 same walk, but only decides the outermost cluster of each direction, whose
-expansion holds most of the walk's terms (lp_substitute_ratio_is_positive).
+expansion holds most of the walk's terms (lp_substitute_ratio_is_positive):
+that step computes its divisions, and a product only for a slice with a
+negative coefficient or when P has one, so on a positive expansion in a
+numeric mode it packs and multiplies nothing.
 A context memoizes the variables; published entries are immutable, so
 concurrent readers are safe once a value is stored.
 """
@@ -135,7 +138,9 @@ class AlgebraContext:
     def positive_in_clusters(self, f: LaurentPoly, lo: int, hi: int) -> dict[int, bool]:
         """{k: lp_is_positive(expansion of f in cluster k)} for k in [lo, hi],
         by the walk of iter_cluster_expansions; the outermost cluster of each
-        direction is decided by lp_substitute_ratio_is_positive instead."""
+        direction is decided by lp_substitute_ratio_is_positive instead,
+        which builds no expansion and multiplies only slices that have a
+        negative coefficient (all of them when P has one)."""
         walk = self._range_walk(f, lo, hi, lp_substitute_ratio_is_positive)
         return {k: g if type(g) is bool else lp_is_positive(g) for k, g in walk}
 

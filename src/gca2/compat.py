@@ -296,17 +296,36 @@ def _partition(path, remote, fz) -> dict:
     remote is a sorted list of h-edge indices and fz[k-1] the first-zero
     distance from v_k, n when there is none (_shadow).  h_j lies in the local
     shadow of v_k iff v_k is at most fz[k-1] steps after h_j; its owner is the
-    nearest such v_k.  Blocks and their edges come in path order, which is
-    index order.
+    nearest such v_k.  One backward pass assigns the owners.  Number the
+    v-edges of two laps of the loop: u < a2 is v_{u+1}, and u >= a2 is
+    v_{u+1-a2} one lap on.  An h-edge of height i has i v-edges before it, so
+    the v-edges within one loop after h_j are those with height(j) <= u <
+    a2 + height(j).  The pass walks u down from a2 + height of the last
+    remote edge and puts each v-edge it passes on a stack as (first position
+    its local shadow reaches, k), so the top is the nearest.  An entry that
+    does not reach back to h_j reaches no earlier edge either, and is
+    dropped.  Blocks and their edges come in path order, which is index
+    order.
     """
-    n = path.n
+    if not remote:
+        return {}
+    n, pos_v = path.n, path.pos_v
+    a2 = len(pos_v)
+    u = a2 + path.height(remote[-1])
+    keys, stack = {}, []
+    for j in reversed(remote):
+        height = path.height(j)
+        while u > height:
+            u -= 1
+            k = u % a2
+            stack.append((pos_v[k] + n * (u >= a2) - fz[k], k + 1))
+        pe = path.pos_h[j - 1]
+        while stack[-1][0] > pe:
+            stack.pop()
+        keys[j] = stack[-1][1], height
     blocks: dict = {}
     for j in remote:
-        pe = path.pos_h[j - 1]
-        _, owner = min(((pv - pe) % n, k)
-                       for k, (pv, t) in enumerate(zip(path.pos_v, fz), start=1)
-                       if (pv - pe) % n <= t)
-        blocks.setdefault((owner, path.height(j)), []).append(EdgeRef(HORIZONTAL, j))
+        blocks.setdefault(keys[j], []).append(EdgeRef(HORIZONTAL, j))
     return {key: tuple(edges) for key, edges in blocks.items()}
 
 

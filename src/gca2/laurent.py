@@ -33,11 +33,18 @@ next.  _pack and _unpack shift signed coefficients by half a slot, an offset
 of repeated bytes, so every slot reads nonnegative with no division.
 
 lp_substitute_ratio_is_positive decides the sign of the substitution from
-the same slices and builds nothing: a packed product v of m slots has every
-coefficient >= 0 iff (v + off) & off == off, off = _slot_offset(m, nb),
-since adding half a slot to each slot carries nothing into the next and
-leaves its top bit set exactly when its coefficient is >= 0.  The other
-slices are checked by min().
+the same slices and builds no result.  When every coefficient of p is >= 0,
+as in every numeric mode, a slice with e >= 0 and no negative coefficient
+is decided by sign alone: its product with p**e is nonzero with no negative
+coefficient, and slices with different e fill disjoint rows.  Such slices
+are dropped before _substituted_slices sees f, so they are never
+multiplied, packed or counted in nb, and p is packed only when a slice
+needs it.  Every division slice is still computed, so NotLaurent is raised
+as lp_substitute_ratio raises it.  A packed product v of m slots has every coefficient >= 0 iff
+(v + off) & off == off, off = _slot_offset(m, nb), since adding half a
+slot to each slot carries nothing into the next and leaves its top bit set
+exactly when its coefficient is >= 0.  The other slices are checked by
+min().
 
 A slice is packed when slots * (2 + nb/2) <= |slice| * |p**e|: one nb-byte
 slot costs about as much as 2 + nb/2 dict-loop term products (a fit over
@@ -292,8 +299,7 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
         bound = max([norm] + [sum(map(abs, sl.values())) * norm ** e
                               for e, sl in slices.items() if e >= 0])
         nb = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
-        big_p = _pack(enumerate(p), deg + 1, nb)
-        pw, pw_e = 1, 0  # pw == big_p ** pw_e
+        big_p, pw, pw_e = 0, 1, 0  # p packed on first use; pw == big_p ** pw_e
 
     for e, sl in sorted(slices.items()):
         lo = min(sl)
@@ -306,8 +312,10 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
         elif nb and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
-            pw *= big_p ** (e - pw_e)
-            pw_e = e
+            if e != pw_e:
+                big_p = big_p or _pack(enumerate(p), deg + 1, nb)
+                pw *= big_p ** (e - pw_e)
+                pw_e = e
             q = _pack(((i - lo, c) for i, c in sl.items()), m, nb) * pw
             m += e * deg
         else:
@@ -342,12 +350,21 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
 
 def lp_substitute_ratio_is_positive(f: LaurentPoly, var: int, p: Sequence) -> bool:
     """lp_is_positive(lp_substitute_ratio(f, var, p)), from the slices'
-    signs (see the module docstring); every division slice (e < 0, first)
-    is computed, so NotLaurent is raised as lp_substitute_ratio raises it.
-    Coefficients other than plain ints go through the built result."""
+    signs (see the module docstring); with p >= 0 the slices with e >= 0 and
+    no negative coefficient are decided without a product.  Every division
+    slice (e < 0, first) is computed, so NotLaurent is raised as
+    lp_substitute_ratio raises it.  Coefficients other than plain ints go
+    through the built result."""
     if not all(type(c) is int for c in chain(p, f.terms.values())):
         return lp_is_positive(lp_substitute_ratio(f, var, p))
     positive = bool(f.terms)
+    if all(c >= 0 for c in p):
+        # a slice with e >= 0 and no negative coefficient times p**e is
+        # nonzero with no negative coefficient: only the others are built
+        sel = 0 if var == 1 else 1
+        signed = {k[sel] for k, c in f.terms.items() if c < 0}
+        f = LaurentPoly._wrap({k: c for k, c in f.terms.items()
+                               if k[sel] < 0 or k[sel] in signed})
     for e, _, q, m, nb in _substituted_slices(f, var, p):
         if positive:
             if type(q) is int:

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from conftest import ALL_ONES, chebyshev_u, expected_x3, expected_x4, expected_x5
-from gca2 import verify
+from gca2 import cluster, laurent, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
 from gca2.compat import support_region
@@ -275,6 +275,36 @@ def test_positive_in_clusters_matches_the_built_expansions(mode23):
         with pytest.raises(NotLaurent, match="cluster step 1 -> 2") as decided:
             ctx.positive_in_clusters(f, lo, hi)
         assert str(decided.value) == str(built.value)
+
+
+def test_positive_in_clusters_packs_nothing_in_the_outermost_steps(monkeypatch):
+    # the outermost step of each direction decides the nonnegative slices of
+    # a positive expansion by sign: no slice product is packed or multiplied
+    calls, outer = [], []
+
+    def spy(real):
+        def wrapped(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapped
+
+    for name in ("_pack", "_uni_mul_sparse"):
+        monkeypatch.setattr(laurent, name, spy(getattr(laurent, name)))
+    decide = cluster.lp_substitute_ratio_is_positive
+
+    def outermost(*args):
+        start = len(calls)
+        try:
+            return decide(*args)
+        finally:
+            outer.extend(calls[start:])
+
+    monkeypatch.setattr(cluster, "lp_substitute_ratio_is_positive", outermost)
+    mode = ALL_ONES[(3, 3)]
+    f = greedy_combinatorial(mode, 5, 4)
+    assert AlgebraContext(mode).positive_in_clusters(f, -2, 4) == dict.fromkeys(range(-2, 5), True)
+    assert outer == []
+    assert "_pack" in calls  # the spies see the inner steps' products
 
 
 def test_expand_in_cluster_is_consistent_with_variables(mode23):

@@ -288,8 +288,16 @@ def test_shadow_core_is_the_report_shadow():
                 got = [{e.index for e in edges} for edges in (rep.shadow, rep.remote_shadow)]
                 assert got == list(set_shadow(path, s2)), (a1, a2, s2)
                 fz = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
-                assert compat._shadow(per_v, s2, path.n)[0] == \
-                    [path.n if t is None else t for t in fz], (a1, a2, s2)
+                fz = [path.n if t is None else t for t in fz]
+                assert compat._shadow(per_v, s2, path.n)[0] == fz, (a1, a2, s2)
+                # each remote edge's block is owned by the nearest v_k after
+                # it whose local shadow reaches back to it
+                for (owner, height), edges in rep.rsh_partition.items():
+                    for e in edges:
+                        dist = [(pv - path.pos(e)) % path.n for pv in path.pos_v]
+                        assert owner == 1 + min((d, k) for k, d in enumerate(dist)
+                                                if d <= fz[k])[1], (a1, a2, s2, e)
+                        assert height == path.height(e.index)
 
 
 def test_remote_shadow_partition_properties():

@@ -529,6 +529,28 @@ def test_substitute_ratio_verdict_edge_cases():
     with pytest.raises(SymbolicModeUnsupported):
         is_positive(X1, 1, sym)
     assert is_positive(X2, 1, sym) and not is_positive(LaurentPoly.zero(), 1, sym)
+    for var in (1, 2):
+        cases = (  # (slices, p, verdict)
+            # a signed slice with a nonnegative product: (1 - x + x^2)(1 + x) = 1 + x^3
+            ({1: {0: 1, 1: -1, 2: 1}, 0: {0: 2}}, (1, 1), True),
+            # a signed slice that stays signed: (1 - x)(1 + x) = 1 - x^2
+            ({1: {0: 1, 1: -1}, 0: {0: 2}}, (1, 1), False),
+            # a nonnegative slice times a signed p: 1 * (1 - x + x^2)
+            ({1: {0: 1}, 2: {0: 1, 1: 3}}, (1, -1, 1), False),
+            ({1: {0: 1, 1: 1}}, (1, -1, 1), True),  # (1 + x)(1 - x + x^2) = 1 + x^3
+        )
+        for slices, p, verdict in cases:
+            f = sliced(var, {e: in_var(var, sl) for e, sl in slices.items()})
+            assert lp_is_positive(lp_substitute_ratio(f, var, p)) == verdict
+            assert is_positive(f, var, p) == verdict, (var, slices, p)
+        # nonnegative slices with e >= 0 around one e < 0 slice that does not
+        # divide: the verdict raises the built result's NotLaurent
+        f = sliced(var, {0: in_var(var, {0: 1}), -1: in_var(var, {0: 1, 1: 2}),
+                         3: in_var(var, {0: 4, 2: 1})})
+        want = verdict_or_error(lambda: lp_substitute_ratio(f, var, (1, 1)))
+        assert want == (NotLaurent, f"substituting x{var}, slice e=-1: "
+                                    "univariate division leaves a remainder")
+        assert verdict_or_error(is_positive, f, var, (1, 1)) == want
 
 
 def test_to_pointed_examples():
