@@ -95,7 +95,7 @@ def cmd_var(args, mode) -> int:
 def cmd_greedy(args, mode) -> int:
     if args.method == "recursive" and not mode.is_numeric:
         return _usage_error("--method recursive needs numeric mode")
-    if args.clusters:
+    if args.clusters is not None:
         if not mode.is_numeric:
             return _usage_error("--clusters positivity probe needs numeric mode")
         lo, hi = _parse_clusters(args.clusters)
@@ -104,7 +104,7 @@ def cmd_greedy(args, mode) -> int:
     else:
         f = greedy.greedy_combinatorial(mode, args.a1, args.a2)
     extra = {"point": [args.a1, args.a2], "method": args.method}
-    if args.clusters:
+    if args.clusters is not None:
         ctx = AlgebraContext(mode)
         verdicts = ctx.positive_in_clusters(f, lo, hi)
         extra["positive_in_clusters"] = {str(k): verdicts[k] for k in sorted(verdicts)}

@@ -1,4 +1,4 @@
-"""Cluster variables, standard monomials, reflections and cross-cluster expansion.
+"""Cluster variables, reflections and cross-cluster expansion.
 
 The cluster (x_k, x_{k+1}) is reached from its neighbours by the exchange
 relation
@@ -12,8 +12,9 @@ power, see laurent.lp_substitute_ratio), so a Laurent polynomial in
 slot 2, the order lp_substitute_ratio returns.  A cluster variable x_k is a
 coordinate of cluster k - 1 or k walked back to cluster 1; a step that
 leaves a denominator raises NotLaurent, so every computed variable is a
-runtime witness of the Laurent phenomenon.  The positivity probe takes the
-same walk, but only decides the outermost cluster of each direction, whose
+runtime witness of the Laurent phenomenon.  iter_cluster_expansions yields
+f in each cluster of a range, the range (k, k) for cluster k alone.  The
+positivity probe takes the same walk, but only decides the outermost cluster of each direction, whose
 expansion holds most of the walk's terms (lp_substitute_ratio_is_positive):
 that step computes its divisions, and a product only for a slice with a
 negative coefficient or when P has one, so on a positive expansion in a
@@ -58,15 +59,6 @@ class AlgebraContext:
                 pass
             memo[k] = f
         return memo[k]
-
-    def standard_monomial(self, k: int, a1: int, a2: int) -> LaurentPoly:
-        """x_{k-1}^[a2]+ * x_k^[-a1]+ * x_{k+1}^[-a2]+ * x_{k+2}^[a1]+."""
-        out = LaurentPoly.monomial(0, 0)
-        for kk, e in ((k - 1, max(a2, 0)), (k, max(-a1, 0)),
-                      (k + 1, max(-a2, 0)), (k + 2, max(a1, 0))):
-            if e:
-                out = out * self.cluster_variable(kk) ** e
-        return out
 
     def greedy_params_of_cluster_variable(self, k: int) -> tuple[int, int]:
         return self.greedy_params_of_cluster_monomial(k, -1, 0)
@@ -143,12 +135,6 @@ class AlgebraContext:
         negative coefficient (all of them when P has one)."""
         walk = self._range_walk(f, lo, hi, lp_substitute_ratio_is_positive)
         return {k: g if type(g) is bool else lp_is_positive(g) for k, g in walk}
-
-    def expand_in_cluster(self, f: LaurentPoly, k: int) -> LaurentPoly:
-        """f rewritten as a Laurent polynomial in (x_k, x_{k+1})."""
-        for _, f in self._walk(f, 1, k):
-            pass
-        return f
 
     # -- reflections ------------------------------------------------------------
 

@@ -42,10 +42,10 @@ element or one s2_structures loop.
 The horizontal side is the vertical side run on the transpose.  Reading
 D(a1, a2) backwards with East and North swapped gives D(a2, a1)
 (DyckPath.transpose): h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k},
-so HGC for S1 on the path is VGC for S1 reversed on the transpose.  Each
-_h routine calls its _v twin there and maps the answer back; a remote-shadow
-block key (k, ell) of the transpose becomes (a1+1-k, a1-ell), the owner h_j
-and the depth d of its edges.
+so HGC for S1 on the path is VGC for S1 reversed on the transpose.  The
+statistic, local shadows, shadow report and block sizes of S1 are those
+_v functions on the transpose, and only compatible_structure_h, which the
+greedy sum needs, maps an answer back.
 """
 
 from __future__ import annotations
@@ -84,22 +84,7 @@ Grading = tuple
 class ShadowReport:
     shadow: frozenset
     remote_shadow: frozenset
-    rsh_partition: dict      # (j, depth) or (k, height) -> tuple of EdgeRef
-
-
-# -- the transpose -------------------------------------------------------------
-
-def _tr(path: DyckPath, e: EdgeRef) -> EdgeRef:
-    """Image of the edge e of path on path.transpose()."""
-    if e.kind == HORIZONTAL:
-        return EdgeRef(VERTICAL, path.a1 + 1 - e.index)
-    return EdgeRef(HORIZONTAL, path.a2 + 1 - e.index)
-
-
-def _tr_sub(path: DyckPath, sub: Subpath) -> Subpath:
-    """Image of a subpath of path on path.transpose(): the ends swap."""
-    return Subpath(_tr(path, sub.end), _tr(path, sub.start),
-                   sub.include_end, sub.include_start)
+    rsh_partition: dict      # (k, height) -> tuple of EdgeRef
 
 
 # -- shadow statistics ------------------------------------------------------
@@ -113,11 +98,6 @@ def fstat_v(path: DyckPath, s2: Grading, sub: Subpath) -> int:
         else:
             total -= 1
     return total
-
-
-def fstat_h(path: DyckPath, s1: Grading, sub: Subpath) -> int:
-    """f_{S1}(sub) = sum of S1 over horizontal edges minus vertical count."""
-    return fstat_v(path.transpose(), s1[::-1], _tr_sub(path, sub))
 
 
 # -- first-zero walk (shared by compatibility and local shadows) -------------
@@ -261,13 +241,6 @@ def local_shadow_v(path: DyckPath, s2: Grading, k: int):
     return Subpath(path.edge_at(end - t), path.edge_at(end))
 
 
-def local_shadow_h(path: DyckPath, s1: Grading, j: int):
-    """Minimal path h_j..e with zero statistic, or WHOLE_LOOP."""
-    tp = path.transpose()
-    sub = local_shadow_v(tp, s1[::-1], path.a1 + 1 - j)
-    return sub if sub is WHOLE_LOOP else _tr_sub(tp, sub)
-
-
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     per_v, _, bits = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
@@ -275,19 +248,6 @@ def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j, bit in bits if shadow & bit),
                         frozenset(EdgeRef(HORIZONTAL, j) for j in rsh),
                         _partition(path, rsh, fz))
-
-
-def shadow_report_h(path: DyckPath, s1: Grading) -> ShadowReport:
-    """Report of S1 reversed on the transpose, mapped back; keys become (j, d)."""
-    tp = path.transpose()
-    rep = shadow_report_v(tp, s1[::-1])
-    a1 = path.a1
-    blocks = [((a1 + 1 - k, a1 - ell), tuple(_tr(tp, e) for e in reversed(edges)))
-              for (k, ell), edges in rep.rsh_partition.items()]
-    blocks.sort(key=lambda block: path.pos(block[1][0]))
-    return ShadowReport(frozenset(_tr(tp, e) for e in rep.shadow),
-                        frozenset(_tr(tp, e) for e in rep.remote_shadow),
-                        dict(blocks))
 
 
 def _partition(path, remote, fz) -> dict:
@@ -366,14 +326,6 @@ def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
     if not vals:
         raise CriterionFails(f"no vertical edges strictly between (k={k}, ell={ell})")
     return min(vals)
-
-
-def rsh_block_size_h(path: DyckPath, s1: Grading, j: int, d: int) -> int:
-    """|rsh(S1)_{j;d}| by the min-of-min formula; CriterionFails otherwise."""
-    try:
-        return rsh_block_size_v(path.transpose(), s1[::-1], path.a1 + 1 - j, path.a1 - d)
-    except CriterionFails as exc:
-        raise CriterionFails(f"(j={j}, d={d}) read on the transpose: {exc}") from None
 
 
 # -- enumeration --------------------------------------------------------------

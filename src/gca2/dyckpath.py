@@ -45,7 +45,7 @@ class DyckPath:
 
     # _walks holds compat's walk tables for this path, built on first use
     __slots__ = ("a1", "a2", "n", "kinds", "indices", "pos_h", "pos_v",
-                 "prefix_h", "prefix_v", "_transpose", "_h_by_height", "_walks")
+                 "prefix_h", "prefix_v", "_transpose", "_walks")
 
     def __init__(self, a1: int, a2: int):
         if a1 < 0 or a2 < 0:
@@ -93,21 +93,6 @@ class DyckPath:
             self._transpose = DyckPath(self.a2, self.a1)
         return self._transpose
 
-    def h_by_height(self) -> tuple[tuple[EdgeRef, ...], ...]:
-        """Entry i: the h-edges of height i (i < a2), in path order.
-
-        An h-edge of height i has exactly i v-edges before it, so entry i
-        comes before v_{i+1}.  Built once per path.
-        """
-        if getattr(self, "_h_by_height", None) is None:
-            groups: list[list[EdgeRef]] = [[] for _ in range(self.a2)]
-            for j in range(1, self.a1 + 1):
-                i = self.height(j)
-                if i < self.a2:
-                    groups[i].append(EdgeRef(HORIZONTAL, j))
-            self._h_by_height = tuple(map(tuple, groups))
-        return self._h_by_height
-
     # -- edge geometry -------------------------------------------------
 
     def height(self, j: int) -> int:
@@ -121,18 +106,6 @@ class DyckPath:
         if not 1 <= j <= self.a2:
             raise IndexOutOfRange(f"v_{j} on a path with a2={self.a2}")
         return -(-j * self.a1 // self.a2)
-
-    def vertical_distance(self, i: int, j: int) -> int:
-        """|(h_i h_j)_2| for 1 <= i <= j <= a1."""
-        if not 1 <= i <= j <= self.a1:
-            raise IndexOutOfRange(f"h_{i}..h_{j} on a path with a1={self.a1}")
-        return self.height(j) - self.height(i)
-
-    def horizontal_distance(self, i: int, j: int) -> int:
-        """|(v_i v_j)_1| for 1 <= i <= j <= a2."""
-        if not 1 <= i <= j <= self.a2:
-            raise IndexOutOfRange(f"v_{i}..v_{j} on a path with a2={self.a2}")
-        return self.depth(j) - self.depth(i)
 
     # -- edges and positions --------------------------------------------
 
@@ -155,9 +128,6 @@ class DyckPath:
     def edge_at(self, p: int) -> EdgeRef:
         p %= self.n
         return EdgeRef(self.kinds[p], self.indices[p])
-
-    def edges(self) -> tuple[EdgeRef, ...]:
-        return tuple(self.edge_at(p) for p in range(self.n))
 
     # -- subpaths ---------------------------------------------------------
 
@@ -207,22 +177,6 @@ class DyckPath:
         """The whole loop starting at start and ending just before it."""
         p = self.pos(start)
         return Subpath(start, self.edge_at((p - 1) % self.n))
-
-    # -- debug rendering (non-contractual) ---------------------------------
-
-    def ascii(self) -> str:
-        if self.n == 0:
-            return "."
-        rows = [[" "] * (2 * self.a1 + 1) for _ in range(self.a2 + 1)]
-        x = y = 0
-        for p in range(self.n):
-            if self.kinds[p] == HORIZONTAL:
-                rows[y][2 * x + 1] = "_"
-                x += 1
-            else:
-                y += 1
-                rows[y][2 * x] = "|"
-        return "\n".join("".join(r) for r in reversed(rows))
 
     def __repr__(self) -> str:
         return f"DyckPath({self.a1},{self.a2})"

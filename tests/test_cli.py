@@ -294,6 +294,16 @@ def test_greedy_checks_clusters_before_building(monkeypatch):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_greedy_refuses_an_empty_clusters_value():
+    # an empty --clusters= is a malformed range, not an absent one; in
+    # symbolic mode the numeric-mode refusal comes first
+    for argv, msg in (([*NUMERIC, "greedy", "1", "1", "--clusters="],
+                       "--clusters expects LO..HI"),
+                      (["--d1", "2", "--d2", "3", "greedy", "1", "1", "--clusters="],
+                       "--clusters positivity probe needs numeric mode")):
+        assert run_cli(argv) == (2, "", f"error: {msg}\n"), argv
+
+
 def test_byte_identical_across_runs():
     # separate interpreters, so each run has its own hash seed
     base = run_interpreter([*NUMERIC, "--format", "json", "var", "5"])

@@ -85,24 +85,6 @@ def test_laurent_contract_all_systems():
     assert verify.laurent_phenomenon(systems=systems) is None
 
 
-def test_standard_monomial_examples(mode23):
-    ctx = AlgebraContext(mode23)
-    assert ctx.standard_monomial(1, -1, -2) == LaurentPoly.monomial(1, 2)
-    want = ctx.cluster_variable(0) * ctx.cluster_variable(3)
-    assert ctx.standard_monomial(1, 1, 1) == want
-    assert ctx.standard_monomial(1, 0, 0) == LaurentPoly.monomial(0, 0)
-    assert ctx.standard_monomial(2, -2, 1) == \
-        ctx.cluster_variable(1) * ctx.cluster_variable(2) ** 2
-
-
-def test_standard_monomial_is_pointed(mode23):
-    ctx = AlgebraContext(mode23)
-    for a1 in range(-2, 3):
-        for a2 in range(-2, 3):
-            pf = lp_to_pointed(ctx.standard_monomial(1, a1, a2))
-            assert pf.point == (a1, a2), (a1, a2)
-
-
 def test_chebyshev_values(mode23):
     u = partial(chebyshev_u, mode23.d1, mode23.d2)
     for j in range(-3, 4):
@@ -236,10 +218,10 @@ def test_factorization_of_cluster_monomials(mode23):
 def test_expand_in_cluster_examples(mode23):
     ctx = AlgebraContext(mode23)
     x3 = ctx.cluster_variable(3)
-    assert ctx.expand_in_cluster(x3, 2) == LaurentPoly.monomial(0, 1)
-    got = ctx.expand_in_cluster(LaurentPoly.var(1), 2)
-    assert got == LaurentPoly({(0, -1): 1, (1, -1): 1, (2, -1): 1})
-    assert ctx.expand_in_cluster(x3, 1) == x3
+    assert dict(ctx.iter_cluster_expansions(x3, 2, 2)) == {2: LaurentPoly.monomial(0, 1)}
+    got = dict(ctx.iter_cluster_expansions(LaurentPoly.var(1), 2, 2))
+    assert got == {2: LaurentPoly({(0, -1): 1, (1, -1): 1, (2, -1): 1})}
+    assert dict(ctx.iter_cluster_expansions(x3, 1, 1)) == {1: x3}
 
 
 def test_cluster_expansions_reach_any_range(mode23):
@@ -311,10 +293,10 @@ def test_expand_in_cluster_is_consistent_with_variables(mode23):
     # x_m expanded in cluster k is a monomial when m is k or k+1
     ctx = AlgebraContext(mode23)
     for k in range(-2, 4):
-        assert ctx.expand_in_cluster(ctx.cluster_variable(k), k) == \
-            LaurentPoly.monomial(1, 0)
-        assert ctx.expand_in_cluster(ctx.cluster_variable(k + 1), k) == \
-            LaurentPoly.monomial(0, 1)
+        assert dict(ctx.iter_cluster_expansions(ctx.cluster_variable(k), k, k)) == \
+            {k: LaurentPoly.monomial(1, 0)}
+        assert dict(ctx.iter_cluster_expansions(ctx.cluster_variable(k + 1), k, k)) == \
+            {k: LaurentPoly.monomial(0, 1)}
 
 
 def test_not_laurent_names_the_failing_step(mode23):
@@ -323,12 +305,12 @@ def test_not_laurent_names_the_failing_step(mode23):
     # x1^-1 = x3 / P(x2) is not Laurent in (x2, x3)
     step = "cluster step 1 -> 2: substituting x1, slice e=-1"
     with pytest.raises(NotLaurent, match=step):
-        ctx.expand_in_cluster(f, 2)
-    assert ctx.expand_in_cluster(f, 0) == LaurentPoly({(0, 1): 1, (0, -1): 1})
+        dict(ctx.iter_cluster_expansions(f, 2, 2))
+    assert dict(ctx.iter_cluster_expansions(f, 0, 0)) == {0: LaurentPoly({(0, 1): 1, (0, -1): 1})}
     g = LaurentPoly({(0, 1): 1, (0, -1): 1})  # x2 + x2^-1
     step = "cluster step 1 -> 0: substituting x2, slice e=-1"
     with pytest.raises(NotLaurent, match=step):
-        ctx.expand_in_cluster(g, -1)
+        dict(ctx.iter_cluster_expansions(g, -1, -1))
     with pytest.raises(NotLaurent, match="reflection p=2: substituting x1, slice e=-1"):
         ctx.apply_reflection(LaurentPoly.monomial(-1, 0), 2)
     with pytest.raises(NotLaurent, match="reflection p=1: substituting x2, slice e=-2"):

@@ -8,14 +8,17 @@ from gca2.coeffring import CoefficientMode
 from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
                          RTooSmall, compatible_structure,
                          compatible_structure_h, enumerate_bruteforce,
-                         enumerate_fast, fstat_h, fstat_v, is_compatible,
-                         local_shadow_h, local_shadow_v, omega,
-                         phi_pullback, rsh_block_size_h, shadow_report_h,
+                         enumerate_fast, fstat_v, is_compatible, local_shadow_v,
+                         omega, phi_pullback, rsh_block_size_v,
                          shadow_report_v, support_region)
 from gca2.dyckpath import DyckPath, EdgeRef, Subpath
 from gca2.greedy import greedy_recursive
 
 D52 = DyckPath.build(5, 2)
+# D(2,5): D(5,2) read backwards with East and North swapped, h_j becoming
+# v_{6-j} and v_k becoming h_{3-k}.  A statement about S1 on D(5,2) is one
+# about S1 reversed, as S2, on T52, and the paper's S1 examples live here.
+T52 = D52.transpose()
 
 
 def brute_compatible(path, s1, s2):
@@ -52,25 +55,22 @@ def brute_compatible(path, s1, s2):
 
 
 def test_fstat_examples():
-    s1 = (2, 1, 0, 0, 0)
-    assert fstat_h(D52, s1, Subpath(D52.h(1), D52.h(2))) == 3
-    assert fstat_h(D52, (0,) * 5, D52.full_loop(D52.h(1))) == -2
+    # S1 = (2, 1, 0, 0, 0) on h_1 h_2 of D(5,2)
+    assert fstat_v(T52, (0, 0, 0, 1, 2), Subpath(T52.v(4), T52.v(5))) == 3
+    assert fstat_v(T52, (0,) * 5, T52.full_loop(T52.h(1))) == -2
     assert fstat_v(D52, (0, 0), Subpath(D52.v(1), D52.v(2))) == -2
-    # any full loop with |S1| = a2 scores zero
-    assert fstat_h(D52, (1, 1, 0, 0, 0), D52.full_loop(D52.h(3))) == 0
+    # any full loop with |S1| = a2 scores zero: S1 = (1, 1, 0, 0, 0) from h_3
+    assert fstat_v(T52, (0, 0, 0, 1, 1), T52.full_loop(T52.v(4))) == 0
 
 
 def test_fstat_additive_under_concatenation():
-    s1 = (2, 0, 1, 0, 2)
-    s2 = (3, 1)
-    for cut in range(1, D52.n):
-        left = Subpath(D52.edge_at(0), D52.edge_at(cut - 1))
-        right = Subpath(D52.edge_at(cut), D52.edge_at(D52.n - 1))
-        whole = Subpath(D52.edge_at(0), D52.edge_at(D52.n - 1))
-        assert fstat_h(D52, s1, left) + fstat_h(D52, s1, right) == \
-            fstat_h(D52, s1, whole)
-        assert fstat_v(D52, s2, left) + fstat_v(D52, s2, right) == \
-            fstat_v(D52, s2, whole)
+    for path, s in ((D52, (3, 1)), (T52, (2, 0, 1, 0, 2))):
+        for cut in range(1, path.n):
+            left = Subpath(path.edge_at(0), path.edge_at(cut - 1))
+            right = Subpath(path.edge_at(cut), path.edge_at(path.n - 1))
+            whole = Subpath(path.edge_at(0), path.edge_at(path.n - 1))
+            assert fstat_v(path, s, left) + fstat_v(path, s, right) == \
+                fstat_v(path, s, whole)
 
 
 def test_is_compatible_examples():
@@ -149,17 +149,18 @@ def test_compatible_structure_matches_definition_oracle():
 
 def set_shadow(path, s2):
     """(shadow, remote) of S2 as sets: the union of the h-edges of the local
-    subpaths of local_shadow_v, and that union less the last S2(v_{ell+1})
-    h-edges of height ell."""
+    subpaths of local_shadow_v, and that union less the last S2(v_k) h-edges
+    of height k-1, those with k-1 v-edges before them."""
     shadow = set()
     for k in range(1, path.a2 + 1):
         sub = local_shadow_v(path, s2, k)
         shadow.update(range(1, path.a1 + 1) if sub is WHOLE_LOOP else
                       [e.index for e in path.subpath_edges(sub) if e.kind == "h"])
     remote = set(shadow)
-    for ell, before in enumerate(path.h_by_height()):
-        if s2[ell]:
-            remote.difference_update(e.index for e in before[-s2[ell]:])
+    for k, val in enumerate(s2, 1):
+        if val:
+            level = [j for j, p in enumerate(path.pos_h, 1) if path.prefix_v[p] == k - 1]
+            remote.difference_update(level[-val:])
     return shadow, remote
 
 
@@ -246,22 +247,25 @@ def test_compatible_structure_reuses_one_path():
 
 
 def test_local_shadow_examples():
-    assert local_shadow_h(D52, (2, 1, 0, 0, 0), 1) is WHOLE_LOOP
-    sub = local_shadow_h(D52, (0, 1, 0, 0, 0), 2)
-    # S1(h) = 0 gives the single-edge path hh
-    hh = local_shadow_h(D52, (0, 1, 0, 0, 0), 3)
-    assert hh == Subpath(D52.h(3), D52.h(3))
-    assert sub == Subpath(D52.h(2), D52.v(1))
+    # S1 = (2, 1, 0, 0, 0) at h_1 of D(5,2)
+    assert local_shadow_v(T52, (0, 0, 0, 1, 2), 5) is WHOLE_LOOP
+    # S1 = (0, 1, 0, 0, 0) at h_2, the path h_2..v_1 of D(5,2)
+    sub = local_shadow_v(T52, (0, 0, 0, 1, 0), 4)
+    # S(e) = 0 gives the single-edge path ee: S1 = (0, 1, 0, 0, 0) at h_3
+    ee = local_shadow_v(T52, (0, 0, 0, 1, 0), 3)
+    assert ee == Subpath(T52.v(3), T52.v(3))
+    assert sub == Subpath(T52.h(2), T52.v(4))
     got = local_shadow_v(D52, (1, 0), 1)
     assert got == Subpath(D52.h(3), D52.v(1))
 
 
 def test_shadow_report_examples():
-    rep = shadow_report_h(D52, (0,) * 5)
+    rep = shadow_report_v(T52, (0,) * 5)
     assert rep.shadow == frozenset() and rep.remote_shadow == frozenset()
 
-    rep = shadow_report_h(D52, (2, 1, 0, 0, 0))
-    assert rep.shadow == frozenset({EdgeRef("v", 1), EdgeRef("v", 2)})
+    # S1 = (2, 1, 0, 0, 0) on D(5,2) shadows v_1 and v_2 there
+    rep = shadow_report_v(T52, (0, 0, 0, 1, 2))
+    assert rep.shadow == frozenset({EdgeRef("h", 2), EdgeRef("h", 1)})
     assert len(rep.shadow) == min(2, 3)
 
     rep = shadow_report_v(D52, (1, 0))
@@ -312,20 +316,22 @@ def test_remote_shadow_partition_properties():
         firsts = [path.pos(edges[0]) for edges in blocks]
         assert firsts == sorted(firsts)
 
+    # the grid is symmetric in (a1, a2), so it holds the S1 side: the reports
+    # of S1 reversed on the transposes
     for a1 in range(1, 5):
         for a2 in range(1, 5):
             path = DyckPath.build(a1, a2)
-            for s1 in product(range(3), repeat=a1):
-                check(path, shadow_report_h(path, s1))
             for s2 in product(range(3), repeat=a2):
                 check(path, shadow_report_v(path, s2))
 
 
 def test_rsh_block_size_errors():
+    # the blocks (j, d) = (1, 2) and (3, 3) of S1 on D(5,2) are (k, ell) =
+    # (6 - j, 5 - d) here
     with pytest.raises(CriterionFails):
-        rsh_block_size_h(D52, (0,) * 5, 1, 2)
+        rsh_block_size_v(T52, (0,) * 5, 5, 3)
     with pytest.raises(CriterionFails):
-        rsh_block_size_h(D52, (2, 1, 0, 0, 0), 3, 3)  # j == d
+        rsh_block_size_v(T52, (0, 0, 0, 1, 2), 3, 2)  # k == ell + 1, j == d there
 
 
 def test_enumerate_examples():

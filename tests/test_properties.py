@@ -56,5 +56,7 @@ def test_reflection_maps_greedy_to_reflected_parameters(mode, a):
 @given(mode=MODES, k=st.integers(-2, 4))
 def test_cluster_variables_expand_to_the_cluster_coordinates(mode, k):
     ctx = AlgebraContext(mode)
-    assert ctx.expand_in_cluster(ctx.cluster_variable(k), k) == LaurentPoly.var(1)
-    assert ctx.expand_in_cluster(ctx.cluster_variable(k + 1), k) == LaurentPoly.var(2)
+    assert dict(ctx.iter_cluster_expansions(ctx.cluster_variable(k), k, k)) == \
+        {k: LaurentPoly.var(1)}
+    assert dict(ctx.iter_cluster_expansions(ctx.cluster_variable(k + 1), k, k)) == \
+        {k: LaurentPoly.var(2)}
