@@ -25,6 +25,15 @@ subclasses' own bodies: each is a different kernel, and the benchmark's
 tracer wraps it by reading the class __dict__.  CoeffPoly has no division:
 every exchange polynomial has constant term 1, so nothing needs one.
 
+Powers of an exchange polynomial are dense coefficient sequences, low
+degree first, built on demand by repeated multiplies by P.  dense_powers(p) keeps
+them for one caller, and CoefficientMode.poly_power reads them from one
+table per P kept on the mode instance, for every greedy element of that
+mode.  A mode's table grows by replacing an immutable tuple whole, so a
+thread reads the old table or the grown one and never a half-built one;
+two threads that grow it at once each build a correct table, and one of
+them is kept.
+
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
 where an omitted array means all-zero exponents.  Plain integers (numeric
@@ -36,7 +45,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 
 class MissingGenerator(KeyError):
@@ -292,7 +302,9 @@ class CoefficientMode:
     None in symbolic mode.  polys is the pair (P1, P2) of coefficient tuples,
     low degree first: p1 and p2 in numeric mode, the constant 1 and the
     canonical generators as CoeffPoly in symbolic mode.  It is derived from
-    the other fields, so equality, hashing and repr leave it out.
+    the other fields, so equality, hashing and repr leave it out.  They also
+    leave out the table of powers that poly_power reads, so two equal modes
+    build their own.
 
     The constructor refuses a numeric p1 or p2 whose constant term is not 1,
     which division by powers of P relies on; numeric() also refuses signed,
@@ -345,6 +357,47 @@ class CoefficientMode:
     @property
     def is_numeric(self) -> bool:
         return self.p1 is not None
+
+    def poly_power(self, i: int, k: int) -> tuple:
+        """polys[i] ** k as a dense coefficient tuple, low degree first, read
+        from this instance's table of powers (see the module docstring)."""
+        pows = self._powers[i]
+        if k >= len(pows):
+            grown = list(pows)
+            while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
+                grown.append(tuple(_uni_mul(grown[-1], self.polys[i])))
+            self._powers[i] = pows = tuple(grown)
+        return pows[k]
+
+    @cached_property
+    def _powers(self) -> list:
+        """One tuple of powers per P, each replaced whole when it grows."""
+        return [((p[0],),) for p in self.polys]
+
+
+def dense_powers(p: Sequence):
+    """k -> p**k as a dense list, low degree first, built on demand from
+    [p[0]], the 1 of p's coefficient type, and kept for later calls."""
+    pows = [[p[0]]]
+
+    def p_pow(k: int) -> list:
+        while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
+            pows.append(_uni_mul(pows[-1], p))
+        return pows[k]
+
+    return p_pow
+
+
+def _uni_mul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if not cb:
+                continue
+            out[i + j] = out[i + j] + ca * cb
+    return out
 
 
 # -- JSON ------------------------------------------------------------------

@@ -159,7 +159,7 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 # -- local shadows and shadow reports ----------------------------------------
 
 def _walks(path: DyckPath) -> tuple:
-    """(per_v, fwd, bits) of path, built on first use and kept on the path.
+    """(per_v, fwd, bits, hrefs) of path, built on first use and kept on the path.
 
     per_v[k-1] = (segs, masks, cuts) for v_k, with bit j standing for h_j:
       segs   the backward walk from v_k over the whole loop, one (slot, run,
@@ -175,7 +175,8 @@ def _walks(path: DyckPath) -> tuple:
              count of that height, beyond which the cut is the same.
     The h-edges at positions p..q are prefix_h[p]+1..prefix_h[q+1].
     fwd[j-1] lists the edges after h_j in forward order, v_k as k-1 and h_i
-    as -i, and bits pairs each j with its bit.
+    as -i, bits pairs each j with its bit and hrefs[j-1] is the EdgeRef of
+    h_j, which every shadow report of the path shares.
     """
     walks = getattr(path, "_walks", None)
     if walks is not None:
@@ -201,7 +202,8 @@ def _walks(path: DyckPath) -> tuple:
     fwd = tuple(tuple(path.indices[q] - 1 if kinds[q] == VERTICAL else -path.indices[q]
                       for q in ((p + t) % n for t in range(1, n)))
                 for p in path.pos_h)
-    path._walks = walks = (tuple(per_v), fwd, tuple((j, 1 << j) for j in range(1, a1 + 1)))
+    path._walks = walks = (tuple(per_v), fwd, tuple((j, 1 << j) for j in range(1, a1 + 1)),
+                           tuple(EdgeRef(HORIZONTAL, j) for j in range(1, a1 + 1)))
     return walks
 
 
@@ -242,30 +244,30 @@ def local_shadow_v(path: DyckPath, s2: Grading, k: int):
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
-    per_v, _, bits = _walks(path)
+    per_v, _, bits, hrefs = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh = [j for j, bit in bits if remote & bit]
-    return ShadowReport(frozenset(EdgeRef(HORIZONTAL, j) for j, bit in bits if shadow & bit),
-                        frozenset(EdgeRef(HORIZONTAL, j) for j in rsh),
-                        _partition(path, rsh, fz))
+    return ShadowReport(frozenset([h for h, (_, bit) in zip(hrefs, bits) if shadow & bit]),
+                        frozenset([hrefs[j - 1] for j in rsh]),
+                        _partition(path, rsh, fz, hrefs))
 
 
-def _partition(path, remote, fz) -> dict:
+def _partition(path, remote, fz, hrefs) -> dict:
     """Group the remote shadow of a vertical grading by (owner index, height).
 
-    remote is a sorted list of h-edge indices and fz[k-1] the first-zero
-    distance from v_k, n when there is none (_shadow).  h_j lies in the local
-    shadow of v_k iff v_k is at most fz[k-1] steps after h_j; its owner is the
-    nearest such v_k.  One backward pass assigns the owners.  Number the
-    v-edges of two laps of the loop: u < a2 is v_{u+1}, and u >= a2 is
-    v_{u+1-a2} one lap on.  An h-edge of height i has i v-edges before it, so
-    the v-edges within one loop after h_j are those with height(j) <= u <
-    a2 + height(j).  The pass walks u down from a2 + height of the last
-    remote edge and puts each v-edge it passes on a stack as (first position
-    its local shadow reaches, k), so the top is the nearest.  An entry that
-    does not reach back to h_j reaches no earlier edge either, and is
-    dropped.  Blocks and their edges come in path order, which is index
-    order.
+    remote is a sorted list of h-edge indices, fz[k-1] the first-zero
+    distance from v_k, n when there is none (_shadow), and hrefs[j-1] the
+    EdgeRef of h_j (_walks).  h_j lies in the local shadow of v_k iff v_k
+    is at most fz[k-1] steps after h_j; its owner is the nearest such v_k.
+    One backward pass assigns the owners.  Number the v-edges of two laps
+    of the loop: u < a2 is v_{u+1}, and u >= a2 is v_{u+1-a2} one lap on.
+    An h-edge of height i has i v-edges before it, so the v-edges within
+    one loop after h_j are those with height(j) <= u < a2 + height(j).  The
+    pass walks u down from a2 + height of the last remote edge and puts
+    each v-edge it passes on a stack as (first position its local shadow
+    reaches, k), so the top is the nearest.  An entry that does not reach
+    back to h_j reaches no earlier edge either, and is dropped.  Blocks and
+    their edges come in path order, which is index order.
     """
     if not remote:
         return {}
@@ -285,7 +287,7 @@ def _partition(path, remote, fz) -> dict:
         keys[j] = stack[-1][1], height
     blocks: dict = {}
     for j in remote:
-        blocks.setdefault(keys[j], []).append(EdgeRef(HORIZONTAL, j))
+        blocks.setdefault(keys[j], []).append(hrefs[j - 1])
     return {key: tuple(edges) for key, edges in blocks.items()}
 
 
@@ -367,7 +369,7 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     its start.  Horizontal edges outside the remote shadow add 0 and drop
     out, and so does whatever follows the last vertical run.
     """
-    per_v, fwd, bits = _walks(path)
+    per_v, fwd, bits, _ = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh_idx = [j for j, bit in bits if remote & bit]
     free = [j for j, bit in bits if not shadow & bit]

@@ -17,6 +17,17 @@ the coefficient arithmetic once per distinct tuple, not once per pair.  The
 horizontal family is the vertical family of the transposed path D(a2, a1),
 so the sum only ever enumerates vertical gradings on one of the two paths.
 
+Nor does the count change under rotation.  With g = gcd(c1, c2), the path
+D(c1, c2) walked is g copies of D(c1/g, c2/g): the maximal path touches
+each lattice point of the diagonal.  Compatibility is defined on the loop,
+so rotating the path by one copy, c2/g vertical and c1/g horizontal slots,
+maps compatible pairs to compatible pairs, and keeps every value multiset
+and the number of free edges.  So the sum visits one outer grading per
+rotation orbit, a necklace of g blocks of c2/g values, and weights what it
+counts by the orbit's size.  The free edges' factor P**k comes from the
+mode's own table of powers (CoefficientMode.poly_power), built once per
+mode instance, not once per element.
+
 The recursive construction (numeric mode only) fills the pointed coefficient
 table c(p, q) in order of increasing p+q from c(0,0)=1: each entry is the
 max of two truncated convolutions with power series,
@@ -40,13 +51,14 @@ identically zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
+from math import gcd
 from operator import mul
 
 from .coeffring import CoefficientMode
 from .compat import compatible_structure
 from .dyckpath import DyckPath
-from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported, dense_powers
+from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported
 # Unused here; perfbench/tracer.py patches these three names on this module.
 from .compat import compatible_structure_h  # noqa: F401
 from .multinom import compositions_weighted, multinomial  # noqa: F401
@@ -86,38 +98,45 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     Equal value multisets mean equal weight and equal degree (see the module
     docstring), so the first pass only counts: it tallies the pairs by
     (outer values, free edges, remote-shadow values), each values entry a
-    sorted tuple.  The second pass multiplies once per distinct tally key:
-    the remote weights are summed per (outer values, free edges) and
-    multiplied by the free edges' power of P, and the outer weight
-    multiplies once per outer values.
+    sorted tuple, from one outer grading per rotation orbit.  The second
+    pass multiplies once per distinct tally key: the remote weights are
+    summed per (outer values, free edges) and multiplied by the free edges'
+    power of P, and the outer weight multiplies once per outer values.
     """
     b1, b2 = max(a1, 0), max(a2, 0)
-    p1, p2 = mode.polys
     transposed = (mode.d2 + 1) ** b2 > (mode.d1 + 1) ** b1
-    if transposed:
-        path, outer_vals, inner_vals = DyckPath.build(b2, b1), p1, p2
-    else:
-        path, outer_vals, inner_vals = DyckPath.build(b1, b2), p2, p1
+    path = DyckPath.build(b2, b1) if transposed else DyckPath.build(b1, b2)
+    inner = 1 if transposed else 0  # index in mode.polys of the inner family's P
+    outer_vals, inner_vals = mode.polys[1 - inner], mode.polys[inner]
 
     # (outer values, free edges) -> {remote-shadow values: number of pairs}
     tally: dict[tuple[tuple, int], dict[tuple, int]] = {}
-    for s_out in product(range(len(outer_vals)), repeat=path.a2):
+    # one outer grading per rotation orbit, its tally entries weighted by the
+    # orbit's size: a grading is g blocks of a2/g values, rotated block-wise
+    g = gcd(path.a1, path.a2) if path.a2 else 1
+    values = range(len(outer_vals))
+    if g == 1:  # every orbit is one grading: stream them, as there may be many
+        orbits = zip(product(values, repeat=path.a2), repeat(1))
+    else:
+        blocks = list(product(values, repeat=path.a2 // g))
+        orbits = ((sum(map(blocks.__getitem__, word), ()), size)
+                  for word, size in _necklaces(len(blocks), g))
+    for s_out, size in orbits:
         free, _, valid = compatible_structure(path, s_out, len(inner_vals) - 1)
-        inner = tally.setdefault((tuple(sorted(s_out)), len(free)), {})
+        entry = tally.setdefault((tuple(sorted(s_out)), len(free)), {})
         for vals in valid:
             key = tuple(sorted(vals))
-            inner[key] = inner.get(key, 0) + 1
+            entry[key] = entry.get(key, 0) + size
 
-    free_pow = dense_powers(inner_vals)  # k -> (inner polynomial in z) ** k
     inner_weight, outer_weight = _weigher(inner_vals), _weigher(outer_vals)
     by_out: dict[tuple, dict[int, object]] = {}  # outer values -> {|inner|: coefficient}
-    for (out_key, n_free), inner in tally.items():
+    for (out_key, n_free), entry in tally.items():
         rpoly: dict[int, object] = {}
-        for key, mult in inner.items():
+        for key, mult in entry.items():
             k, w = sum(key), inner_weight(key)
             rpoly[k] = rpoly.get(k, 0) + (w * mult if mult > 1 else w)
         poly = by_out.setdefault(out_key, {})
-        for q1, c1 in enumerate(free_pow(n_free)):
+        for q1, c1 in enumerate(mode.poly_power(inner, n_free)):
             if not c1:
                 continue
             for q2, c2 in rpoly.items():
@@ -131,6 +150,28 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             key = (m_in - a1, m_out - a2) if transposed else (m_out - a1, m_in - a2)
             acc[key] = acc.get(key, 0) + (c if unit else c_out * c)
     return LaurentPoly(acc)
+
+
+def _necklaces(k: int, n: int):
+    """Yield (word, period) for each necklace of n >= 1 beads over range(k):
+    one word, a list, per class of words equal up to rotation, and the
+    class's size.
+
+    Duval's algorithm lists the Lyndon words of length at most n in
+    lexicographic order (J.-P. Duval, Theoret. Comput. Sci. 60, 1988).
+    Each necklace is w repeated n/len(w) times for exactly one Lyndon word w
+    whose length divides n, and it has len(w) distinct rotations.
+    """
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if n % m == 0:
+            yield w * (n // m), m
+        while len(w) < n:
+            w.append(w[-m])
+        while w and w[-1] == k - 1:
+            w.pop()
 
 
 def _weigher(vals):
@@ -235,17 +276,22 @@ def greedy_expand(mode: CoefficientMode, f: LaurentPoly) -> dict:
         return {}
     levels = [e1 + e2 for e1, e2 in f.terms]
     budget = 10 * (max(levels) - min(levels) + 1)
-    residual = f
+    residual = dict(f.terms)  # a private copy, updated in place
     out: dict[tuple[int, int], object] = {}
     for _ in range(budget):
-        lvl = min(e1 + e2 for e1, e2 in residual.terms)
-        corners = sorted(e for e in residual.terms if e[0] + e[1] == lvl)
+        lvl = min(e1 + e2 for e1, e2 in residual)
+        corners = sorted(e for e in residual if e[0] + e[1] == lvl)
         for e1, e2 in corners:
-            coef = residual.terms[(e1, e2)]
+            coef = residual[(e1, e2)]
             out[(-e1, -e2)] = coef
-            residual = residual - coef * greedy_combinatorial(mode, -e1, -e2)
-        if not residual.terms:
+            for e, c in greedy_combinatorial(mode, -e1, -e2).terms.items():
+                s = residual.get(e, 0) - coef * c
+                if s:
+                    residual[e] = s
+                else:
+                    del residual[e]
+        if not residual:
             return out
-    lvl = min(e1 + e2 for e1, e2 in residual.terms)
+    lvl = min(e1 + e2 for e1, e2 in residual)
     raise NotInAlgebra(f"pass budget {budget} exhausted with the residual's "
                        f"lowest level at {lvl}")

@@ -88,7 +88,7 @@ from itertools import chain, compress, count, repeat
 from typing import Sequence
 
 from .coeffring import (CoeffPoly, CoefficientMode, SparsePoly, coeff_from_json,
-                        coeff_to_json, format_term)
+                        coeff_to_json, dense_powers, format_term)
 
 
 class NotDivisible(ArithmeticError):
@@ -375,31 +375,6 @@ def lp_substitute_ratio_is_positive(f: LaurentPoly, var: int, p: Sequence) -> bo
         elif e >= 0:
             break
     return positive
-
-
-def dense_powers(p: Sequence):
-    """k -> p**k as a dense list, low degree first, built on demand from
-    [p[0]], the 1 of p's coefficient type, and kept for later calls."""
-    pows = [[p[0]]]
-
-    def p_pow(k: int) -> list:
-        while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
-            pows.append(_uni_mul(pows[-1], p))
-        return pows[k]
-
-    return p_pow
-
-
-def _uni_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
 
 
 def _uni_mul_sparse(sl: dict[int, object], b: list) -> dict[int, object]:

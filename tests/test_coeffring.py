@@ -1,3 +1,8 @@
+import pickle
+import random
+import sys
+import threading
+
 import pytest
 
 from gca2 import verify
@@ -82,6 +87,58 @@ def test_mode_validation():
     mode = CoefficientMode.numeric((1, 4, 1), (1, 1, 1, 1))
     assert mode.d1 == 2 and mode.d2 == 3
     assert mode.polys == ((1, 4, 1), (1, 1, 1, 1))
+
+
+def as_laurent(coeffs) -> LaurentPoly:
+    return LaurentPoly({(t, 0): c for t, c in enumerate(coeffs)})
+
+
+def test_poly_power_is_the_power_of_p():
+    # against SparsePoly powers, built by LaurentPoly products; k out of
+    # order, so the table is grown and then read back
+    for mode in (CoefficientMode.symbolic(2, 3), CoefficientMode(2, 3, (1, 2, 3), (1, 1, 0, 2))):
+        for i, p in enumerate(mode.polys):
+            for k in (0, 1, 2, 7, 3, 12):
+                assert as_laurent(mode.poly_power(i, k)) == as_laurent(p) ** k, (mode, i, k)
+        # a mode whose tables are built still pickles
+        copy = pickle.loads(pickle.dumps(mode))
+        assert copy == mode and copy.poly_power(1, 9) == mode.poly_power(1, 9)
+
+
+def test_poly_power_table_is_safe_to_share_between_threads():
+    # four threads grow one fresh mode's tables at once, with a short switch
+    # interval: every power read must be whole and right, whichever table wins
+    p1, p2 = (1, 2, 1), (1, 1, 1, 1)
+    want = {(i, k): tuple(c for _, c in sorted((as_laurent(p) ** k).terms.items()))
+            for i, p in enumerate((p1, p2)) for k in range(41)}
+    errors = []
+
+    def work(mode, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            i, k = rng.randrange(2), rng.randrange(41)
+            try:
+                got = mode.poly_power(i, k)
+            except Exception as exc:  # a thread's exception would go unseen
+                got = exc
+            if got != want[i, k]:
+                errors.append((i, k, got))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            mode = CoefficientMode.numeric(p1, p2)
+            threads = [threading.Thread(target=work, args=(mode, 4 * round_ + t))
+                       for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
 
 
 def test_symbolic_mode_coefficients():

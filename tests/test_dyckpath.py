@@ -1,3 +1,6 @@
+from itertools import product
+from math import gcd
+
 import pytest
 
 from gca2 import verify
@@ -9,6 +12,17 @@ def test_build_5_2():
     assert [path.height(j) for j in range(1, 6)] == [0, 0, 0, 1, 1]
     assert [path.depth(j) for j in range(1, 3)] == [3, 5]
     assert [path.kinds[p] for p in range(7)] == ["h", "h", "h", "v", "h", "h", "v"]
+
+
+def test_path_is_g_copies_of_its_primitive_path():
+    # the lemma behind greedy_combinatorial's rotation orbits: the line from
+    # (0,0) to (a1,a2) meets g = gcd(a1, a2) - 1 lattice points inside, and
+    # the maximal path touches each, so rotating by one copy maps it to itself
+    for a1, a2 in product(range(13), repeat=2):
+        g = gcd(a1, a2)
+        if g:
+            assert DyckPath.build(a1, a2).kinds == \
+                DyckPath.build(a1 // g, a2 // g).kinds * g, (a1, a2)
 
 
 def test_build_degenerate():

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from conftest import ALL_ONES, palindromic, reference_greedy_table
-from gca2 import verify
+from gca2 import coeffring, greedy, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly, CoefficientMode
 from gca2.compat import enumerate_bruteforce, support_region
@@ -33,24 +33,107 @@ def test_greedy_combinatorial_examples(mode23):
         (-1, -1): 1, (0, -1): 1, (1, -1): 1, (2, -1): 1, (-1, 0): 1, (-1, 1): 1})
 
 
+def definition_sum(mode, a1, a2):
+    """x[a1, a2] by the definition: c_{S1,S2} x1^(|S2|-a1) x2^(|S1|-a2) summed
+    over the brute-force pairs on D(b1, b2), the weight one rho or vrho per
+    edge (the integer coefficients of P1 and P2 in numeric mode)."""
+    b1, b2 = max(a1, 0), max(a2, 0)
+    if mode.is_numeric:
+        rho, vrho, one = mode.p1.__getitem__, mode.p2.__getitem__, 1
+    else:
+        def rho(t):
+            return CoeffPoly.rho(t, mode.d1)
+
+        def vrho(t):
+            return CoeffPoly.vrho(t, mode.d2)
+        one = CoeffPoly.const(1)
+    terms = {}
+    for s1, s2 in enumerate_bruteforce(b1, b2, mode.d1, mode.d2):
+        w = one
+        for t in s1:
+            w = w * rho(t)
+        for t in s2:
+            w = w * vrho(t)
+        e = (sum(s2) - a1, sum(s1) - a2)
+        terms[e] = terms.get(e, 0) + w
+    return LaurentPoly(terms)
+
+
 def test_greedy_combinatorial_is_the_sum_over_compatible_pairs():
-    # the definition: x[a1, a2] sums c_{S1,S2} x1^(|S2|-a1) x2^(|S1|-a2) over
-    # the brute-force pairs on D(b1, b2), the weight one rho or vrho per
-    # edge.  The modes put the outer family on either side, and d = 0 has
-    # P = 1; the points reach negative parameters.
+    # The modes put the outer family on either side, and d = 0 has P = 1;
+    # the points reach negative parameters.
     for d1, d2 in ((2, 3), (3, 2), (1, 4), (0, 2), (3, 0)):
         mode = CoefficientMode.symbolic(d1, d2)
         for a1, a2 in product(range(-1, 4), repeat=2):
-            b1, b2 = max(a1, 0), max(a2, 0)
-            want = LaurentPoly.zero()
-            for s1, s2 in enumerate_bruteforce(b1, b2, d1, d2):
-                w = CoeffPoly.const(1)
-                for t in s1:
-                    w = w * CoeffPoly.rho(t, d1)
-                for t in s2:
-                    w = w * CoeffPoly.vrho(t, d2)
-                want = want + LaurentPoly.monomial(sum(s2) - a1, sum(s1) - a2, w)
-            assert greedy_combinatorial(mode, a1, a2) == want, (d1, d2, a1, a2)
+            assert greedy_combinatorial(mode, a1, a2) == definition_sum(mode, a1, a2), \
+                (d1, d2, a1, a2)
+
+
+def test_orbit_tally_is_the_sum_over_compatible_pairs(monkeypatch):
+    # points whose walked path D(c1, c2) has g = gcd(c1, c2) >= 2, where the
+    # sum tallies one outer grading per rotation orbit; with d = 0 on one
+    # side the walk also meets D(0, b) and D(a, 0)
+    walked = set()
+
+    def spy(path, s_out, d):
+        walked.add((path.a1, path.a2))
+        return structure(path, s_out, d)
+
+    structure = greedy.compatible_structure
+    monkeypatch.setattr(greedy, "compatible_structure", spy)
+    points = ((4, 2), (2, 4), (4, 4), (6, 2), (6, 3), (0, 4), (4, 0), (3, 3))
+    cases = [(mode, points) for mode in (
+        CoefficientMode.symbolic(2, 2), CoefficientMode.symbolic(2, 3),
+        CoefficientMode.symbolic(1, 4), CoefficientMode(2, 3, (1, 2, 3), (1, 1, 0, 2)))]
+    cases += [(CoefficientMode.symbolic(*d), points[:3] + points[5:])
+              for d in ((0, 2), (3, 0))]
+    for mode, pts in cases:
+        for a1, a2 in pts:
+            got = greedy_combinatorial.__wrapped__(mode, a1, a2)
+            assert got == definition_sum(mode, a1, a2), (mode, a1, a2)
+    assert {(4, 2), (2, 4), (4, 4), (6, 2), (6, 3), (3, 6), (0, 4), (4, 0)} <= walked
+
+
+def test_greedy_combinatorial_walks_one_outer_grading_per_orbit(monkeypatch):
+    # symbolic (2, 2): 3 values per edge; D(7, 7) has 3**7 = 2187 gradings in
+    # 315 rotation orbits, D(6, 6) 729 in 130 and D(6, 4), rotated by two
+    # slots, 81 in 45; on the coprime D(7, 5) every orbit is one grading
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return structure(*args)
+
+    structure = greedy.compatible_structure
+    monkeypatch.setattr(greedy, "compatible_structure", spy)
+    mode = CoefficientMode.symbolic(2, 2)
+    for point, want in (((7, 7), 315), ((6, 6), 130), ((6, 4), 45), ((5, 7), 243)):
+        del calls[:]
+        greedy_combinatorial.__wrapped__(mode, *point)
+        assert len(calls) == want, point
+
+
+def test_greedy_combinatorial_builds_each_power_once_per_mode(monkeypatch):
+    built = []
+
+    def spy(a, b):
+        built.append((tuple(a), tuple(b)))
+        return uni_mul(a, b)
+
+    uni_mul = coeffring._uni_mul
+    monkeypatch.setattr(coeffring, "_uni_mul", spy)
+    mode = CoefficientMode.symbolic(2, 3)
+    first = greedy_combinatorial.__wrapped__(mode, 4, 3)
+    greedy_combinatorial.__wrapped__(mode, 5, 3)
+    assert built and len(set(built)) == len(built)  # no power built twice
+    n = len(built)
+    assert greedy_combinatorial.__wrapped__(mode, 4, 3) == first
+    assert len(built) == n  # the second call on one mode builds nothing
+    # the table belongs to the instance: an equal mode starts cold
+    twin = CoefficientMode.symbolic(2, 3)
+    assert twin == mode and hash(twin) == hash(mode)
+    assert greedy_combinatorial.__wrapped__(twin, 4, 3) == first
+    assert len(built) > n
 
 
 def test_non_monic_border_values_weigh_their_coefficient():
@@ -222,9 +305,27 @@ def test_greedy_expand_empty(mode23):
 def test_greedy_expand_rejects_non_algebra_elements(mode23):
     # 1/(x1 x2) + anything never cancels: x[1,1] has extra support
     bad = LaurentPoly({(-1, -1): 1, (-1, 0): -1})
-    msg = "pass budget 20 exhausted with the residual's lowest level at "
+    msg = "^pass budget 20 exhausted with the residual's lowest level at 18$"
     with pytest.raises(NotInAlgebra, match=msg):
         greedy_expand(mode23, bad)
+
+
+def test_greedy_expand_round_trips_a_box_and_leaves_its_input_alone():
+    # f = sum c_p x[p] over the box [-2, 5]^2 expands back to {p: c_p}, and
+    # the residual it works on is a copy: f.terms is the same dict, unchanged
+    rng = random.Random(24)
+    sym = CoefficientMode.symbolic(2, 2)
+    rho = CoeffPoly.rho(1, 2)
+    for mode, coeffs in ((sym, (1, 2, rho, rho * rho + 3, 1 - rho)),
+                         (CoefficientMode.numeric((1, 2, 2, 1), (1, 1, 1, 1)), (1, 2, 5, -3))):
+        box = list(product(range(-2, 6), repeat=2))
+        want = {p: rng.choice(coeffs) for p in box}
+        f = LaurentPoly.zero()
+        for p, c in want.items():
+            f = f + c * greedy_combinatorial(mode, *p)
+        terms, before = f.terms, dict(f.terms)
+        assert greedy_expand(mode, f) == want, mode
+        assert f.terms is terms and f.terms == before
 
 
 def test_greedy_expand_symbolic(sym23):

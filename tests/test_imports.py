@@ -1,6 +1,7 @@
-"""Static checks on the library source, with the standard library's ast only."""
+"""Static checks on the library source, with the standard library's ast and symtable only."""
 
 import ast
+import symtable
 from pathlib import Path
 
 import gca2
@@ -100,23 +101,46 @@ def public_definitions(tree: ast.Module):
                         yield f"{node.name}.{item.name}", item
 
 
+def global_reads(table: symtable.SymbolTable, top: str | None = None):
+    """(top, name) for each module-level name read in table or a scope
+    nested in it: every name read in the module's own scope, and in any
+    other scope the names that resolve to the module, not to a local or an
+    enclosing function's variable.  top names the module-level definition
+    the scope lies in, None for the module's own scope."""
+    for sym in table.get_symbols():
+        if sym.is_referenced() and (top is None or sym.is_global()):
+            yield top, sym.get_name()
+    for child in table.get_children():
+        yield from global_reads(child, child.get_name() if top is None else top)
+
+
 def test_every_public_name_is_read_in_the_library():
     """Each public function, class and method is read somewhere in src/gca2
-    outside its own definition, as a name or as an attribute, or is listed
-    in UNREAD_BUT_KEPT: a name that only tests reach cannot creep back."""
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(SRC.glob("*.py"))}
-    reads: dict[str, list] = {}
+    outside its own definition, or is listed in UNREAD_BUT_KEPT: a name that
+    only tests reach cannot creep back.  A method is read only as an
+    attribute, x.name; a module-level function or class as a name that
+    resolves to a module, not to a local variable, or as module.name."""
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    trees = {stem: ast.parse(text, filename=stem) for stem, text in sources.items()}
+    attrs: dict[str, list] = {}  # x.name read anywhere -> the Attribute nodes
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.id, []).append(node)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                reads.setdefault(node.attr, []).append(node)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.setdefault(node.attr, []).append(node)
+    names = {(stem, top, name) for stem, text in sources.items()
+             for top, name in global_reads(symtable.symtable(text, stem, "exec"))}
     unread = set()
     for stem, tree in trees.items():
         for name, definition in public_definitions(tree):
             inside = set(map(id, ast.walk(definition)))
-            if all(id(node) in inside for node in reads.get(name.rsplit(".", 1)[-1], ())):
+            outside = [node for node in attrs.get(name.rsplit(".", 1)[-1], ())
+                       if id(node) not in inside]
+            if "." not in name:  # module-level: module.name or a global read
+                read = any(isinstance(node.value, ast.Name) and node.value.id == stem
+                           for node in outside)
+                read = read or any(n == name and (s, t) != (stem, name) for s, t, n in names)
+            else:
+                read = bool(outside)
+            if not read:
                 unread.add(f"{stem}.{name}")
     assert unread == set(UNREAD_BUT_KEPT)

@@ -6,7 +6,7 @@ from math import comb, isqrt
 import pytest
 
 from conftest import expected_x3, padd, pmul, ppow
-from gca2 import laurent, verify
+from gca2 import coeffring, laurent, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoeffPoly
 from gca2.laurent import (LaurentPoly, NotDivisible, NotLaurent, NotPointed,
@@ -446,7 +446,7 @@ def test_substitute_ratio_short_slice_fails_before_building_the_power(monkeypatc
     def refuse(*args):
         raise AssertionError("p**1100 built for a slice shorter than it")
 
-    monkeypatch.setattr(laurent, "_uni_mul", refuse)
+    monkeypatch.setattr(coeffring, "_uni_mul", refuse)
     msg = "substituting x1, slice e=-1100: slice shorter than the divisor"
     with pytest.raises(NotLaurent, match=msg):
         lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, (1, 1))
