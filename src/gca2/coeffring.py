@@ -25,14 +25,14 @@ subclasses' own bodies: each is a different kernel, and the benchmark's
 tracer wraps it by reading the class __dict__.  CoeffPoly has no division:
 every exchange polynomial has constant term 1, so nothing needs one.
 
-Powers of an exchange polynomial are dense coefficient sequences, low
-degree first, built on demand by repeated multiplies by P.  dense_powers(p) keeps
-them for one caller, and CoefficientMode.poly_power reads them from one
-table per P kept on the mode instance, for every greedy element of that
-mode.  A mode's table grows by replacing an immutable tuple whole, so a
-thread reads the old table or the grown one and never a half-built one;
-two threads that grow it at once each build a correct table, and one of
-them is kept.
+Powers of an exchange polynomial are dense coefficient tuples, low degree
+first, built on demand by repeated multiplies by P and kept by the function
+dense_powers(p) returns.  CoefficientMode.poly_power reads them from one
+such table per P, built on first use and kept on the mode instance, for
+every greedy element of that mode.  A table grows by replacing an immutable
+tuple whole, so a thread reads the old table or the grown one and never a
+half-built one; two threads that grow it at once each build a correct
+table, and one of them is kept.
 
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
@@ -361,29 +361,33 @@ class CoefficientMode:
     def poly_power(self, i: int, k: int) -> tuple:
         """polys[i] ** k as a dense coefficient tuple, low degree first, read
         from this instance's table of powers (see the module docstring)."""
-        pows = self._powers[i]
-        if k >= len(pows):
-            grown = list(pows)
-            while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
-                grown.append(tuple(_uni_mul(grown[-1], self.polys[i])))
-            self._powers[i] = pows = tuple(grown)
-        return pows[k]
+        return self._powers[i](k)
 
     @cached_property
     def _powers(self) -> list:
-        """One tuple of powers per P, each replaced whole when it grows."""
-        return [((p[0],),) for p in self.polys]
+        """One dense_powers table per P."""
+        return [dense_powers(p) for p in self.polys]
+
+    def __getstate__(self) -> dict:
+        # the table of powers holds closures, and a copy builds its own
+        return {k: v for k, v in self.__dict__.items() if k != "_powers"}
 
 
 def dense_powers(p: Sequence):
-    """k -> p**k as a dense list, low degree first, built on demand from
-    [p[0]], the 1 of p's coefficient type, and kept for later calls."""
-    pows = [[p[0]]]
+    """k -> p**k as a dense tuple, low degree first, built on demand from
+    (p[0],), the 1 of p's coefficient type, and kept for later calls in a
+    tuple of powers that grows by being replaced whole."""
+    pows = ((p[0],),)
 
-    def p_pow(k: int) -> list:
-        while len(pows) <= k:  # a loop, not recursion: k may exceed 1000
-            pows.append(_uni_mul(pows[-1], p))
-        return pows[k]
+    def p_pow(k: int) -> tuple:
+        nonlocal pows
+        table = pows
+        if k >= len(table):
+            grown = list(table)
+            while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
+                grown.append(tuple(_uni_mul(grown[-1], p)))
+            pows = table = tuple(grown)
+        return table[k]
 
     return p_pow
 

@@ -159,7 +159,7 @@ def _pairs_ok(path, fz1, fz2, hs, vs) -> bool:
 # -- local shadows and shadow reports ----------------------------------------
 
 def _walks(path: DyckPath) -> tuple:
-    """(per_v, fwd, bits, hrefs) of path, built on first use and kept on the path.
+    """(per_v, fwd, bits) of path, built on first use and kept on the path.
 
     per_v[k-1] = (segs, masks, cuts) for v_k, with bit j standing for h_j:
       segs   the backward walk from v_k over the whole loop, one (slot, run,
@@ -175,8 +175,7 @@ def _walks(path: DyckPath) -> tuple:
              count of that height, beyond which the cut is the same.
     The h-edges at positions p..q are prefix_h[p]+1..prefix_h[q+1].
     fwd[j-1] lists the edges after h_j in forward order, v_k as k-1 and h_i
-    as -i, bits pairs each j with its bit and hrefs[j-1] is the EdgeRef of
-    h_j, which every shadow report of the path shares.
+    as -i, and bits pairs each j with its bit.
     """
     walks = getattr(path, "_walks", None)
     if walks is not None:
@@ -202,9 +201,17 @@ def _walks(path: DyckPath) -> tuple:
     fwd = tuple(tuple(path.indices[q] - 1 if kinds[q] == VERTICAL else -path.indices[q]
                       for q in ((p + t) % n for t in range(1, n)))
                 for p in path.pos_h)
-    path._walks = walks = (tuple(per_v), fwd, tuple((j, 1 << j) for j in range(1, a1 + 1)),
-                           tuple(EdgeRef(HORIZONTAL, j) for j in range(1, a1 + 1)))
+    path._walks = walks = (tuple(per_v), fwd, tuple((j, 1 << j) for j in range(1, a1 + 1)))
     return walks
+
+
+def _hrefs(path: DyckPath) -> tuple:
+    """hrefs[j-1] is the EdgeRef of h_j, built on the path's first shadow
+    report and kept on the path for the others."""
+    hrefs = getattr(path, "_hrefs", None)
+    if hrefs is None:
+        path._hrefs = hrefs = tuple(EdgeRef(HORIZONTAL, j) for j in range(1, path.a1 + 1))
+    return hrefs
 
 
 def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
@@ -244,7 +251,8 @@ def local_shadow_v(path: DyckPath, s2: Grading, k: int):
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
-    per_v, _, bits, hrefs = _walks(path)
+    per_v, _, bits = _walks(path)
+    hrefs = _hrefs(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh = [j for j, bit in bits if remote & bit]
     return ShadowReport(frozenset([h for h, (_, bit) in zip(hrefs, bits) if shadow & bit]),
@@ -257,7 +265,7 @@ def _partition(path, remote, fz, hrefs) -> dict:
 
     remote is a sorted list of h-edge indices, fz[k-1] the first-zero
     distance from v_k, n when there is none (_shadow), and hrefs[j-1] the
-    EdgeRef of h_j (_walks).  h_j lies in the local shadow of v_k iff v_k
+    EdgeRef of h_j (_hrefs).  h_j lies in the local shadow of v_k iff v_k
     is at most fz[k-1] steps after h_j; its owner is the nearest such v_k.
     One backward pass assigns the owners.  Number the v-edges of two laps
     of the loop: u < a2 is v_{u+1}, and u >= a2 is v_{u+1-a2} one lap on.
@@ -369,7 +377,7 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     its start.  Horizontal edges outside the remote shadow add 0 and drop
     out, and so does whatever follows the last vertical run.
     """
-    per_v, fwd, bits, _ = _walks(path)
+    per_v, fwd, bits = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh_idx = [j for j, bit in bits if remote & bit]
     free = [j for j, bit in bits if not shadow & bit]

@@ -43,9 +43,10 @@ class Subpath:
 class DyckPath:
     """Immutable maximal Dyck path; build once via DyckPath.build(a1, a2)."""
 
-    # _walks holds compat's walk tables for this path, built on first use
+    # _walks holds compat's walk tables for this path and _hrefs its h-edge
+    # refs for shadow reports, each built on first use
     __slots__ = ("a1", "a2", "n", "kinds", "indices", "pos_h", "pos_v",
-                 "prefix_h", "prefix_v", "_transpose", "_walks")
+                 "prefix_h", "prefix_v", "_transpose", "_walks", "_hrefs")
 
     def __init__(self, a1: int, a2: int):
         if a1 < 0 or a2 < 0:

@@ -23,10 +23,11 @@ each lattice point of the diagonal.  Compatibility is defined on the loop,
 so rotating the path by one copy, c2/g vertical and c1/g horizontal slots,
 maps compatible pairs to compatible pairs, and keeps every value multiset
 and the number of free edges.  So the sum visits one outer grading per
-rotation orbit, a necklace of g blocks of c2/g values, and weights what it
-counts by the orbit's size.  The free edges' factor P**k comes from the
-mode's own table of powers (CoefficientMode.poly_power), built once per
-mode instance, not once per element.
+rotation orbit, the one no rotation by a multiple of c2/g slots makes
+smaller, and weights what it counts by the orbit's size.  The free edges'
+factor P**k comes from the mode's own table of powers
+(CoefficientMode.poly_power), built once per mode instance, not once per
+element.
 
 The recursive construction (numeric mode only) fills the pointed coefficient
 table c(p, q) in order of increasing p+q from c(0,0)=1: each entry is the
@@ -51,7 +52,7 @@ identically zero.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import product
 from math import gcd
 from operator import mul
 
@@ -111,17 +112,13 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
 
     # (outer values, free edges) -> {remote-shadow values: number of pairs}
     tally: dict[tuple[tuple, int], dict[tuple, int]] = {}
-    # one outer grading per rotation orbit, its tally entries weighted by the
-    # orbit's size: a grading is g blocks of a2/g values, rotated block-wise
+    # one outer grading per rotation orbit, the smallest, its tally entries
+    # weighted by the orbit's size: a grading is g blocks, rotated block-wise
     g = gcd(path.a1, path.a2) if path.a2 else 1
-    values = range(len(outer_vals))
-    if g == 1:  # every orbit is one grading: stream them, as there may be many
-        orbits = zip(product(values, repeat=path.a2), repeat(1))
-    else:
-        blocks = list(product(values, repeat=path.a2 // g))
-        orbits = ((sum(map(blocks.__getitem__, word), ()), size)
-                  for word, size in _necklaces(len(blocks), g))
-    for s_out, size in orbits:
+    for s_out in product(range(len(outer_vals)), repeat=path.a2):
+        size = _orbit_size(s_out, g)
+        if not size:
+            continue
         free, _, valid = compatible_structure(path, s_out, len(inner_vals) - 1)
         entry = tally.setdefault((tuple(sorted(s_out)), len(free)), {})
         for vals in valid:
@@ -152,26 +149,18 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     return LaurentPoly(acc)
 
 
-def _necklaces(k: int, n: int):
-    """Yield (word, period) for each necklace of n >= 1 beads over range(k):
-    one word, a list, per class of words equal up to rotation, and the
-    class's size.
-
-    Duval's algorithm lists the Lyndon words of length at most n in
-    lexicographic order (J.-P. Duval, Theoret. Comput. Sci. 60, 1988).
-    Each necklace is w repeated n/len(w) times for exactly one Lyndon word w
-    whose length divides n, and it has len(w) distinct rotations.
-    """
-    w = [-1]
-    while w:
-        w[-1] += 1
-        m = len(w)
-        if n % m == 0:
-            yield w * (n // m), m
-        while len(w) < n:
-            w.append(w[-m])
-        while w and w[-1] == k - 1:
-            w.pop()
+def _orbit_size(s: tuple, g: int) -> int:
+    """Number of distinct rotations of s by multiples of len(s)/g slots, or 0
+    when one of them is smaller than s."""
+    n = len(s)
+    step, ss = n // g, s + s
+    for t in range(1, g):
+        r = ss[t * step:t * step + n]
+        if r < s:
+            return 0
+        if r == s:  # the rotations repeat from here on
+            return t
+    return g
 
 
 def _weigher(vals):
