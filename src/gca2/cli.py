@@ -75,9 +75,9 @@ def _parse_clusters(text: str) -> tuple[int, int]:
 def _emit_poly(f, mode, args, extra: dict | None = None) -> None:
     if args.format == "json":
         doc = laurent.to_json(f, mode)
-        if extra:
-            doc = {**extra, **doc}
-        print(json.dumps(doc, separators=(",", ":")))
+        if extra:  # extra's keys come first, then "terms"
+            doc = json.dumps(extra, separators=(",", ":"))[:-1] + "," + doc[1:]
+        print(doc)
     else:
         if extra:
             for key, val in extra.items():
@@ -187,10 +187,10 @@ def cmd_expand(args, mode) -> int:
         return 1
     items = sorted(expansion.items())
     if args.format == "json":
-        doc = {"expansion": [{"point": [a1, a2],
-                              "coeff": coeff_to_json(c, mode.d1, mode.d2)}
-                             for (a1, a2), c in items]}
-        print(json.dumps(doc, separators=(",", ":")))
+        d1, d2, heads = mode.d1, mode.d2, {}
+        print('{"expansion":[' + ",".join([f'{{"point":[{a1},{a2}],"coeff":'
+                                           f'{coeff_to_json(c, d1, d2, heads)}}}'
+                                           for (a1, a2), c in items]) + "]}")
     else:
         for (a1, a2), c in items:
             cs = c.render() if hasattr(c, "render") else str(c)

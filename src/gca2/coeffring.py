@@ -36,9 +36,12 @@ table, and one of them is kept.
 
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
-where an omitted array means all-zero exponents.  Plain integers (numeric
-mode) serialize as the single record {"n": "..."}.  Exponents must be JSON
-integers and n a JSON integer or a string of decimal digits.
+ascending by (rho array, vrho array); an omitted array means all-zero
+exponents, and a plain int, in either mode, is the one record {"n": "..."}.
+coeff_to_json writes the text in one pass; heads maps each monomial to its
+sort key and record text up to "n", and one document passes one dict to all
+its calls, so each monomial is formatted once.  Read back, exponents must be
+JSON integers and n a JSON integer or a string of decimal digits.
 """
 
 from __future__ import annotations
@@ -406,29 +409,24 @@ def _uni_mul(a: Sequence, b: Sequence) -> list:
 
 # -- JSON ------------------------------------------------------------------
 
-def coeff_to_json(c: Coeff, d1: int, d2: int) -> list:
+def coeff_to_json(c: Coeff, d1: int, d2: int, heads: dict) -> str:
     if isinstance(c, int):
-        return [{"n": str(c)}]
-    records = []
-    for m in sorted(c.terms, key=lambda m: _mono_arrays(m, d1, d2)):
-        rho_arr, vrho_arr = _mono_arrays(m, d1, d2)
-        rec: dict = {}
-        if any(rho_arr):
-            rec["rho"] = list(rho_arr)
-        if any(vrho_arr):
-            rec["vrho"] = list(vrho_arr)
-        rec["n"] = str(c.terms[m])
-        records.append(rec)
-    return records
+        return f'[{{"n":"{c}"}}]'
+    for m in c.terms:
+        if m not in heads:
+            heads[m] = _mono_head(m, d1, d2)
+    records = sorted((*heads[m], n) for m, n in c.terms.items())  # distinct keys
+    return "[" + ",".join([f'{head}"n":"{n}"}}' for _, head, n in records]) + "]"
 
 
-def _mono_arrays(m: Mono, d1: int, d2: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    rho_arr = [0] * max(d1 - 1, 0)
-    vrho_arr = [0] * max(d2 - 1, 0)
+def _mono_head(m: Mono, d1: int, d2: int) -> tuple[tuple, str]:
+    """(sort key, record text up to "n") of m: key = (rho array, vrho array)."""
+    arrs = [0] * max(d1 - 1, 0), [0] * max(d2 - 1, 0)
     for g, e in m:
-        arr = rho_arr if g.family == RHO else vrho_arr
-        arr[g.index - 1] += e
-    return tuple(rho_arr), tuple(vrho_arr)
+        arrs[g.family == VRHO][g.index - 1] += e
+    return tuple(map(tuple, arrs)), "{" + "".join(
+        f'"{family}":[{",".join(map(str, arr))}],' for family, arr in zip(_FAMILIES, arrs)
+        if any(arr))
 
 
 _DECIMAL = re.compile(r"[-+]?[0-9]+")

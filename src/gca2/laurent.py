@@ -78,6 +78,7 @@ polynomial.
 
 JSON form: {"terms": [{"e": [e1, e2], "c": <coefficient JSON>}, ...]} with
 terms sorted by (e1, e2) ascending; see coeffring for the coefficient JSON.
+to_json returns the compact text, written in one pass with no dict tree.
 """
 
 from __future__ import annotations
@@ -450,9 +451,10 @@ def lp_is_positive(f: LaurentPoly) -> bool:
 
 # -- serialization and rendering ----------------------------------------------
 
-def to_json(f: LaurentPoly, mode: CoefficientMode) -> dict:
-    return {"terms": [{"e": [e1, e2], "c": coeff_to_json(c, mode.d1, mode.d2)}
-                      for (e1, e2), c in sorted(f.terms.items())]}
+def to_json(f: LaurentPoly, mode: CoefficientMode) -> str:
+    d1, d2, heads = mode.d1, mode.d2, {}
+    return '{"terms":[' + ",".join([f'{{"e":[{e1},{e2}],"c":{coeff_to_json(c, d1, d2, heads)}}}'
+                                    for (e1, e2), c in sorted(f.terms.items())]) + "]}"
 
 
 def from_json(data: dict, mode: CoefficientMode) -> LaurentPoly:

@@ -2,7 +2,8 @@
 
 The golden expectations (reference cluster variables, the sixteen diagram
 groups for D(5,2)) are rebuilt here with a self-contained dict-based
-polynomial toolkit so they do not depend on the library under test.
+polynomial toolkit so they do not depend on the library under test.  The
+JSON writer's oracle builds each document as a dict tree, for json.dumps.
 """
 
 from __future__ import annotations
@@ -204,6 +205,37 @@ def palindromic(d: int, inner) -> tuple:
     for t in range(1, d // 2 + 1):
         p[t] = p[d - t] = inner[t - 1]
     return tuple(p)
+
+
+# -- JSON writer oracle: the document as a dict tree, for json.dumps -----------
+
+def oracle_coeff_json(c, d1: int, d2: int) -> list:
+    """A coefficient's record list: records ascending by (rho array, vrho array)."""
+    if isinstance(c, int):
+        return [{"n": str(c)}]
+    records = []
+    for arrays, n in sorted((_oracle_arrays(m, d1, d2), n) for m, n in c.terms.items()):
+        rec: dict = {}
+        for family, arr in zip(("rho", "vrho"), arrays):
+            if any(arr):
+                rec[family] = list(arr)
+        rec["n"] = str(n)
+        records.append(rec)
+    return records
+
+
+def _oracle_arrays(m, d1: int, d2: int) -> tuple:
+    rho_arr, vrho_arr = [0] * max(d1 - 1, 0), [0] * max(d2 - 1, 0)
+    for g, e in m:
+        arr = rho_arr if g.family == "rho" else vrho_arr
+        arr[g.index - 1] += e
+    return tuple(rho_arr), tuple(vrho_arr)
+
+
+def oracle_laurent_json(f, mode: CoefficientMode) -> dict:
+    """A Laurent polynomial's document: terms ascending by (e1, e2)."""
+    return {"terms": [{"e": [e1, e2], "c": oracle_coeff_json(c, mode.d1, mode.d2)}
+                      for (e1, e2), c in sorted(f.terms.items())]}
 
 
 @pytest.fixture

@@ -18,8 +18,12 @@ building their expansions.  `pairs_sym23_2_4_text` (a2 > a1, so the backward
 walks wrap and cross runs of vertical edges) and `greedy_sym22_comb_4_4_json`
 (the diagonal path, where `greedy_combinatorial` keeps the vertical family
 outer because the transpose test is a strict `>`) were captured before
-`compatible_structure` read per-path walk tables.  `expand` cases read their input from `golden/`
-by a relative path.
+`compatible_structure` read per-path walk tables.  `var_sym23_1_json` (an
+int coefficient in symbolic mode), `var_sym41_4_json` (three-slot rho
+arrays, no vrho array), `var_sym00_3_json` (empty exponent arrays) and
+`expand_sym23_neg_json` (negative coefficients) were captured before the
+JSON documents were written as text with no dict tree.  `expand` cases read
+their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
 output format justifies rewriting it, with
@@ -62,6 +66,15 @@ def test_golden_corpus_replays_byte_identically():
         if code != case["exit"] or out != (GOLDEN / f"{case['name']}.out").read_bytes():
             differ.append(case["name"])
     assert not differ, f"stdout or exit code changed: {differ}"
+
+
+def test_json_outputs_are_compact_canonical_json():
+    # spacing, key order and escaping as json.dumps writes them, line by line
+    lines = [line for path in sorted(GOLDEN.glob("*_json.out"))
+             for line in path.read_text(encoding="utf-8").splitlines()]
+    assert len(lines) > 1500
+    assert [line for line in lines
+            if line != json.dumps(json.loads(line), separators=(",", ":"))] == []
 
 
 if __name__ == "__main__":

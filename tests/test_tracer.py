@@ -44,6 +44,10 @@ def test_tracer_counts_every_layer_and_uninstalls(capsys):
         assert cli.main(["--p1", "1,1,1", "--p2", "1,1,1,1", "greedy", "3", "2",
                          "--method", "recursive", "--clusters=-1..2"]) == 0
         assert tracer.calls.get("laurent.subst", 0) - before_probe == 1
+        # a JSON document is written by laurent.to_json, which the tracer times
+        before_json = tracer.calls.get("laurent.render", 0)
+        assert cli.main(["--d1", "2", "--d2", "3", "--format", "json", "var", "5"]) == 0
+        assert tracer.calls["laurent.render"] - before_json == 1
         before_pairs = tracer.calls.get("compat.structure", 0)
         assert cli.main(["--d1", "2", "--d2", "3", "pairs", "4", "2"]) == 0
         # the streamed pairs still ask for one structure per S2: (d2 + 1) ** a2
