@@ -9,8 +9,9 @@
 
 Output on stdout is deterministic byte-for-byte across runs; bench writes
 its wall-clock timings to stderr so the stdout report stays stable.  Usage
-and input errors print one line to stderr and exit 2; an expand input
-outside the algebra and verification failures exit 1.
+and input errors, argparse's included, print one line to stderr and exit 2;
+an expand input outside the algebra and verification failures exit 1.
+Integers print and parse at any length, for the command only.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def cmd_expand(args, mode) -> int:
             data = json.load(fh)
     except OSError as exc:
         return _usage_error(f"cannot read {args.file}: {exc.strerror}")
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
         return _usage_error(f"{args.file} is not valid JSON: {exc}")
     try:
         f = laurent.from_json(data, mode)
@@ -236,8 +237,13 @@ def cmd_bench(args, mode) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subcommand parsers share the class
+        raise SystemExit(_usage_error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gca2",
         description="Exact computations in rank-2 generalized cluster algebras.")
     parser.add_argument("--p1", help="comma-separated coefficients of P1, low to high")
@@ -283,9 +289,13 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    mode = _build_mode(args)
-    return args.func(args, mode)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit on digits; the caller's comes back
+    try:
+        args = _parser().parse_args(argv)
+        return args.func(args, _build_mode(args))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -42,11 +42,7 @@ class AlgebraContext:
         self.mode = mode
         self._memo: dict[int, LaurentPoly] = {}
 
-    # -- exchange polynomials and cluster variables ---------------------------
-
-    def _exchange_poly(self, k: int) -> tuple:
-        """Coefficient tuple of the polynomial applied to x_k, low degree first."""
-        return self.mode.polys[k % 2]
+    # -- cluster variables ----------------------------------------------------
 
     def cluster_variable(self, k: int) -> LaurentPoly:
         """x_k in (x_1, x_2): slot 2 of cluster k - 1 (k >= 2) or slot 1 of
@@ -89,11 +85,11 @@ class AlgebraContext:
     # -- cross-cluster expansion ----------------------------------------------
 
     def _exchange(self, step, f: LaurentPoly, var: int, k: int, label: str):
-        """step(f, var, P), P the polynomial applied to x_k: f with x_var
-        replaced by P(x_other) / x_var, or a verdict on that; a NotLaurent
-        failure is re-raised under label."""
+        """step(f, var, P), P the mode's ExchangePoly applied to x_k (P1 for
+        k even, P2 for k odd): f with x_var replaced by P(x_other) / x_var,
+        or a verdict on that; a NotLaurent failure is re-raised under label."""
         try:
-            return step(f, var, self._exchange_poly(k))
+            return step(f, var, self.mode.polys[k % 2])
         except NotLaurent as exc:
             raise NotLaurent(f"{label}: {exc}") from exc
 

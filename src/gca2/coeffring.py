@@ -25,14 +25,14 @@ subclasses' own bodies: each is a different kernel, and the benchmark's
 tracer wraps it by reading the class __dict__.  CoeffPoly has no division:
 every exchange polynomial has constant term 1, so nothing needs one.
 
-Powers of an exchange polynomial are dense coefficient tuples, low degree
-first, built on demand by repeated multiplies by P and kept by the function
-dense_powers(p) returns.  CoefficientMode.poly_power reads them from one
-such table per P, built on first use and kept on the mode instance, for
-every greedy element of that mode.  A table grows by replacing an immutable
-tuple whole, so a thread reads the old table or the grown one and never a
-half-built one; two threads that grow it at once each build a correct
-table, and one of them is kept.
+An ExchangePoly is an exchange polynomial's coefficient tuple, low degree
+first, checked once when built: constant term 1, nonzero leading term.  Its
+power(k) returns P**k as a dense tuple, built on demand by repeated
+multiplies by P and kept in its table of powers.  CoefficientMode.polys
+holds one per P, read by every greedy element and cluster-walk step of the
+mode.  A table grows by replacing an immutable tuple whole, so a thread
+reads the old table or the grown one and never a half-built one; two
+threads that grow it at once each build a correct table, one of them kept.
 
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 
@@ -295,30 +294,50 @@ def _mono_sort_key(m: Mono):
     return (sum(e for _, e in m), tuple((g, e) for g, e in m))
 
 
-# -- coefficient mode ------------------------------------------------------
+# -- exchange polynomials and the coefficient mode -------------------------
+
+class ExchangePoly(tuple):
+    """Coefficients of an exchange polynomial, low degree first, and the table
+    of its powers (see the module docstring)."""
+
+    def __new__(cls, coeffs: Iterable):
+        self = super().__new__(cls, coeffs)
+        if not self or self[0] != 1 or not self[-1]:
+            raise ValueError("an exchange polynomial needs constant term 1 and a "
+                             "nonzero leading coefficient")
+        self._pows = ((self[0],),)  # P**0, the 1 of P's coefficient type
+        return self
+
+    def power(self, k: int) -> tuple:
+        """P**k as a dense coefficient tuple, low degree first."""
+        table = self._pows
+        if k >= len(table):
+            grown = list(table)
+            while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
+                grown.append(tuple(_uni_mul(grown[-1], self)))
+            self._pows = table = tuple(grown)
+        return table[k]
+
 
 @dataclass(frozen=True)
 class CoefficientMode:
     """Numeric (concrete integer coefficients) or symbolic (formal generators).
 
     p1/p2 are the full low-to-high coefficient tuples in numeric mode and
-    None in symbolic mode.  polys is the pair (P1, P2) of coefficient tuples,
-    low degree first: p1 and p2 in numeric mode, the constant 1 and the
-    canonical generators as CoeffPoly in symbolic mode.  It is derived from
-    the other fields, so equality, hashing and repr leave it out.  They also
-    leave out the table of powers that poly_power reads, so two equal modes
-    build their own.
-
-    The constructor refuses a numeric p1 or p2 whose constant term is not 1,
-    which division by powers of P relies on; numeric() also refuses signed,
-    non-monic and non-palindromic ones.
+    None in symbolic mode.  polys is the pair (P1, P2) of ExchangePolys: p1
+    and p2 in numeric mode, the constant 1 and the canonical generators as
+    CoeffPoly in symbolic mode.  It is derived from the other fields, so
+    equality, hashing and repr leave it out, and two equal modes build their
+    own tables of powers.  ExchangePoly refuses a p1 or p2 whose constant
+    term is not 1, which division by powers of P relies on; numeric() also
+    refuses signed, non-monic and non-palindromic ones.
     """
 
     d1: int
     d2: int
     p1: tuple[int, ...] | None
     p2: tuple[int, ...] | None
-    polys: tuple[tuple[Coeff, ...], tuple[Coeff, ...]] = field(
+    polys: tuple[ExchangePoly, ExchangePoly] = field(
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -329,24 +348,20 @@ class CoefficientMode:
         if self.d1 < 0 or self.d2 < 0:
             raise ValueError("degrees must be nonnegative")
         if self.is_numeric:
-            if self.p1[0] != 1 or self.p2[0] != 1:
-                raise ValueError("p1 and p2 must have constant term 1")
             polys = (self.p1, self.p2)
         else:
-            polys = (tuple(CoeffPoly.rho(t, self.d1) for t in range(self.d1 + 1)),
-                     tuple(CoeffPoly.vrho(t, self.d2) for t in range(self.d2 + 1)))
-        object.__setattr__(self, "polys", polys)
+            polys = ((CoeffPoly.rho(t, self.d1) for t in range(self.d1 + 1)),
+                     (CoeffPoly.vrho(t, self.d2) for t in range(self.d2 + 1)))
+        object.__setattr__(self, "polys", tuple(map(ExchangePoly, polys)))
 
     @staticmethod
     def numeric(p1: Iterable[int], p2: Iterable[int]) -> "CoefficientMode":
         p1 = tuple(p1)
         p2 = tuple(p2)
         for name, p in (("p1", p1), ("p2", p2)):
-            if len(p) < 1:
-                raise ValueError(f"{name} must have at least the constant term")
             if any(not isinstance(c, int) or c < 0 for c in p):
                 raise ValueError(f"{name} coefficients must be nonnegative integers")
-            if p[0] != 1 or p[-1] != 1:
+            if not p or p[0] != 1 or p[-1] != 1:
                 raise ValueError(f"{name} must be monic with constant term 1")
             d = len(p) - 1
             if any(p[t] != p[d - t] for t in range(d + 1)):
@@ -360,39 +375,6 @@ class CoefficientMode:
     @property
     def is_numeric(self) -> bool:
         return self.p1 is not None
-
-    def poly_power(self, i: int, k: int) -> tuple:
-        """polys[i] ** k as a dense coefficient tuple, low degree first, read
-        from this instance's table of powers (see the module docstring)."""
-        return self._powers[i](k)
-
-    @cached_property
-    def _powers(self) -> list:
-        """One dense_powers table per P."""
-        return [dense_powers(p) for p in self.polys]
-
-    def __getstate__(self) -> dict:
-        # the table of powers holds closures, and a copy builds its own
-        return {k: v for k, v in self.__dict__.items() if k != "_powers"}
-
-
-def dense_powers(p: Sequence):
-    """k -> p**k as a dense tuple, low degree first, built on demand from
-    (p[0],), the 1 of p's coefficient type, and kept for later calls in a
-    tuple of powers that grows by being replaced whole."""
-    pows = ((p[0],),)
-
-    def p_pow(k: int) -> tuple:
-        nonlocal pows
-        table = pows
-        if k >= len(table):
-            grown = list(table)
-            while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
-                grown.append(tuple(_uni_mul(grown[-1], p)))
-            pows = table = tuple(grown)
-        return table[k]
-
-    return p_pow
 
 
 def _uni_mul(a: Sequence, b: Sequence) -> list:

@@ -25,8 +25,8 @@ maps compatible pairs to compatible pairs, and keeps every value multiset
 and the number of free edges.  So the sum visits one outer grading per
 rotation orbit, the one no rotation by a multiple of c2/g slots makes
 smaller, and weights what it counts by the orbit's size.  The free edges'
-factor P**k comes from the mode's own table of powers
-(CoefficientMode.poly_power), built once per mode instance, not once per
+factor P**k comes from P's own table of powers
+(coeffring.ExchangePoly.power), built once per mode instance, not once per
 element.
 
 The recursive construction (numeric mode only) fills the pointed coefficient
@@ -133,7 +133,7 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             k, w = sum(key), inner_weight(key)
             rpoly[k] = rpoly.get(k, 0) + (w * mult if mult > 1 else w)
         poly = by_out.setdefault(out_key, {})
-        for q1, c1 in enumerate(mode.poly_power(inner, n_free)):
+        for q1, c1 in enumerate(inner_vals.power(n_free)):
             if not c1:
                 continue
             for q2, c2 in rpoly.items():

@@ -15,14 +15,17 @@ cluster route steps between clusters by lp_substitute_ratio, so no route
 multiplies two many-term Laurent polynomials, and a big-int or packed-key
 product would be code that nothing runs.
 
-lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is a
-coefficient tuple, low degree first, with constant term 1: an exchange
-polynomial's.  It returns the result in cluster order, x_other in slot var
-and y in the other, so a step of the cluster walk needs no swap.  The slice
-of f with x_var-exponent e >= 0 is multiplied by p**e, and one with e < 0
-divided by p**-e.  When every coefficient of f and p is a plain int, that product is one big-int multiply (Kronecker
-substitution; Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", arXiv:0712.4046).  p is packed once into
+lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is an
+exchange polynomial, low degree first.  It returns the result in cluster
+order, x_other in slot var and y in the other, so a step of the cluster
+walk needs no swap.  The slice of f with x_var-exponent e >= 0 is
+multiplied by p**e, and one with e < 0 divided by p**-e, each dense power
+read from p.power: the walk passes the mode's coeffring.ExchangePolys, so
+all its steps read one table per P, and a plain tuple becomes an
+ExchangePoly once per call.  When every coefficient of f and p is a plain
+int, that product is one big-int multiply (Kronecker substitution; Harvey,
+"Faster polynomial multiplication via multipoint Kronecker substitution",
+arXiv:0712.4046).  p is packed once into
 nb-byte slots as the int P, and the powers P**e are built by repeated int
 multiplies, never unpacked.  Each slice is then one product
 pack(slice_e) * P**e, unpacked once: slot k holds coefficient k.  One nb
@@ -88,8 +91,8 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Sequence
 
-from .coeffring import (CoeffPoly, CoefficientMode, SparsePoly, coeff_from_json,
-                        coeff_to_json, dense_powers, format_term)
+from .coeffring import (CoeffPoly, CoefficientMode, ExchangePoly, SparsePoly,
+                        coeff_from_json, coeff_to_json, format_term)
 
 
 class NotDivisible(ArithmeticError):
@@ -280,8 +283,7 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
-    if not p or p[0] != 1 or not p[-1]:
-        raise ValueError("p needs constant term 1 and a nonzero leading coefficient")
+    p = p if isinstance(p, ExchangePoly) else ExchangePoly(p)  # checks p
     sel = 0 if var == 1 else 1
     oth = 1 - sel
 
@@ -290,7 +292,6 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
         slices.setdefault(e[sel], {})[e[oth]] = c
 
     deg = len(p) - 1
-    p_pow = dense_powers(p)
 
     nb = None
     if all(type(c) is int for c in chain(p, f.terms.values())):
@@ -309,7 +310,7 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
             try:
                 if m - 1 < -e * deg:  # checked before p**-e is built
                     raise NotLaurent("slice shorter than the divisor")
-                q = _uni_exact_div(sl, p_pow(-e))
+                q = _uni_exact_div(sl, p.power(-e))
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
         elif nb and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
@@ -320,7 +321,7 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
             q = _pack(((i - lo, c) for i, c in sl.items()), m, nb) * pw
             m += e * deg
         else:
-            q = _uni_mul_sparse(sl, p_pow(e))
+            q = _uni_mul_sparse(sl, p.power(e))
         yield e, lo, q, m, nb
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -209,8 +210,14 @@ def test_usage_errors_exit_2():
     assert run_cli(["--p1", "1,1", "var", "3"])[0] == 2       # missing p2
     assert run_cli(["--p1", "1,2", "--p2", "1,1", "var", "3"])[0] == 2  # not monic
     assert run_cli([*NUMERIC, "--d1", "2", "--d2", "3", "var", "3"])[0] == 2
-    assert run_cli([*NUMERIC])[0] == 2                        # no command
-    assert run_cli([*NUMERIC, "--threads", "0", "var", "3"])[0] == 2  # no such flag
+    # argparse's errors: no command, an unknown one, a bad argument, no such flag
+    for argv in ([*NUMERIC], [*NUMERIC, "frobnicate"], [*NUMERIC, "var", "x"],
+                 [*NUMERIC, "--threads", "0", "var", "3"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    code, out, err = run_cli(["--help"])  # help is no error
+    assert (code, err) == (0, "") and out.startswith("usage: gca2")
     code, out, err = run_cli([*NUMERIC, "bench", "--cells", "3x-1"])  # negative cell
     assert (code, out) == (2, "")
     assert err == "error: --cells expects entries like 8x3\n"
@@ -225,6 +232,8 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
     one_elem.write_text('{"terms": [{"e": [1], "c": [{"n": "1"}]}]}')
     bad_json = tmp_path / "bad.json"
     bad_json.write_text('{"terms": [')
+    deep_json = tmp_path / "deep.json"  # nested beyond json's recursion limit
+    deep_json.write_text("[" * 200000)
     # d1 = 2 has one rho generator, so a two-entry exponent array is bad input
     long_rho = tmp_path / "long_rho.json"
     long_rho.write_text('{"terms": [{"e": [0, 0], "c": [{"rho": [1, 5], "n": "1"}]}]}')
@@ -269,12 +278,31 @@ def test_input_errors_exit_2_with_one_line(tmp_path):
                  [*NUMERIC, "expand", str(tmp_path / "missing.json")],
                  [*NUMERIC, "expand", str(one_elem)],
                  [*NUMERIC, "expand", str(bad_json)],
+                 [*ones, "expand", str(deep_json)],
                  [*symbolic, "expand", str(long_rho)],
                  [*symbolic, "expand", str(zero_tail)]):
         code, out, err = run_cli(argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_var_prints_integers_beyond_the_digit_limit():
+    # N = 10**1500 - 1: x_6 has integers of more than 4,300 digits, the
+    # interpreter's default limit; the command lifts the limit, and gives the
+    # caller's back
+    n = str(10 ** 1500 - 1)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(["--p1", f"1,{n},1", "--p2", f"1,{n},1",
+                                      "--format", fmt, "var", "6"])
+            assert (code, err) == (0, ""), fmt
+            assert max(map(len, re.findall(r"[0-9]+", out))) > 5000, fmt
+            assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_greedy_checks_clusters_before_building(monkeypatch):

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from conftest import ALL_ONES, chebyshev_u, expected_x3, expected_x4, expected_x5
-from gca2 import cluster, laurent, verify
+from gca2 import cluster, coeffring, laurent, verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
 from gca2.compat import support_region
@@ -325,6 +325,28 @@ def test_cluster_variable_names_the_failing_cluster_step():
     step = r"cluster step 2 -> 1: substituting x2, slice e=-1: "
     with pytest.raises(NotLaurent, match=step):
         ctx.cluster_variable(5)
+
+
+def test_walks_on_one_mode_share_its_tables_of_powers(monkeypatch):
+    # every step divides by powers of P read from the mode's own tables, so
+    # a second walk to the same x_k, through a fresh context, builds none
+    built = []
+    uni_mul = coeffring._uni_mul
+
+    def spy(a, b):
+        built.append(len(a))
+        return uni_mul(a, b)
+
+    monkeypatch.setattr(coeffring, "_uni_mul", spy)
+    for mode in (CoefficientMode.numeric((1, 2, 1), (1, 1, 1, 1)),
+                 CoefficientMode.symbolic(2, 3)):
+        for k in (7, -4):
+            del built[:]
+            first = AlgebraContext(mode).cluster_variable(k)
+            assert built, (mode, k)  # the first walk builds powers of P
+            del built[:]
+            assert AlgebraContext(mode).cluster_variable(k) == first
+            assert built == [], (mode, k)
 
 
 def test_apply_reflection_examples(mode23):

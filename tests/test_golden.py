@@ -22,7 +22,11 @@ outer because the transpose test is a strict `>`) were captured before
 int coefficient in symbolic mode), `var_sym41_4_json` (three-slot rho
 arrays, no vrho array), `var_sym00_3_json` (empty exponent arrays) and
 `expand_sym23_neg_json` (negative coefficients) were captured before the
-JSON documents were written as text with no dict tree.  `expand` cases read
+JSON documents were written as text with no dict tree.  The `usage_*` cases,
+one per usage or input error path of the CLI (argparse's included), were
+captured before exchange polynomials owned their tables of powers and
+before argparse errors printed one line: each prints nothing on stdout,
+exits 2 and must print one `error:` line on stderr.  `expand` cases read
 their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
@@ -37,7 +41,7 @@ import io
 import json
 import os
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from gca2 import cli
@@ -46,26 +50,33 @@ GOLDEN = Path(__file__).with_name("golden")
 CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
-def run_case(argv) -> tuple[int, bytes]:
-    buf = io.StringIO()
+def run_case(argv) -> tuple[int, bytes, str]:
+    """(exit status, stdout, stderr) of cli.main(argv), run in golden/."""
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
-        with redirect_stdout(buf):
-            code = cli.main(argv)
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # usage errors exit from inside main
+                code = exc.code
     finally:
         os.chdir(cwd)
-    return code, buf.getvalue().encode("utf-8")
+    return code, out.getvalue().encode("utf-8"), err.getvalue()
 
 
 def test_golden_corpus_replays_byte_identically():
     assert CASES
-    differ = []
+    differ, not_one_line = [], []
     for case in CASES:
-        code, out = run_case(case["argv"])
+        code, out, err = run_case(case["argv"])
         if code != case["exit"] or out != (GOLDEN / f"{case['name']}.out").read_bytes():
             differ.append(case["name"])
+        if code == 2 and not (err.startswith("error: ") and err.count("\n") == 1):
+            not_one_line.append(case["name"])
     assert not differ, f"stdout or exit code changed: {differ}"
+    assert not not_one_line, f"exit 2 without one error line: {not_one_line}"
 
 
 def test_json_outputs_are_compact_canonical_json():
@@ -81,7 +92,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     for case in CASES:
-        code, out = run_case(case["argv"])
+        code, out, _ = run_case(case["argv"])
         case["exit"] = code
         (GOLDEN / f"{case['name']}.out").write_bytes(out)
     (GOLDEN / "manifest.json").write_text(json.dumps(CASES, indent=1) + "\n",

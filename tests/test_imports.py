@@ -85,6 +85,7 @@ UNREAD_BUT_KEPT = {
     "dyckpath.DyckPath.subpath_edges": "criterion 07 reads the local shadows' edges with it",
     "dyckpath.DyckPath.full_loop": "the paper's full loop, which the subpath tests build",
     "greedy.pair_weight": "the paper's pair weight, which the greedy definition oracle sums",
+    "cli._Parser.error": "argparse calls it on each parse error, to print one error line",
 }
 
 
