@@ -211,6 +211,16 @@ def cmd_verify(args, mode) -> int:
     return 0 if ok else 1
 
 
+# the most grading pairs (S1, S2) that bench brute-forces in a cell: 10x10 on
+# (1,1) takes about 3 s; the default 8x3 on (2,3) has 419,904
+_BENCH_MAX_PAIRS = 2 ** 20
+
+
+def _bench_fits(a1: int, a2: int, d1: int, d2: int) -> bool:
+    """(d1+1)**a1 * (d2+1)**a2 <= _BENCH_MAX_PAIRS < 2**21, each exponent capped at 21."""
+    return (d1 + 1) ** min(a1, 21) * (d2 + 1) ** min(a2, 21) <= _BENCH_MAX_PAIRS
+
+
 def cmd_bench(args, mode) -> int:
     cells = []
     for cell in args.cells.split(","):
@@ -220,6 +230,8 @@ def cmd_bench(args, mode) -> int:
                 raise ValueError("negative cell size")
         except ValueError:
             return _usage_error("--cells expects entries like 8x3")
+        if not _bench_fits(a1, a2, mode.d1, mode.d2):
+            return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_PAIRS} grading pairs")
         cells.append((a1, a2))
     for a1, a2 in cells:
         t0 = time.perf_counter()
@@ -238,19 +250,34 @@ def cmd_bench(args, mode) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else args  # for error
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # subcommand parsers share the class
+        if message.startswith("argument command: invalid choice"):
+            # an unknown flag before the command leaves its value to be read
+            # as the command: name the flag instead
+            rest = _mode_flags(_Parser(add_help=False)).parse_known_args(self.argv)[1]
+            if rest[0].startswith("-"):
+                message = f"unrecognized arguments: {rest[0]}"
         raise SystemExit(_usage_error(message))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="gca2",
-        description="Exact computations in rank-2 generalized cluster algebras.")
+def _mode_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """parser with the flags before the command."""
     parser.add_argument("--p1", help="comma-separated coefficients of P1, low to high")
     parser.add_argument("--p2", help="comma-separated coefficients of P2")
     parser.add_argument("--d1", type=int, help="degree of P1 (symbolic mode)")
     parser.add_argument("--d2", type=int, help="degree of P2 (symbolic mode)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _mode_flags(_Parser(
+        prog="gca2",
+        description="Exact computations in rank-2 generalized cluster algebras."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("var", help="cluster variable x_k")

@@ -46,7 +46,7 @@ class DyckPath:
     # _walks holds compat's walk tables for this path and _hrefs its h-edge
     # refs for shadow reports, each built on first use
     __slots__ = ("a1", "a2", "n", "kinds", "indices", "pos_h", "pos_v",
-                 "prefix_h", "prefix_v", "_transpose", "_walks", "_hrefs")
+                 "prefix_h", "prefix_v", "_walks", "_hrefs")
 
     def __init__(self, a1: int, a2: int):
         if a1 < 0 or a2 < 0:
@@ -88,11 +88,9 @@ class DyckPath:
         """D(a2, a1): this path read backwards with East and North swapped.
 
         The edge at position p lands at position n-1-p, h_j becomes
-        v_{a1+1-j} and v_k becomes h_{a2+1-k}.  Built once per path.
+        v_{a1+1-j} and v_k becomes h_{a2+1-k}.
         """
-        if getattr(self, "_transpose", None) is None:
-            self._transpose = DyckPath(self.a2, self.a1)
-        return self._transpose
+        return DyckPath(self.a2, self.a1)
 
     # -- edge geometry -------------------------------------------------
 

@@ -9,11 +9,11 @@ coeffring.SparsePoly, shared with CoeffPoly.  Multiplication and exact_div
 are defined here, in the class body, where the benchmark's tracer finds
 them.
 
-Multiplication scales by a one-term operand, and otherwise runs one plain
-loop over pairs of terms on (e1, e2) keys.  No faster product is kept: every
-cluster route steps between clusters by lp_substitute_ratio, so no route
-multiplies two many-term Laurent polynomials, and a big-int or packed-key
-product would be code that nothing runs.
+Multiplication is one plain loop over pairs of terms on (e1, e2) keys.  No
+faster product is kept: every cluster route steps between clusters by
+lp_substitute_ratio, so no route multiplies two many-term Laurent
+polynomials, and a big-int or packed-key product would be code that nothing
+runs.
 
 lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is an
 exchange polynomial, low degree first.  It returns the result in cluster
@@ -25,29 +25,24 @@ all its steps read one table per P, and a plain tuple becomes an
 ExchangePoly once per call.  When every coefficient of f and p is a plain
 int, that product is one big-int multiply (Kronecker substitution; Harvey,
 "Faster polynomial multiplication via multipoint Kronecker substitution",
-arXiv:0712.4046).  p is packed once into
-nb-byte slots as the int P, and the powers P**e are built by repeated int
-multiplies, never unpacked.  Each slice is then one product
-pack(slice_e) * P**e, unpacked once: slot k holds coefficient k.  One nb
-serves the whole call, sized from the bound max over e >= 0 of
-|slice_e|_1 * |p|_1**e plus a sign bit, since no coefficient of a product
-exceeds the product of its factors' 1-norms; so no slot carries into the
-next.  _pack and _unpack shift signed coefficients by half a slot, an offset
-of repeated bytes, so every slot reads nonnegative with no division.
+arXiv:0712.4046).  p is packed once into nb-byte slots as the int P, and
+the powers P**e are built by repeated int multiplies, never unpacked.  Each
+slice is then one product pack(slice_e) * P**e, unpacked once: slot k holds
+coefficient k.  One nb serves the whole call, sized from the bound max over
+e >= 0 of |slice_e|_1 * |p|_1**e plus a sign bit, since no coefficient of a
+product exceeds the product of its factors' 1-norms; so no slot carries
+into the next.  _pack and _unpack shift signed coefficients by half a slot,
+an offset of repeated bytes, so every slot reads nonnegative with no
+division.
 
-lp_substitute_ratio_is_positive decides the sign of the substitution from
-the same slices and builds no result.  When every coefficient of p is >= 0,
-as in every numeric mode, a slice with e >= 0 and no negative coefficient
-is decided by sign alone: its product with p**e is nonzero with no negative
-coefficient, and slices with different e fill disjoint rows.  Such slices
-are dropped before _substituted_slices sees f, so they are never
-multiplied, packed or counted in nb, and p is packed only when a slice
-needs it.  Every division slice is still computed, so NotLaurent is raised
-as lp_substitute_ratio raises it.  A packed product v of m slots has every coefficient >= 0 iff
-(v + off) & off == off, off = _slot_offset(m, nb), since adding half a
-slot to each slot carries nothing into the next and leaves its top bit set
-exactly when its coefficient is >= 0.  The other slices are checked by
-min().
+lp_substitute_ratio_is_positive is lp_is_positive of the substitution.
+When every coefficient of f and p is a plain int and p >= 0, as in every
+numeric mode, a slice with e >= 0 and no negative coefficient is decided by
+sign alone: its product with p**e is nonzero with no negative coefficient,
+and slices with different e fill disjoint rows.  Such slices are dropped
+before lp_substitute_ratio sees f, so they are never multiplied, packed or
+counted in nb; the verdict is min() over the substitution of the rest,
+whose division slices raise NotLaurent as the whole substitution would.
 
 A slice is packed when slots * (2 + nb/2) <= |slice| * |p**e|: one nb-byte
 slot costs about as much as 2 + nb/2 dict-loop term products (a fit over
@@ -75,9 +70,9 @@ elimination stops on every input.  The divisor's minimal monomial must have
 coefficient 1 or -1, as a pointed divisor's has (a cluster variable or a
 greedy element, up to sign): each quotient term is then the remainder's
 minimal coefficient or its negative, and no coefficient is ever divided.
-Any other divisor raises NotDivisible.  The cluster routes do not divide here: their only divisions
-are lp_substitute_ratio's univariate ones by powers of an exchange
-polynomial.
+Any other divisor raises NotDivisible.  The cluster routes do not divide
+here: their only divisions are lp_substitute_ratio's univariate ones by
+powers of an exchange polynomial.
 
 JSON form: {"terms": [{"e": [e1, e2], "c": <coefficient JSON>}, ...]} with
 terms sorted by (e1, e2) ascending; see coeffring for the coefficient JSON.
@@ -138,20 +133,10 @@ class LaurentPoly(SparsePoly):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if len(self.terms) < len(other.terms):
-            small, big = self.terms, other.terms
-        else:
-            small, big = other.terms, self.terms
-        if not small:
-            return LaurentPoly()
-        if len(small) == 1:
-            ((a1, a2), c1), = small.items()
-            return LaurentPoly._wrap({(a1 + b1, a2 + b2): c1 * c2
-                                      for (b1, b2), c2 in big.items()})
         acc: dict[tuple[int, int], object] = {}
         get = acc.get
-        for (a1, a2), c1 in small.items():
-            for (b1, b2), c2 in big.items():
+        for (a1, a2), c1 in self.terms.items():
+            for (b1, b2), c2 in other.terms.items():
                 k = (a1 + b1, a2 + b2)
                 acc[k] = get(k, 0) + c1 * c2
         return LaurentPoly._wrap({k: c for k, c in acc.items() if c})
@@ -221,14 +206,10 @@ class LaurentPoly(SparsePoly):
         return LaurentPoly._wrap(quot)
 
 
-# One nb-byte Kronecker slot costs about as much as _KRONECKER_SLOT_COST + nb/2
-# term products of the dict loop; see the module docstring.
-_KRONECKER_SLOT_COST = 2
-
-
 def _packing_pays(slots: int, nb: int, work: int) -> bool:
-    """True iff slots nb-byte slots cost no more than work dict-loop products."""
-    return slots * (2 * _KRONECKER_SLOT_COST + nb) <= 2 * work
+    """True iff slots nb-byte slots cost no more than work dict-loop products,
+    one slot costing about 2 + nb/2 of them (see the module docstring)."""
+    return slots * (4 + nb) <= 2 * work
 
 
 def _slot_offset(m: int, nb: int) -> int:
@@ -274,25 +255,25 @@ def lp_eval_univariate(p: Sequence, arg: LaurentPoly) -> LaurentPoly:
     return acc
 
 
-def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
-    """Yield (e, lo, q, m, nb) per slice of f, e ascending: the terms with
-    x_var-exponent e times p**e, or divided by p**-e when e < 0.  q is an int
-    packed in m nb-byte slots, or a list (a division, zeros included), slot
-    or entry i the coefficient of x^(lo + i); or a dict {exponent: nonzero
-    coefficient} from the dict loop.  See lp_substitute_ratio for the errors.
+def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
+    """Substitute x_var -> p(x_other) / y and return the result in cluster
+    order: x_other in slot var, y in the other slot.
+
+    p is the coefficient tuple of a univariate polynomial, low degree first,
+    with constant term 1 and a nonzero leading coefficient, as an exchange
+    polynomial has; anything else raises ValueError.  Each slice of f with
+    x_var-exponent e picks up p**e, e ascending: a packed big-int product or
+    the dict loop for e >= 0 (see the module docstring), an exact univariate
+    division for e < 0, which raises NotLaurent naming x_var and e if it fails.
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
     p = p if isinstance(p, ExchangePoly) else ExchangePoly(p)  # checks p
-    sel = 0 if var == 1 else 1
-    oth = 1 - sel
-
+    sel, oth = var - 1, 2 - var
     slices: dict[int, dict[int, object]] = {}
     for e, c in f.terms.items():
         slices.setdefault(e[sel], {})[e[oth]] = c
-
     deg = len(p) - 1
-
     nb = None
     if all(type(c) is int for c in chain(p, f.terms.values())):
         # |coefficient of slice_e * p**e| <= |slice_e|_1 * |p|_1**e, and p
@@ -303,6 +284,7 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
         nb = bound.bit_length() // 8 + 1  # bytes per slot, sign bit included
         big_p, pw, pw_e = 0, 1, 0  # p packed on first use; pw == big_p ** pw_e
 
+    out: dict[tuple[int, int], object] = {}
     for e, sl in sorted(slices.items()):
         lo = min(sl)
         m = max(sl) - lo + 1
@@ -310,7 +292,7 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
             try:
                 if m - 1 < -e * deg:  # checked before p**-e is built
                     raise NotLaurent("slice shorter than the divisor")
-                q = _uni_exact_div(sl, p.power(-e))
+                exps, coeffs = count(lo), _uni_exact_div(sl, p.power(-e))
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
         elif nb and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
@@ -319,78 +301,42 @@ def _substituted_slices(f: LaurentPoly, var: int, p: Sequence):
                 pw *= big_p ** (e - pw_e)
                 pw_e = e
             q = _pack(((i - lo, c) for i, c in sl.items()), m, nb) * pw
-            m += e * deg
+            exps, coeffs = count(lo), _unpack(q, m + e * deg, nb)
         else:
             q = _uni_mul_sparse(sl, p.power(e))
-        yield e, lo, q, m, nb
-
-
-def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
-    """Substitute x_var -> p(x_other) / y and return the result in cluster
-    order: x_other in slot var, y in the other slot.
-
-    p is the coefficient tuple of a univariate polynomial, low degree first,
-    with constant term 1 and a nonzero leading coefficient, as an exchange
-    polynomial has; anything else raises ValueError.  Each slice of f with
-    x_var-exponent e picks up p**e; negative e means an exact univariate
-    division, and a failed division raises NotLaurent naming x_var and e.
-    With plain int coefficients, a slice with e >= 0 is one big-int product
-    with the packed power, whose sign lp_substitute_ratio_is_positive reads
-    from its slots' top bits (see the module docstring).
-    """
-    out: dict[tuple[int, int], object] = {}
-    for e, lo, q, m, nb in _substituted_slices(f, var, p):
-        if type(q) is dict:
             exps, coeffs = q.keys(), q.values()
-        else:
-            exps, coeffs = count(lo), _unpack(q, m, nb) if type(q) is int else q
         row = repeat(-e)
         keys = zip(exps, row) if var == 1 else zip(row, exps)
         out.update(compress(zip(keys, coeffs), coeffs))
     return LaurentPoly._wrap(out)
 
 
+# the probe's substitutions are its own work, not lp_substitute_ratio's calls
+_substitute = lp_substitute_ratio
+
+
 def lp_substitute_ratio_is_positive(f: LaurentPoly, var: int, p: Sequence) -> bool:
-    """lp_is_positive(lp_substitute_ratio(f, var, p)), from the slices'
-    signs (see the module docstring); with p >= 0 the slices with e >= 0 and
-    no negative coefficient are decided without a product.  Every division
-    slice (e < 0, first) is computed, so NotLaurent is raised as
-    lp_substitute_ratio raises it.  Coefficients other than plain ints go
-    through the built result."""
-    if not all(type(c) is int for c in chain(p, f.terms.values())):
-        return lp_is_positive(lp_substitute_ratio(f, var, p))
-    positive = bool(f.terms)
-    if all(c >= 0 for c in p):
-        # a slice with e >= 0 and no negative coefficient times p**e is
-        # nonzero with no negative coefficient: only the others are built
-        sel = 0 if var == 1 else 1
-        signed = {k[sel] for k, c in f.terms.items() if c < 0}
-        f = LaurentPoly._wrap({k: c for k, c in f.terms.items()
-                               if k[sel] < 0 or k[sel] in signed})
-    for e, _, q, m, nb in _substituted_slices(f, var, p):
-        if positive:
-            if type(q) is int:
-                off = _slot_offset(m, nb)
-                positive = (q + off) & off == off
-            else:
-                positive = min(q.values() if type(q) is dict else q) >= 0
-        elif e >= 0:
-            break
-    return positive
+    """lp_is_positive(lp_substitute_ratio(f, var, p)).  With plain int
+    coefficients and p >= 0, only the slices with e < 0 or a negative
+    coefficient are substituted (see the module docstring)."""
+    terms = f.terms
+    if not (terms and all(type(c) is int and c >= 0 for c in p)
+            and all(type(c) is int for c in terms.values())):
+        return lp_is_positive(_substitute(f, var, p))
+    sel = 0 if var == 1 else 1
+    signed = {k[sel] for k, c in terms.items() if c < 0}
+    rest = _substitute(LaurentPoly._wrap({k: c for k, c in terms.items()
+                                          if k[sel] < 0 or k[sel] in signed}), var, p)
+    return not rest.terms or min(rest.terms.values()) >= 0
 
 
 def _uni_mul_sparse(sl: dict[int, object], b: list) -> dict[int, object]:
+    """sl * b, zero coefficients included."""
     out: dict[int, object] = {}
+    get = out.get
     for e, c in sl.items():
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            k = e + j
-            s = out.get(k, 0) + c * cb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
+        for k, cb in enumerate(b, e):
+            out[k] = get(k, 0) + c * cb
     return out
 
 
@@ -400,8 +346,7 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> list:
     Entry i of the returned list is the quotient coefficient of exponent
     min(sl) + i; some entries may be 0.
     """
-    lo = min(sl)
-    hi = max(sl)
+    lo, hi = min(sl), max(sl)
     deg_b = len(b) - 1
     deg_q = hi - lo - deg_b
     work = [sl.get(lo + i, 0) for i in range(hi - lo + 1)]

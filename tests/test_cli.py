@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
@@ -143,6 +144,29 @@ def test_bench_stdout_is_deterministic():
     assert "speedup" in err1  # timings go to stderr
 
 
+def test_bench_refuses_a_cell_over_its_budget_before_any_work():
+    # the smallest refused cell on (1,1): 2**21 grading pairs, where 10x10
+    # (2**20) is the largest accepted; every cell of the line is checked
+    # before the first one runs, so nothing is printed
+    ones = ["--p1", "1,1", "--p2", "1,1"]
+    t0 = time.perf_counter()
+    code, out, err = run_cli([*ones, "bench", "--cells", "3x2,10x11"])
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: cell 10x11 has over {cli._BENCH_MAX_PAIRS} grading pairs\n"
+    assert cli._bench_fits(10, 10, 1, 1) and not cli._bench_fits(10, 11, 1, 1)
+    # the default cells on (2,3): 8x3 has 3**8 * 4**3 = 419,904 pairs
+    assert all(cli._bench_fits(a1, a2, 2, 3) for a1, a2 in ((4, 2), (6, 3), (8, 3)))
+    # the predicate is the exact count against the budget, huge cells included
+    for d1, d2 in ((0, 0), (0, 3), (1, 1), (2, 3), (5, 1)):
+        for a1, a2 in product(range(0, 45, 3), range(0, 45, 4)):
+            want = (d1 + 1) ** a1 * (d2 + 1) ** a2 <= cli._BENCH_MAX_PAIRS
+            assert cli._bench_fits(a1, a2, d1, d2) == want, (d1, d2, a1, a2)
+    t0 = time.perf_counter()
+    assert run_cli([*ones, "bench", "--cells", f"{10 ** 9}x1"])[0] == 2
+    assert time.perf_counter() - t0 < 0.1
+
+
 def _record_line(s1, s2, fmt):
     """One pair rendered on its own, as the CLI printed it one record at a time."""
     if fmt == "json":
@@ -216,6 +240,13 @@ def test_usage_errors_exit_2():
         code, out, err = run_cli(argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # an unknown flag is named, before the command or after it
+    for argv in ([*NUMERIC, "--threads", "0", "var", "3"],
+                 [*NUMERIC, "var", "3", "--threads", "0"]):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: unrecognized arguments: --threads"), err
+        assert err.count("\n") == 1, err
     code, out, err = run_cli(["--help"])  # help is no error
     assert (code, err) == (0, "") and out.startswith("usage: gca2")
     code, out, err = run_cli([*NUMERIC, "bench", "--cells", "3x-1"])  # negative cell

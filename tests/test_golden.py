@@ -26,7 +26,9 @@ JSON documents were written as text with no dict tree.  The `usage_*` cases,
 one per usage or input error path of the CLI (argparse's included), were
 captured before exchange polynomials owned their tables of powers and
 before argparse errors printed one line: each prints nothing on stdout,
-exits 2 and must print one `error:` line on stderr.  `expand` cases read
+exits 2 and must print one `error:` line on stderr.
+`bench_num23_3x2_4x2_text` (stdout only: the timings go to stderr) was
+captured before `bench` refused cells over its budget.  `expand` cases read
 their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of

@@ -493,26 +493,35 @@ def random_verdict_case(rng):
 
 def test_substitute_ratio_verdict_matches_the_built_result(monkeypatch):
     # the verdict must equal lp_is_positive of the built result, NotLaurent
-    # message included; the spy and the counts show that every slice form
-    # and every outcome is reached
-    forms = set()
-    real = laurent._substituted_slices
+    # message included; the spies and the counts show that the verdict
+    # reaches every slice path (packed, dict loop, division) and every outcome
+    inside, reached = [False], set()
 
-    def spy(f, var, p):
-        for item in real(f, var, p):
-            forms.add(type(item[2]))
-            yield item
+    def spy(real):
+        def wrapped(*args):
+            if inside[0]:
+                reached.add(real.__name__)
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(laurent, "_substituted_slices", spy)
+    def is_positive(*args):
+        inside[0] = True
+        try:
+            return laurent.lp_substitute_ratio_is_positive(*args)
+        finally:
+            inside[0] = False
+
+    for name in ("_pack", "_uni_mul_sparse", "_uni_exact_div"):
+        monkeypatch.setattr(laurent, name, spy(getattr(laurent, name)))
     rng = random.Random(2020)
     outcomes = {True: 0, False: 0, NotLaurent: 0}
     for _ in range(20_000):
         f, var, p = random_verdict_case(rng)
         want = verdict_or_error(lambda: lp_is_positive(lp_substitute_ratio(f, var, p)))
-        got = verdict_or_error(laurent.lp_substitute_ratio_is_positive, f, var, p)
+        got = verdict_or_error(is_positive, f, var, p)
         assert got == want, (f, var, p)
         outcomes[want if type(want) is bool else NotLaurent] += 1
-    assert forms == {int, list, dict}
+    assert reached == {"_pack", "_uni_mul_sparse", "_uni_exact_div"}
     assert min(outcomes.values()) > 1_000, outcomes
 
 
