@@ -10,7 +10,9 @@
 Output on stdout is deterministic byte-for-byte across runs; bench writes
 its wall-clock timings to stderr so the stdout report stays stable.  Usage
 and input errors, argparse's included, print one line to stderr and exit 2;
-an expand input outside the algebra and verification failures exit 1.
+an expand input outside the algebra and verification failures exit 1.  A
+reader that closes stdout early (`| head`) ends the command with exit 141,
+128 + SIGPIPE, and nothing on stderr.
 Integers print and parse at any length, for the command only.
 """
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -216,6 +219,13 @@ def cmd_verify(args, mode) -> int:
 _BENCH_MAX_PAIRS = 2 ** 20
 
 
+# the most edges, a1 + a2, of a cell's path: compat's walk tables hold
+# a2 * (a1 + a2) masks of a1 bits, and with degree-0 exchange polynomials a
+# cell has one grading pair, so only this bounds them; 128x128 on (0,0)
+# takes about 0.02 s and 20 MB, and 2000x2000 ran out of memory
+_BENCH_MAX_EDGES = 256
+
+
 def _bench_fits(a1: int, a2: int, d1: int, d2: int) -> bool:
     """(d1+1)**a1 * (d2+1)**a2 <= _BENCH_MAX_PAIRS < 2**21, each exponent capped at 21."""
     return (d1 + 1) ** min(a1, 21) * (d2 + 1) ** min(a2, 21) <= _BENCH_MAX_PAIRS
@@ -232,6 +242,8 @@ def cmd_bench(args, mode) -> int:
             return _usage_error("--cells expects entries like 8x3")
         if not _bench_fits(a1, a2, mode.d1, mode.d2):
             return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_PAIRS} grading pairs")
+        if a1 + a2 > _BENCH_MAX_EDGES:
+            return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_EDGES} edges")
         cells.append((a1, a2))
     for a1, a2 in cells:
         t0 = time.perf_counter()
@@ -320,7 +332,14 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)  # no limit on digits; the caller's comes back
     try:
         args = _parser().parse_args(argv)
-        return args.func(args, _build_mode(args))
+        code = args.func(args, _build_mode(args))
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush at
+        # exit has nowhere to fail, and exit as a shell reports SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     finally:
         sys.set_int_max_str_digits(limit)
 

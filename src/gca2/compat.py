@@ -37,7 +37,9 @@ So it is read one run at a time, from tables that depend on the path alone
 distance and the remote-shadow cut for each value of S2(v_k); per h_j the
 edges after it.  They are kept on the path, built on its first use; as
 DyckPath.build makes a new path on every call, they last for one greedy
-element or one s2_structures loop.
+element or one s2_structures loop.  shadow_report_v reads its shadow from
+the same tables and states the rest as the paper defines it: the block of a
+remote edge is owned by the nearest v_k whose local shadow holds it.
 
 The horizontal side is the vertical side run on the transpose.  Reading
 D(a1, a2) backwards with East and North swapped gives D(a2, a1)
@@ -205,15 +207,6 @@ def _walks(path: DyckPath) -> tuple:
     return walks
 
 
-def _hrefs(path: DyckPath) -> tuple:
-    """hrefs[j-1] is the EdgeRef of h_j, built on the path's first shadow
-    report and kept on the path for the others."""
-    hrefs = getattr(path, "_hrefs", None)
-    if hrefs is None:
-        path._hrefs = hrefs = tuple(EdgeRef(HORIZONTAL, j) for j in range(1, path.a1 + 1))
-    return hrefs
-
-
 def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
     """(fz, shadow, remote) of S2 from the tables per_v of _walks.
 
@@ -252,50 +245,29 @@ def local_shadow_v(path: DyckPath, s2: Grading, k: int):
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     per_v, _, bits = _walks(path)
-    hrefs = _hrefs(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh = [j for j, bit in bits if remote & bit]
-    return ShadowReport(frozenset([h for h, (_, bit) in zip(hrefs, bits) if shadow & bit]),
-                        frozenset([hrefs[j - 1] for j in rsh]),
-                        _partition(path, rsh, fz, hrefs))
+    return ShadowReport(frozenset([EdgeRef(HORIZONTAL, j) for j, bit in bits if shadow & bit]),
+                        frozenset([EdgeRef(HORIZONTAL, j) for j in rsh]),
+                        _partition(path, rsh, fz))
 
 
-def _partition(path, remote, fz, hrefs) -> dict:
+def _partition(path, remote, fz) -> dict:
     """Group the remote shadow of a vertical grading by (owner index, height).
 
-    remote is a sorted list of h-edge indices, fz[k-1] the first-zero
-    distance from v_k, n when there is none (_shadow), and hrefs[j-1] the
-    EdgeRef of h_j (_hrefs).  h_j lies in the local shadow of v_k iff v_k
-    is at most fz[k-1] steps after h_j; its owner is the nearest such v_k.
-    One backward pass assigns the owners.  Number the v-edges of two laps
-    of the loop: u < a2 is v_{u+1}, and u >= a2 is v_{u+1-a2} one lap on.
-    An h-edge of height i has i v-edges before it, so the v-edges within
-    one loop after h_j are those with height(j) <= u < a2 + height(j).  The
-    pass walks u down from a2 + height of the last remote edge and puts
-    each v-edge it passes on a stack as (first position its local shadow
-    reaches, k), so the top is the nearest.  An entry that does not reach
-    back to h_j reaches no earlier edge either, and is dropped.  Blocks and
-    their edges come in path order, which is index order.
+    remote is a sorted list of h-edge indices and fz[k-1] the first-zero
+    distance from v_k, n when there is none (_shadow).  h_j lies in the
+    local shadow of v_k iff v_k is at most fz[k-1] steps after h_j; its
+    owner is the nearest such v_k.  Blocks and their edges come in path
+    order, which is index order.
     """
-    if not remote:
-        return {}
-    n, pos_v = path.n, path.pos_v
-    a2 = len(pos_v)
-    u = a2 + path.height(remote[-1])
-    keys, stack = {}, []
-    for j in reversed(remote):
-        height = path.height(j)
-        while u > height:
-            u -= 1
-            k = u % a2
-            stack.append((pos_v[k] + n * (u >= a2) - fz[k], k + 1))
-        pe = path.pos_h[j - 1]
-        while stack[-1][0] > pe:
-            stack.pop()
-        keys[j] = stack[-1][1], height
+    n = path.n
     blocks: dict = {}
     for j in remote:
-        blocks.setdefault(keys[j], []).append(hrefs[j - 1])
+        ph = path.pos_h[j - 1]
+        _, owner = min((d, k) for k, d in enumerate([(pv - ph) % n for pv in path.pos_v], 1)
+                       if d <= fz[k - 1])
+        blocks.setdefault((owner, path.height(j)), []).append(EdgeRef(HORIZONTAL, j))
     return {key: tuple(edges) for key, edges in blocks.items()}
 
 
@@ -307,14 +279,7 @@ def _between(a: int, lo: int, hi: int) -> list[int]:
     When lo and hi name the same edge the walk spans the whole loop, which
     is how the wrapped paths of the block criteria are read on the torus.
     """
-    out = []
-    t = lo
-    for _ in range(a - 1):
-        t += 1
-        if (t - hi) % a == 0:
-            break
-        out.append((t - 1) % a + 1)
-    return out
+    return [(lo + t - 1) % a + 1 for t in range(1, (hi - lo - 1) % a + 1)]
 
 
 def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:

@@ -43,10 +43,10 @@ class Subpath:
 class DyckPath:
     """Immutable maximal Dyck path; build once via DyckPath.build(a1, a2)."""
 
-    # _walks holds compat's walk tables for this path and _hrefs its h-edge
-    # refs for shadow reports, each built on first use
+    # prefix_h[p] counts the h-edges before position p; _walks holds compat's
+    # walk tables for this path, built on first use
     __slots__ = ("a1", "a2", "n", "kinds", "indices", "pos_h", "pos_v",
-                 "prefix_h", "prefix_v", "_walks", "_hrefs")
+                 "prefix_h", "_walks")
 
     def __init__(self, a1: int, a2: int):
         if a1 < 0 or a2 < 0:
@@ -73,12 +73,9 @@ class DyckPath:
         self.pos_h = tuple(pos_h)
         self.pos_v = tuple(pos_v)
         ph = [0]
-        pv = [0]
         for k in kinds:
             ph.append(ph[-1] + (k == HORIZONTAL))
-            pv.append(pv[-1] + (k == VERTICAL))
         self.prefix_h = tuple(ph)
-        self.prefix_v = tuple(pv)
 
     @classmethod
     def build(cls, a1: int, a2: int) -> "DyckPath":
@@ -157,20 +154,10 @@ class DyckPath:
 
     def count_h(self, sub: Subpath) -> int:
         """Number of horizontal edges in sub, wrap included."""
-        return self._count(sub, self.prefix_h)
+        return sum(self.kinds[p] == HORIZONTAL for p in self.positions(sub))
 
     def count_v(self, sub: Subpath) -> int:
-        return self._count(sub, self.prefix_v)
-
-    def _count(self, sub: Subpath, prefix) -> int:
-        b = self._bounds(sub)
-        if b is None:
-            return 0
-        p, length = b
-        q = p + length  # may exceed n: wrapped tail
-        if q <= self.n:
-            return prefix[q] - prefix[p]
-        return (prefix[self.n] - prefix[p]) + prefix[q - self.n]
+        return sum(self.kinds[p] == VERTICAL for p in self.positions(sub))
 
     def full_loop(self, start: EdgeRef) -> Subpath:
         """The whole loop starting at start and ending just before it."""

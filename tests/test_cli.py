@@ -167,6 +167,30 @@ def test_bench_refuses_a_cell_over_its_budget_before_any_work():
     assert time.perf_counter() - t0 < 0.1
 
 
+def test_bench_refuses_a_path_over_its_edge_budget_before_any_work():
+    # with degree-0 exchange polynomials every cell has one grading pair, so
+    # only the edge budget bounds the path: 129x128 is the smallest refused
+    # cell and 128x128 the largest accepted one of its shape
+    zeros = ["--p1", "1", "--p2", "1"]
+    t0 = time.perf_counter()
+    code, out, err = run_cli([*zeros, "bench", "--cells", "3x2,129x128"])
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out, err) == (2, "", "error: cell 129x128 has over 256 edges\n")
+    assert run_cli([*zeros, "bench", "--cells", "128x128"])[:2] == \
+        (0, "cell=128x128 pairs=1 match=yes\n")
+
+
+def test_a_closed_stdout_exits_141_with_nothing_on_stderr():
+    # pairs 6 4 on (2,3) prints 183,577 bytes, more than a pipe holds, so the
+    # command is still writing when the reader closes it after one line
+    proc = subprocess.Popen([sys.executable, "-m", "gca2.cli", *NUMERIC, "pairs", "6", "4"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"s1=0,0,0,0,0,0 s2=0,0,0,0 m1=0 m2=0\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def _record_line(s1, s2, fmt):
     """One pair rendered on its own, as the CLI printed it one record at a time."""
     if fmt == "json":

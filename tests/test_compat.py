@@ -147,19 +147,25 @@ def test_compatible_structure_matches_definition_oracle():
                     assert set(got) == set(want), (a1, a2, s2, d1)
 
 
-def set_shadow(path, s2):
-    """(shadow, remote) of S2 as sets: the union of the h-edges of the local
-    subpaths of local_shadow_v, and that union less the last S2(v_k) h-edges
-    of height k-1, those with k-1 v-edges before them."""
-    shadow = set()
+def local_h_edges(path, s2):
+    """local[k-1] is the set of h-edge indices on the local subpath of
+    local_shadow_v at v_k, every h-edge when it is WHOLE_LOOP."""
+    local = []
     for k in range(1, path.a2 + 1):
         sub = local_shadow_v(path, s2, k)
-        shadow.update(range(1, path.a1 + 1) if sub is WHOLE_LOOP else
-                      [e.index for e in path.subpath_edges(sub) if e.kind == "h"])
+        local.append(set(range(1, path.a1 + 1)) if sub is WHOLE_LOOP else
+                     {e.index for e in path.subpath_edges(sub) if e.kind == "h"})
+    return local
+
+
+def set_shadow(path, s2, local=None):
+    """(shadow, remote) of S2 as sets: the union of local (local_h_edges by
+    default), and that union less the last S2(v_k) h-edges of height k-1."""
+    shadow = set().union(*(local or local_h_edges(path, s2)))
     remote = set(shadow)
     for k, val in enumerate(s2, 1):
         if val:
-            level = [j for j, p in enumerate(path.pos_h, 1) if path.prefix_v[p] == k - 1]
+            level = [j for j in range(1, path.a1 + 1) if path.height(j) == k - 1]
             remote.difference_update(level[-val:])
     return shadow, remote
 
@@ -283,6 +289,9 @@ def test_shadow_core_is_the_report_shadow():
     # Its run-wise walks find the edge-by-edge walks' first zeros (n for
     # none); a zero missed at the end of a run hides in the union, since
     # the walk then goes on as if it started at the next vertical edge.
+    # Each remote edge h_j's block is (owner, height(j)), the owner being
+    # the nearest v_k after h_j whose local subpath holds h_j, read from
+    # local_shadow_v's edges and not from the first-zero distances.
     for a1 in range(7):
         for a2 in range(7):
             path = DyckPath.build(a1, a2)
@@ -290,18 +299,19 @@ def test_shadow_core_is_the_report_shadow():
             for s2 in product(range(4), repeat=a2):
                 rep = shadow_report_v(path, s2)
                 got = [{e.index for e in edges} for edges in (rep.shadow, rep.remote_shadow)]
-                assert got == list(set_shadow(path, s2)), (a1, a2, s2)
+                local = local_h_edges(path, s2)
+                shadow, remote = set_shadow(path, s2, local)
+                assert got == [shadow, remote], (a1, a2, s2)
                 fz = [compat._first_zero(path, s2, "v", k) for k in range(1, a2 + 1)]
                 fz = [path.n if t is None else t for t in fz]
                 assert compat._shadow(per_v, s2, path.n)[0] == fz, (a1, a2, s2)
-                # each remote edge's block is owned by the nearest v_k after
-                # it whose local shadow reaches back to it
-                for (owner, height), edges in rep.rsh_partition.items():
-                    for e in edges:
-                        dist = [(pv - path.pos(e)) % path.n for pv in path.pos_v]
-                        assert owner == 1 + min((d, k) for k, d in enumerate(dist)
-                                                if d <= fz[k])[1], (a1, a2, s2, e)
-                        assert height == path.height(e.index)
+                want = {}
+                for j in sorted(remote):
+                    owner = min((k for k in range(1, a2 + 1) if j in local[k - 1]),
+                                key=lambda k: (path.pos_v[k - 1] - path.pos_h[j - 1]) % path.n)
+                    want.setdefault((owner, path.height(j)), []).append(EdgeRef("h", j))
+                assert list(rep.rsh_partition.items()) == \
+                    [(key, tuple(edges)) for key, edges in want.items()], (a1, a2, s2)
 
 
 def test_remote_shadow_partition_properties():
