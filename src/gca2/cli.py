@@ -147,8 +147,6 @@ def _walk_block(head, values, zeros, free, rsh_idx, valid):
     by its node's children, and the forced zeros in between are copied from
     zeros.  Shared prefixes are rendered once; rest is the zeros' tail.
     """
-    if not valid:
-        return [], [], ""
     trie: dict = {}
     for vals in valid:
         node = trie
@@ -214,21 +212,29 @@ def cmd_verify(args, mode) -> int:
     return 0 if ok else 1
 
 
-# the most grading pairs (S1, S2) that bench brute-forces in a cell: 10x10 on
-# (1,1) takes about 3 s; the default 8x3 on (2,3) has 419,904
+# bench's budgets on a cell, each checked before any cell runs.  The most
+# grading pairs (S1, S2) that it brute-forces: 10x10 on (1,1) takes about
+# 3 s; the default 8x3 on (2,3) has 419,904.
 _BENCH_MAX_PAIRS = 2 ** 20
-
-
-# the most edges, a1 + a2, of a cell's path: compat's walk tables hold
+# The most edges, a1 + a2, of a cell's path: compat's walk tables hold
 # a2 * (a1 + a2) masks of a1 bits, and with degree-0 exchange polynomials a
 # cell has one grading pair, so only this bounds them; 128x128 on (0,0)
-# takes about 0.02 s and 20 MB, and 2000x2000 ran out of memory
+# takes about 0.02 s and 20 MB, and 2000x2000 ran out of memory.
 _BENCH_MAX_EDGES = 256
+# The most brute-force work, grading pairs times a1 * a2, since the brute
+# force walks the whole path per pair: 10x10 on (1,1) is at the budget, and
+# 236x14 on (0,1), whose brute force takes about 4 s, within it.
+_BENCH_MAX_WORK = 100 * 2 ** 20
 
 
 def _bench_fits(a1: int, a2: int, d1: int, d2: int) -> bool:
     """(d1+1)**a1 * (d2+1)**a2 <= _BENCH_MAX_PAIRS < 2**21, each exponent capped at 21."""
     return (d1 + 1) ** min(a1, 21) * (d2 + 1) ** min(a2, 21) <= _BENCH_MAX_PAIRS
+
+
+def _bench_work_fits(a1: int, a2: int, d1: int, d2: int) -> bool:
+    """Grading pairs times a1 * a2 <= _BENCH_MAX_WORK, for a cell _bench_fits accepts."""
+    return (d1 + 1) ** a1 * (d2 + 1) ** a2 * a1 * a2 <= _BENCH_MAX_WORK
 
 
 def cmd_bench(args, mode) -> int:
@@ -244,6 +250,8 @@ def cmd_bench(args, mode) -> int:
             return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_PAIRS} grading pairs")
         if a1 + a2 > _BENCH_MAX_EDGES:
             return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_EDGES} edges")
+        if not _bench_work_fits(a1, a2, mode.d1, mode.d2):
+            return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_WORK} brute-force steps")
         cells.append((a1, a2))
     for a1, a2 in cells:
         t0 = time.perf_counter()

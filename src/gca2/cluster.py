@@ -19,8 +19,6 @@ expansion holds most of the walk's terms (lp_substitute_ratio_is_positive):
 that step computes its divisions, and a product only for a slice with a
 negative coefficient or when P has one, so on a positive expansion in a
 numeric mode it packs and multiplies nothing.
-A context memoizes the variables; published entries are immutable, so
-concurrent readers are safe once a value is stored.
 """
 
 from __future__ import annotations
@@ -36,11 +34,10 @@ from .laurent import lp_eval_univariate  # noqa: F401
 
 
 class AlgebraContext:
-    """Memoized cluster variables and derived operations for one mode."""
+    """Cluster variables, expansions and reflections of one mode, each one walk."""
 
     def __init__(self, mode: CoefficientMode):
         self.mode = mode
-        self._memo: dict[int, LaurentPoly] = {}
 
     # -- cluster variables ----------------------------------------------------
 
@@ -48,13 +45,10 @@ class AlgebraContext:
         """x_k in (x_1, x_2): slot 2 of cluster k - 1 (k >= 2) or slot 1 of
         cluster k (k <= 1), walked back to cluster 1; a step that leaves a
         denominator raises NotLaurent naming the cluster step."""
-        memo = self._memo
-        if k not in memo:
-            start, f = (k - 1, LaurentPoly.var(2)) if k >= 2 else (k, LaurentPoly.var(1))
-            for _, f in self._walk(f, start, 1):
-                pass
-            memo[k] = f
-        return memo[k]
+        start, f = (k - 1, LaurentPoly.var(2)) if k >= 2 else (k, LaurentPoly.var(1))
+        for _, f in self._walk(f, start, 1):
+            pass
+        return f
 
     def greedy_params_of_cluster_variable(self, k: int) -> tuple[int, int]:
         return self.greedy_params_of_cluster_monomial(k, -1, 0)

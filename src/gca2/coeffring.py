@@ -27,12 +27,14 @@ every exchange polynomial has constant term 1, so nothing needs one.
 
 An ExchangePoly is an exchange polynomial's coefficient tuple, low degree
 first, checked once when built: constant term 1, nonzero leading term.  Its
-power(k) returns P**k as a dense tuple, built on demand by repeated
-multiplies by P and kept in its table of powers.  CoefficientMode.polys
-holds one per P, read by every greedy element and cluster-walk step of the
-mode.  A table grows by replacing an immutable tuple whole, so a thread
-reads the old table or the grown one and never a half-built one; two
-threads that grow it at once each build a correct table, one of them kept.
+power(k) returns P**k as a dense tuple, built on demand by repeated products
+with P by uni_mul, the engine's one univariate product, which
+laurent.lp_substitute_ratio calls too, and kept in its table of powers.
+CoefficientMode.polys holds one per P, read by every greedy element and
+cluster-walk step of the mode.  A table grows by replacing an immutable
+tuple whole, so a thread reads the old table or the grown one and never a
+half-built one; two threads that grow it at once each build a correct
+table, one of them kept.
 
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
@@ -296,6 +298,17 @@ def _mono_sort_key(m: Mono):
 
 # -- exchange polynomials and the coefficient mode -------------------------
 
+def uni_mul(terms: Iterable[tuple[int, Coeff]], b: Sequence) -> dict[int, Coeff]:
+    """{exponent: coefficient} of terms, (exponent, coefficient) pairs, times
+    the dense b, low degree first; zero sums are kept, and keys ascend if terms do."""
+    out: dict[int, Coeff] = {}
+    get = out.get
+    for e, c in terms:
+        for k, cb in enumerate(b, e):
+            out[k] = get(k, 0) + c * cb
+    return out
+
+
 class ExchangePoly(tuple):
     """Coefficients of an exchange polynomial, low degree first, and the table
     of its powers (see the module docstring)."""
@@ -314,7 +327,7 @@ class ExchangePoly(tuple):
         if k >= len(table):
             grown = list(table)
             while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
-                grown.append(tuple(_uni_mul(grown[-1], self)))
+                grown.append(tuple(uni_mul(enumerate(grown[-1]), self).values()))
             self._pows = table = tuple(grown)
         return table[k]
 
@@ -375,18 +388,6 @@ class CoefficientMode:
     @property
     def is_numeric(self) -> bool:
         return self.p1 is not None
-
-
-def _uni_mul(a: Sequence, b: Sequence) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if not cb:
-                continue
-            out[i + j] = out[i + j] + ca * cb
-    return out
 
 
 # -- JSON ------------------------------------------------------------------

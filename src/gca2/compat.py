@@ -381,11 +381,6 @@ def compatible_structure(path: DyckPath, s2: Grading, d1: int):
     return free, rsh_idx, valid
 
 
-# compatible_structure_h calls the body by this name, so that a wrapper put on
-# the public name (perfbench/tracer.py) counts each structure once.
-_structure_v = compatible_structure
-
-
 def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
     """Mirror of compatible_structure: {S2 : (S1, S2) compatible} for one S1.
 
@@ -393,7 +388,7 @@ def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
     transpose; valid keeps product order, and edges in sh(S1) - rsh(S1) are 0.
     """
     a2 = path.a2
-    free, rsh_idx, valid = _structure_v(path.transpose(), s1[::-1], d2)
+    free, rsh_idx, valid = compatible_structure(path.transpose(), s1[::-1], d2)
     return ([a2 + 1 - i for i in reversed(free)],
             [a2 + 1 - i for i in reversed(rsh_idx)],
             sorted(vals[::-1] for vals in valid))

@@ -22,18 +22,20 @@ walk needs no swap.  The slice of f with x_var-exponent e >= 0 is
 multiplied by p**e, and one with e < 0 divided by p**-e, each dense power
 read from p.power: the walk passes the mode's coeffring.ExchangePolys, so
 all its steps read one table per P, and a plain tuple becomes an
-ExchangePoly once per call.  When every coefficient of f and p is a plain
-int, that product is one big-int multiply (Kronecker substitution; Harvey,
-"Faster polynomial multiplication via multipoint Kronecker substitution",
-arXiv:0712.4046).  p is packed once into nb-byte slots as the int P, and
-the powers P**e are built by repeated int multiplies, never unpacked.  Each
-slice is then one product pack(slice_e) * P**e, unpacked once: slot k holds
-coefficient k.  One nb serves the whole call, sized from the bound max over
-e >= 0 of |slice_e|_1 * |p|_1**e plus a sign bit, since no coefficient of a
-product exceeds the product of its factors' 1-norms; so no slot carries
-into the next.  _pack and _unpack shift signed coefficients by half a slot,
-an offset of repeated bytes, so every slot reads nonnegative with no
-division.
+ExchangePoly once per call.  The dict loop that multiplies a slice by p**e
+is coeffring.uni_mul, the engine's one univariate product, which also
+builds the powers.  When every coefficient of f and p is a plain int, a
+slice's product can instead be one big-int multiply (Kronecker
+substitution; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", arXiv:0712.4046).  p is packed once into nb-byte
+slots as the int P, and the powers P**e are built by repeated int
+multiplies, never unpacked.  Each slice is then one product pack(slice_e) *
+P**e, unpacked once: slot k holds coefficient k.  One nb serves the whole
+call, sized from the bound max over e >= 0 of |slice_e|_1 * |p|_1**e plus a
+sign bit, since no coefficient of a product exceeds the product of its
+factors' 1-norms; so no slot carries into the next.  _pack and _unpack
+shift signed coefficients by half a slot, an offset of repeated bytes, so
+every slot reads nonnegative with no division.
 
 lp_substitute_ratio_is_positive is lp_is_positive of the substitution.
 When every coefficient of f and p is a plain int and p >= 0, as in every
@@ -53,26 +55,22 @@ stand for p**e, which the dict loop holds too.  So slices spread over a wide
 exponent range, and sparse ones, stay on the dict loop, and no huge buffer
 is allocated.  Slices with e < 0 stay on exact univariate division, which
 the constant term 1 keeps free of coefficient division, and CoeffPoly
-coefficients stay on the dict loop: they do not fit in slots.
-Exact division stays on the heap below: a Kronecker division would need
-big-int division, which is quadratic on CPython 3.11 (one exchange-step
-division took 364 s that way).
+coefficients stay on the dict loop: they do not fit in slots.  Nothing is
+divided packed: a Kronecker division would need big-int division, which is
+quadratic on CPython 3.11 (one exchange-step division took 364 s that way).
 
-Exact division eliminates the *minimal* monomial of the remainder under the
-graded-lex order (degree first, then e1), popped from a heap of (e1 + e2,
-e1, e2) tuples (Monagan and Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).  Over an integral
-domain, Z[generators] included, an exact quotient of f by g has no term
-below min(f) - min(g) in either variable and no term of total degree above
-max deg(f) - max deg(g), the degrees of their top homogeneous parts; a
-quotient term that breaks either bound raises NotDivisible, so the
+Exact division eliminates the remainder's *minimal* monomial under the
+graded-lex order (degree first, then e1), found by min(): only `verify`
+divides, for the cluster routes' only divisions are lp_substitute_ratio's.
+Over an integral domain, Z[generators] included, an exact quotient of f by
+g has no term below min(f) - min(g) in either variable and no term of total
+degree above max deg(f) - max deg(g), the degrees of their top homogeneous
+parts; a quotient term that breaks either bound raises NotDivisible, so the
 elimination stops on every input.  The divisor's minimal monomial must have
 coefficient 1 or -1, as a pointed divisor's has (a cluster variable or a
 greedy element, up to sign): each quotient term is then the remainder's
 minimal coefficient or its negative, and no coefficient is ever divided.
-Any other divisor raises NotDivisible.  The cluster routes do not divide
-here: their only divisions are lp_substitute_ratio's univariate ones by
-powers of an exchange polynomial.
+Any other divisor raises NotDivisible.
 
 JSON form: {"terms": [{"e": [e1, e2], "c": <coefficient JSON>}, ...]} with
 terms sorted by (e1, e2) ascending; see coeffring for the coefficient JSON.
@@ -81,13 +79,12 @@ to_json returns the compact text, written in one pass with no dict tree.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Sequence
 
 from .coeffring import (CoeffPoly, CoefficientMode, ExchangePoly, SparsePoly,
-                        coeff_from_json, coeff_to_json, format_term)
+                        coeff_from_json, coeff_to_json, format_term, uni_mul)
 
 
 class NotDivisible(ArithmeticError):
@@ -180,11 +177,8 @@ class LaurentPoly(SparsePoly):
                   for (b1, b2), c in other.terms.items() if (b1, b2) != (g1, g2)]
         quot: dict = {}
         rem = dict(self.terms)
-        heap = [(e1 + e2, e1, e2) for e1, e2 in rem]
-        heapq.heapify(heap)
-        pop, push, get = heapq.heappop, heapq.heappush, rem.get
-        while heap:
-            _, e1, e2 = pop(heap)
+        while rem:
+            _, e1, e2 = min((e1 + e2, e1, e2) for e1, e2 in rem)
             c = rem.pop((e1, e2))
             if not c:
                 continue
@@ -196,13 +190,8 @@ class LaurentPoly(SparsePoly):
             qc = -c if negate else c
             quot[q1, q2] = qc
             for b1, b2, gc in g_rest:
-                k1, k2 = e1 + b1, e2 + b2
-                r = get((k1, k2))
-                if r is None:
-                    push(heap, (k1 + k2, k1, k2))
-                    rem[k1, k2] = qc * gc
-                else:
-                    rem[k1, k2] = r + qc * gc
+                k = e1 + b1, e2 + b2
+                rem[k] = rem.get(k, 0) + qc * gc
         return LaurentPoly._wrap(quot)
 
 
@@ -303,7 +292,7 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
             q = _pack(((i - lo, c) for i, c in sl.items()), m, nb) * pw
             exps, coeffs = count(lo), _unpack(q, m + e * deg, nb)
         else:
-            q = _uni_mul_sparse(sl, p.power(e))
+            q = uni_mul(sl.items(), p.power(e))
             exps, coeffs = q.keys(), q.values()
         row = repeat(-e)
         keys = zip(exps, row) if var == 1 else zip(row, exps)
@@ -330,16 +319,6 @@ def lp_substitute_ratio_is_positive(f: LaurentPoly, var: int, p: Sequence) -> bo
     return not rest.terms or min(rest.terms.values()) >= 0
 
 
-def _uni_mul_sparse(sl: dict[int, object], b: list) -> dict[int, object]:
-    """sl * b, zero coefficients included."""
-    out: dict[int, object] = {}
-    get = out.get
-    for e, c in sl.items():
-        for k, cb in enumerate(b, e):
-            out[k] = get(k, 0) + c * cb
-    return out
-
-
 def _uni_exact_div(sl: dict[int, object], b: list) -> list:
     """Exact quotient of a sparse univariate slice by b with b[0] == 1.
 
@@ -350,18 +329,13 @@ def _uni_exact_div(sl: dict[int, object], b: list) -> list:
     deg_b = len(b) - 1
     deg_q = hi - lo - deg_b
     work = [sl.get(lo + i, 0) for i in range(hi - lo + 1)]
-    quot = [0] * (deg_q + 1)
-    for i in range(deg_q + 1):
+    for i in range(deg_q + 1):  # work[i] is now quotient coefficient i
         c = work[i]
-        if not c:
-            continue
-        quot[i] = c
         for j in range(1, deg_b + 1):
             work[i + j] = work[i + j] - c * b[j]
-        work[i] = 0
-    if any(work):
+    if any(work[deg_q + 1:]):
         raise NotLaurent("univariate division leaves a remainder")
-    return quot
+    return work[:deg_q + 1]
 
 
 @dataclass(frozen=True)

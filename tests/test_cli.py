@@ -26,10 +26,10 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_interpreter(argv):
+def run_interpreter(argv, timeout=None):
     """The same triple from a fresh `python -m gca2.cli` process."""
     proc = subprocess.run([sys.executable, "-m", "gca2.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -178,6 +178,28 @@ def test_bench_refuses_a_path_over_its_edge_budget_before_any_work():
     assert (code, out, err) == (2, "", "error: cell 129x128 has over 256 edges\n")
     assert run_cli([*zeros, "bench", "--cells", "128x128"])[:2] == \
         (0, "cell=128x128 pairs=1 match=yes\n")
+
+
+def test_bench_refuses_a_cell_over_its_work_budget_before_any_work():
+    # with P1 of degree 0 a path of 236 + a2 edges passes both budgets above
+    # up to a2 = 20, but its brute force grows about x4.7 per two vertical
+    # edges: 236x14 (about 4 s) is the largest accepted cell of its width.
+    # The first run is a subprocess with a timeout, so that a cell which is
+    # not refused fails the test instead of running for minutes.
+    argv = ["--p1", "1", "--p2", "1,1", "bench", "--cells"]
+    code, out, err = run_interpreter([*argv, "3x2,236x15"], timeout=10)
+    assert (code, out) == (2, "")
+    assert err == f"error: cell 236x15 has over {cli._BENCH_MAX_WORK} brute-force steps\n"
+    for cell in ("236x15", "236x20"):
+        t0 = time.perf_counter()
+        code, out, err = run_cli([*argv, f"3x2,{cell}"])
+        assert time.perf_counter() - t0 < 0.1
+        assert (code, out) == (2, "") and err.startswith(f"error: cell {cell} ")
+    assert cli._bench_fits(236, 20, 0, 1) and 236 + 20 <= cli._BENCH_MAX_EDGES
+    assert cli._bench_work_fits(236, 14, 0, 1) and not cli._bench_work_fits(236, 15, 0, 1)
+    # the largest cell of the pair budget and the default cells stay accepted
+    assert cli._bench_work_fits(10, 10, 1, 1)
+    assert all(cli._bench_work_fits(a1, a2, 2, 3) for a1, a2 in ((4, 2), (6, 3), (8, 3)))
 
 
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():

@@ -117,11 +117,12 @@ def test_greedy_combinatorial_builds_each_power_once_per_mode(monkeypatch):
     built = []
 
     def spy(a, b):
+        a = list(a)
         built.append((tuple(a), tuple(b)))
         return uni_mul(a, b)
 
-    uni_mul = coeffring._uni_mul
-    monkeypatch.setattr(coeffring, "_uni_mul", spy)
+    uni_mul = coeffring.uni_mul
+    monkeypatch.setattr(coeffring, "uni_mul", spy)
     mode = CoefficientMode.symbolic(2, 3)
     first = greedy_combinatorial.__wrapped__(mode, 4, 3)
     greedy_combinatorial.__wrapped__(mode, 5, 3)
