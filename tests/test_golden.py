@@ -28,7 +28,12 @@ captured before exchange polynomials owned their tables of powers and
 before argparse errors printed one line: each prints nothing on stdout,
 exits 2 and must print one `error:` line on stderr.
 `bench_num23_3x2_4x2_text` (stdout only: the timings go to stderr) was
-captured before `bench` refused cells over its budget.  `expand` cases read
+captured before `bench` refused cells over its budget.
+`greedy_sym44_comb_3_2_json` (two generators per family),
+`greedy_sym53_comb_2_3_text`, `greedy_sym11_comb_3_2_json` (symbolic with
+no generator) and `greedy_num101_comb_3_3_text` (a zero inner coefficient)
+were captured before `greedy_combinatorial` summed on packed integer keys;
+they pin its generator order and coefficient types.  `expand` cases read
 their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
