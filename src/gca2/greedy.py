@@ -29,6 +29,18 @@ factor P**k comes from P's own table of powers
 (coeffring.ExchangePoly.power), built once per mode instance, not once per
 element.
 
+Every pair's weight is one monomial in the generators (Lee-Li-Zelevinsky,
+arXiv:1208.2391), so the pass after the tally sums ints on packed keys
+(Monagan-Pearce, "packed exponent vectors", CASC 2007): w-bit fields for
+the inner degree, the outer degree, then one per generator in GeneratorId
+order.  A value v is an atom: factor P[v] (numeric) or 1 (symbolic), key
+increment v in its degree field plus its generator's slot; P**k is a list of
+atoms, one per monomial.  No field carries: no degree or exponent exceeds
+max(d1, d2, 1) * (b1 + b2), each edge adding at most d and one generator,
+and w is its bit length.  CoeffPoly arithmetic costs several times the int
+kind, so a CoeffPoly (always one in symbolic mode) is built only at the
+end, once per (e1, e2), sharing one tuple per distinct monomial.
+
 The recursive construction (numeric mode only) fills the pointed coefficient
 table c(p, q) in order of increasing p+q from c(0,0)=1: each entry is the
 max of two truncated convolutions with power series,
@@ -53,10 +65,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
-from .coeffring import CoefficientMode
+from .coeffring import CoeffPoly, CoefficientMode
 from .compat import compatible_structure
 from .dyckpath import DyckPath
 from .laurent import LaurentPoly, PointedForm, SymbolicModeUnsupported
@@ -72,7 +84,7 @@ class NotInAlgebra(ValueError):
 def pair_weight(mode: CoefficientMode, s1, s2):
     """Monomial coefficient attached to one compatible pair."""
     p1, p2 = mode.polys
-    return _weigher(p1)(s1) * _weigher(p2)(s2)
+    return prod((p1[v] for v in s1), start=p1[0]) * prod(p2[v] for v in s2)
 
 
 def reflect_params(mode: CoefficientMode, axis: int, a1: int, a2: int) -> tuple[int, int]:
@@ -100,9 +112,9 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
     docstring), so the first pass only counts: it tallies the pairs by
     (outer values, free edges, remote-shadow values), each values entry a
     sorted tuple, from one outer grading per rotation orbit.  The second
-    pass multiplies once per distinct tally key: the remote weights are
-    summed per (outer values, free edges) and multiplied by the free edges'
-    power of P, and the outer weight multiplies once per outer values.
+    pass works on packed keys (see the module docstring): the outer and
+    remote weights are summed per (outer values, free edges) and multiplied
+    by the free edges' power of P, all in ints.
     """
     b1, b2 = max(a1, 0), max(a2, 0)
     transposed = (mode.d2 + 1) ** b2 > (mode.d1 + 1) ** b1
@@ -125,28 +137,43 @@ def greedy_combinatorial(mode: CoefficientMode, a1: int, a2: int) -> LaurentPoly
             key = tuple(sorted(vals))
             entry[key] = entry.get(key, 0) + size
 
-    inner_weight, outer_weight = _weigher(inner_vals), _weigher(outer_vals)
-    by_out: dict[tuple, dict[int, object]] = {}  # outer values -> {|inner|: coefficient}
+    # the second pass, on packed keys of w-bit fields (see the module docstring)
+    w = (max(mode.d1, mode.d2, 1) * (b1 + b2)).bit_length()
+    gens = [] if mode.is_numeric else sorted(  # P[v], 0 < v < d, is one generator
+        {mono[0][0] for p in mode.polys for c in p[1:-1] for mono in c.terms})
+    slots = None if mode.is_numeric else {gid: (2 + i) * w for i, gid in enumerate(gens)}
+    (in_f, in_k), (out_f, out_k) = (zip(*_atoms(inner_vals, 0, slots)),
+                                    zip(*_atoms(outer_vals, w, slots)))
+    pow_atoms: dict[int, list] = {}  # free edges -> the nonzero atoms of P**free
+    acc: dict[int, int] = {}
     for (out_key, n_free), entry in tally.items():
-        rpoly: dict[int, object] = {}
+        f_out = prod(map(out_f.__getitem__, out_key))
+        if not f_out:
+            continue
+        base = sum(map(out_k.__getitem__, out_key))
+        rpoly: dict[int, int] = {}
         for key, mult in entry.items():
-            k, w = sum(key), inner_weight(key)
-            rpoly[k] = rpoly.get(k, 0) + (w * mult if mult > 1 else w)
-        poly = by_out.setdefault(out_key, {})
-        for q1, c1 in enumerate(inner_vals.power(n_free)):
-            if not c1:
-                continue
-            for q2, c2 in rpoly.items():
-                poly[q1 + q2] = poly.get(q1 + q2, 0) + c1 * c2
-    acc: dict[tuple[int, int], object] = {}
-    for out_key, poly in by_out.items():
-        m_out, c_out = sum(out_key), outer_weight(out_key)
-        unit = c_out is outer_vals[0]  # no factor other than 1: skip the products
-        for m_in, c in poly.items():
-            # x1 carries |S2|, x2 carries |S1|
-            key = (m_in - a1, m_out - a2) if transposed else (m_out - a1, m_in - a2)
-            acc[key] = acc.get(key, 0) + (c if unit else c_out * c)
-    return LaurentPoly(acc)
+            k = base + sum(map(in_k.__getitem__, key))
+            rpoly[k] = rpoly.get(k, 0) + f_out * mult * prod(map(in_f.__getitem__, key))
+        if n_free not in pow_atoms:
+            pow_atoms[n_free] = [a for a in _atoms(inner_vals.power(n_free), 0, slots) if a[0]]
+        for c1, k1 in pow_atoms[n_free]:
+            for k2, c2 in rpoly.items():
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + c1 * c2
+    # x1 carries |S2|, x2 carries |S1|: the outer degree when not transposed
+    mask, (s1, s2) = (1 << w) - 1, (0, w) if transposed else (w, 0)
+    if mode.is_numeric:
+        return LaurentPoly({((k >> s1 & mask) - a1, (k >> s2 & mask) - a2): c
+                            for k, c in acc.items()})
+    by_deg: dict[int, dict] = {}  # both degree fields -> {monomial: count}
+    monos: dict[int, tuple] = {}  # generator slots -> their monomial, built once
+    for k, c in acc.items():
+        if k >> 2 * w not in monos:
+            monos[k >> 2 * w] = tuple((gid, k >> slot & mask) for gid, slot in slots.items()
+                                      if k >> slot & mask)
+        by_deg.setdefault(k & (1 << 2 * w) - 1, {})[monos[k >> 2 * w]] = c  # positive
+    return LaurentPoly._wrap({((k >> s1 & mask) - a1, (k >> s2 & mask) - a2):
+                              CoeffPoly._wrap(t) for k, t in by_deg.items()})
 
 
 def _orbit_size(s: tuple, g: int) -> int:
@@ -163,24 +190,20 @@ def _orbit_size(s: tuple, g: int) -> int:
     return g
 
 
-def _weigher(vals):
-    """values -> the product of vals[v] over the values v of a grading.
-
-    vals[0] is the constant 1, and so is vals[-1] for a monic P: a border
-    value whose coefficient is 1 adds no factor, and the weight is vals[0]
-    itself when no other value occurs.
-    """
-    top = len(vals) - 1 if vals[-1] == 1 else len(vals)
-    one = vals[0]
-
-    def weight(values):
-        w = one
-        for v in values:
-            if 0 < v < top:
-                w = w * vals[v]
-        return w
-
-    return weight
+def _atoms(coeffs, shift: int, slots) -> list[tuple[int, int]]:
+    """(integer factor, key increment) of each term of coeffs, low degree first.
+    Degree q adds q << shift; in symbolic mode each generator's exponent also
+    adds to its slot, at bit offset slots[generator] (slots is None if numeric)."""
+    if slots is None:
+        return [(c, q << shift) for q, c in enumerate(coeffs)]
+    atoms = []
+    for q, c in enumerate(coeffs):
+        for mono, n in c.terms.items():
+            k = q << shift
+            for g, e in mono:
+                k += e << slots[g]
+            atoms.append((n, k))
+    return atoms
 
 
 def power_series(p, n: int, num_terms: int) -> list[int]:
@@ -273,9 +296,11 @@ def greedy_expand(mode: CoefficientMode, f: LaurentPoly) -> dict:
         for e1, e2 in corners:
             coef = residual[(e1, e2)]
             out[(-e1, -e2)] = coef
+            neg = -coef  # negated once per corner: each term adds neg * c
             for e, c in greedy_combinatorial(mode, -e1, -e2).terms.items():
-                s = residual.get(e, 0) - coef * c
-                if s:
+                if e not in residual:
+                    residual[e] = neg * c
+                elif s := residual[e] + neg * c:
                     residual[e] = s
                 else:
                     del residual[e]

@@ -61,8 +61,10 @@ def definition_sum(mode, a1, a2):
 
 def test_greedy_combinatorial_is_the_sum_over_compatible_pairs():
     # The modes put the outer family on either side, and d = 0 has P = 1;
-    # the points reach negative parameters.
-    for d1, d2 in ((2, 3), (3, 2), (1, 4), (0, 2), (3, 0)):
+    # the points reach negative parameters.  (4, 4) has two generators in
+    # each family and (5, 3) two against one, so a monomial of the packed
+    # sum holds up to four generator slots, in GeneratorId order.
+    for d1, d2 in ((2, 3), (3, 2), (1, 4), (0, 2), (3, 0), (4, 4), (5, 3)):
         mode = CoefficientMode.symbolic(d1, d2)
         for a1, a2 in product(range(-1, 4), repeat=2):
             assert greedy_combinatorial(mode, a1, a2) == definition_sum(mode, a1, a2), \
@@ -84,7 +86,10 @@ def test_orbit_tally_is_the_sum_over_compatible_pairs(monkeypatch):
     points = ((4, 2), (2, 4), (4, 4), (6, 2), (6, 3), (0, 4), (4, 0), (3, 3))
     cases = [(mode, points) for mode in (
         CoefficientMode.symbolic(2, 2), CoefficientMode.symbolic(2, 3),
-        CoefficientMode.symbolic(1, 4), CoefficientMode(2, 3, (1, 2, 3), (1, 1, 0, 2)))]
+        CoefficientMode.symbolic(1, 4), CoefficientMode(2, 3, (1, 2, 3), (1, 1, 0, 2)),
+        # a zero and a negative inner coefficient: factors of 0 and below 0
+        CoefficientMode.numeric((1, 0, 1), (1, 2, 2, 1)),
+        CoefficientMode(3, 2, (1, -2, 3, 1), (1, -1, 1)))]
     cases += [(CoefficientMode.symbolic(*d), points[:3] + points[5:])
               for d in ((0, 2), (3, 0))]
     for mode, pts in cases:
@@ -92,6 +97,35 @@ def test_orbit_tally_is_the_sum_over_compatible_pairs(monkeypatch):
             got = greedy_combinatorial.__wrapped__(mode, a1, a2)
             assert got == definition_sum(mode, a1, a2), (mode, a1, a2)
     assert {(4, 2), (2, 4), (4, 4), (6, 2), (6, 3), (3, 6), (0, 4), (4, 0)} <= walked
+
+
+def test_symbolic_coefficients_are_coeffpolys_without_generators():
+    # d <= 1 gives a P with no generator; in symbolic mode every
+    # coefficient is still a CoeffPoly, never a plain int
+    for d1, d2 in ((1, 1), (0, 3)):
+        mode = CoefficientMode.symbolic(d1, d2)
+        for a1, a2 in ((3, 2), (2, 3), (0, 0), (-1, 2), (2, -2)):
+            terms = greedy_combinatorial.__wrapped__(mode, a1, a2).terms
+            assert terms and all(type(c) is CoeffPoly for c in terms.values()), \
+                (d1, d2, a1, a2)
+    numeric = greedy_combinatorial.__wrapped__(CoefficientMode.numeric((1, 1), (1, 1)), 3, 2)
+    assert all(type(c) is int for c in numeric.terms.values())
+
+
+def test_packed_degrees_fill_their_field_exactly():
+    # The packed second pass sizes its fields at w bits, the bit length of
+    # max(d1, d2, 1) * (b1 + b2).  At these points that bound is 2**w - 1
+    # and one term's degree (|S1| or |S2|) reaches it, so a field one bit
+    # narrower, or a carry between fields, changes the sum.
+    cases = [(CoefficientMode.symbolic(1, 1), (3, 0)), (CoefficientMode.symbolic(1, 1), (0, 7)),
+             (CoefficientMode.symbolic(3, 3), (5, 0)), (CoefficientMode.symbolic(3, 3), (0, 5)),
+             (CoefficientMode.numeric((1, 1, 1, 1), (1, 2, 1)), (5, 0))]
+    for mode, (a1, a2) in cases:
+        w = (max(mode.d1, mode.d2, 1) * (max(a1, 0) + max(a2, 0))).bit_length()
+        got = greedy_combinatorial.__wrapped__(mode, a1, a2)
+        top = max(max(e1 + a1, e2 + a2) for e1, e2 in got.terms)
+        assert top == 2 ** w - 1, (mode, a1, a2)
+        assert got == definition_sum(mode, a1, a2), (mode, a1, a2)
 
 
 def test_greedy_combinatorial_walks_one_outer_grading_per_orbit(monkeypatch):
