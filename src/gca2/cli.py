@@ -25,7 +25,7 @@ import os
 import sys
 import time
 
-from . import compat, greedy, laurent, verify
+from . import compat, greedy, laurent
 from .cluster import AlgebraContext
 from .coeffring import CoefficientMode, coeff_to_json
 
@@ -201,6 +201,7 @@ def cmd_expand(args, mode) -> int:
 
 
 def cmd_verify(args, mode) -> int:
+    from . import verify  # here, not at the top: keeps it out of every other command's start-up
     try:
         lines, ok = verify.run_suites([args.suite])
     except KeyError:

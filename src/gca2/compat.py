@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .dyckpath import HORIZONTAL, VERTICAL, DyckPath, EdgeRef, Subpath
+from .dyckpath import HORIZONTAL, VERTICAL, DyckPath, EdgeRef, IndexOutOfRange, Subpath
 
 
 class CriterionFails(ValueError):
@@ -236,6 +236,10 @@ def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
 
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
     """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
+    if len(s2) != path.a2:
+        raise ValueError("grading length does not match the path")
+    if not 1 <= k <= path.a2:
+        raise IndexOutOfRange(f"v_{k} on a path with a2={path.a2}")
     t = _first_zero(path, s2, VERTICAL, k)
     if t is None:
         return WHOLE_LOOP
@@ -244,6 +248,8 @@ def local_shadow_v(path: DyckPath, s2: Grading, k: int):
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
+    if len(s2) != path.a2:
+        raise ValueError("grading length does not match the path")
     per_v, _, bits = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh = [j for j, bit in bits if remote & bit]
@@ -285,6 +291,8 @@ def _between(a: int, lo: int, hi: int) -> list[int]:
 def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
     """|rsh(S2)_{k;ell}| for 0 <= ell < a2, 0 < k <= a2, k != ell + 1."""
     a2 = path.a2
+    if len(s2) != a2:
+        raise ValueError("grading length does not match the path")
     if not (0 <= ell < a2 and 1 <= k <= a2) or k == ell + 1:
         raise CriterionFails(f"no block at (k={k}, ell={ell})")
     vl = path.v(ell if ell >= 1 else a2)

@@ -168,16 +168,6 @@ def fast_equals_brute(*, max_a, degrees):
             return a1, a2, d1, d2
 
 
-def shadow_sizes(*, max_a, max_value):
-    """|sh(S2)| = min(a1, |S2|).  |sh(S1)| = min(a2, |S1|) is the same check on
-    the transpose, which the grid, symmetric in (a1, a2), already holds."""
-    for a1, a2 in square(1, max_a):
-        path = DyckPath.build(a1, a2)
-        for s2 in product(range(max_value + 1), repeat=a2):
-            if len(compat.shadow_report_v(path, s2).shadow) != min(a1, sum(s2)):
-                return a1, a2, s2
-
-
 def grading_and_support(*, sizes, degrees):
     """Compatible pairs have |S1| < a2 or |S2| < a1 (a1, a2 >= 1) and lie in the
     support region, whose cases (a) d2 a2 <= a1, (b) d1 a1 <= a2, (c) all occur."""
@@ -190,6 +180,97 @@ def grading_and_support(*, sizes, degrees):
                     or not compat.support_region(d1, d2, a1, a2, m1, m2)):
                 return a1, a2, d1, d2, s1, s2
     return None if cases == {"a", "b", "c"} else ("cases reached", sorted(cases))
+
+
+# The shadow lemmas are checked for S2 only: their S1 side is the S2 side for
+# S1 reversed on the transpose, and their grids are symmetric in (a1, a2).
+
+def shadow_sizes(*, max_a, max_value):
+    """|sh(S2)| = min(a1, |S2|)."""
+    for a1, a2 in square(1, max_a):
+        path = DyckPath.build(a1, a2)
+        for s2 in product(range(max_value + 1), repeat=a2):
+            if len(compat.shadow_report_v(path, s2).shadow) != min(a1, sum(s2)):
+                return a1, a2, s2
+
+
+def local_shadows_nest(*, max_a, max_value):
+    """The h-edges of any two local shadows of S2 are disjoint or nested."""
+    for a1, a2 in square(1, max_a):
+        path = DyckPath.build(a1, a2)
+        for s2 in product(range(max_value + 1), repeat=a2):
+            subs = [compat.local_shadow_v(path, s2, k) for k in range(1, a2 + 1)]
+            sets = [set(range(1, a1 + 1)) if sub is compat.WHOLE_LOOP else
+                    {e.index for e in path.subpath_edges(sub) if e.kind == "h"} for sub in subs]
+            if any(x & y and not (x <= y or y <= x) for x, y in product(sets, repeat=2)):
+                return a1, a2, s2
+
+
+def remote_blocks_match_formula(*, max_a, max_value):
+    """rsh(S2)_{k;ell}, for ell the height of an h-edge and k != ell + 1, is
+    nonempty iff the block criterion holds, and then rsh_block_size_v long."""
+    for a1, a2 in square(1, max_a):
+        path = DyckPath.build(a1, a2)
+        heights = {path.height(j) for j in range(1, a1 + 1)}
+        keys = [(k, ell) for k, ell in product(range(1, a2 + 1), heights) if k != ell + 1]
+        for s2 in product(range(max_value + 1), repeat=a2):
+            blocks = compat.shadow_report_v(path, s2).rsh_partition
+            for k, ell in keys:
+                block = blocks.get((k, ell), ())
+                try:
+                    ok = compat.rsh_block_size_v(path, s2, k, ell) == len(block) > 0
+                except compat.CriterionFails:
+                    ok = not block
+                if not ok:
+                    return a1, a2, s2, k, ell
+
+
+def phi_pullback_negates_f(*, paths, max_value, orders):
+    """f_{phi* S2}(v'_i-bar v'_j) = -f_{S2}(v_{a2-j}-bar v_{a2-i}) for all i, j,
+    on each D(a1, a2) of paths and each r of orders that phi* accepts."""
+    for a1, a2 in paths:
+        path = DyckPath.build(a1, a2)
+        for s2, r in product(product(range(max_value + 1), repeat=a2), orders):
+            if max(s2) > r or -(-a1 // a2) > r:
+                continue
+            new_path, new_s2 = compat.phi_pullback(path, s2, r)
+            for i, j in product(range(1, a2 + 1), repeat=2):
+                lhs = Subpath(new_path.v(i), new_path.v(j), include_start=False)
+                rhs = Subpath(path.v(a2 - j), path.v(a2 - i), include_start=False)
+                if compat.fstat_v(new_path, new_s2, lhs) != -compat.fstat_v(path, s2, rhs):
+                    return a1, a2, s2, r, i, j
+
+
+def omega_is_a_block_bijection(*, max_a2, max_r, max_value, max_s1):
+    """Omega maps each block of rsh(S2) onto its image in order; on each S1
+    supported on rsh(S2) it keeps |S1| and compatibility both ways, and Omega
+    of the image brings S1 back.  Paths: a2 <= max_a2, r <= max_r, a1 <= r a2.
+    Values: S2 up to min(r, max_value), S1 up to max_value; an S2 with over
+    max_s1 such S1 is skipped."""
+    span = range(max_value + 1)
+    for a2, r in product(range(1, max_a2 + 1), range(1, max_r + 1)):
+        for a1 in range(r * a2 + 1):
+            path = DyckPath.build(a1, a2)
+            for s2 in product(range(min(r, max_value) + 1), repeat=a2):
+                report = compat.shadow_report_v(path, s2)
+                rsh = sorted(e.index for e in report.remote_shadow)
+                if len(span) ** len(rsh) > max_s1:
+                    continue
+                new_path, new_s2, forth = compat.omega(path, s2, r)
+                back_path, _, back = compat.omega(new_path, new_s2, r)
+                # label rsh(S2) 1..n left to right: each block's labels land in order
+                labels = tuple(rsh.index(j) + 1 if j in rsh else 0 for j in range(1, a1 + 1))
+                where = {n: i for i, n in enumerate(forth(labels)) if n}
+                for edges in report.rsh_partition.values():
+                    landed = [where[labels[h.index - 1]] for h in edges]
+                    if landed != sorted(landed):
+                        return a1, a2, r, s2, edges
+                for s1 in product(*[span if j in rsh else (0,) for j in range(1, a1 + 1)]):
+                    img = forth(s1)
+                    if (sum(img) != sum(s1) or back(img) != s1 or back_path != path
+                            or compat.is_compatible(path, s1, s2)
+                            != compat.is_compatible(new_path, img, new_s2)):
+                        return a1, a2, r, s1, s2
 
 
 def recursion_equals_combinatorial(*, modes, points):
@@ -272,6 +353,14 @@ CHECKS = (
     ("compat", "shadow sizes", "a <= 4, values <= 2", shadow_sizes, dict(max_a=4, max_value=2)),
     ("compat", "grading bound and support region", "a <= 3", grading_and_support,
      dict(sizes=range(1, 4), degrees=((2, 2),))),
+    ("compat", "local shadows nest or are disjoint", "a <= 4, values <= 2", local_shadows_nest,
+     dict(max_a=4, max_value=2)),
+    ("compat", "remote-shadow blocks match the size formula", "a <= 3, values <= 3",
+     remote_blocks_match_formula, dict(max_a=3, max_value=3)),
+    ("compat", "phi* negates the f statistic", "D(3,2), D(4,3), D(2,3), r = 3",
+     phi_pullback_negates_f, dict(paths=((3, 2), (4, 3), (2, 3)), max_value=3, orders=(3,))),
+    ("compat", "Omega is an order-preserving block bijection", "a2 <= 2, r <= 3, values <= 3",
+     omega_is_a_block_bijection, dict(max_a2=2, max_r=3, max_value=3, max_s1=300)),
     ("greedy", "recursion equals combinatorial construction", "a in [-1,2]^2",
      recursion_equals_combinatorial, dict(modes=(ALL_ONES[(1, 1)], M23), points=square(-1, 2))),
     ("greedy", "greedy elements are pointed at their parameters", "a in [-1,2]^2",

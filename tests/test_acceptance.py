@@ -10,13 +10,10 @@ from itertools import product
 import pytest
 
 from conftest import ALL_ONES, DIAGRAMS_5_2, expected_x3, expected_x4, expected_x5
-from gca2 import compat, verify
+from gca2 import verify
 from gca2.cluster import AlgebraContext
 from gca2.coeffring import CoefficientMode
-from gca2.compat import (CriterionFails, enumerate_bruteforce, enumerate_fast,
-                         fstat_v, is_compatible, local_shadow_v, omega,
-                         phi_pullback, rsh_block_size_v, shadow_report_v)
-from gca2.dyckpath import DyckPath, EdgeRef, Subpath
+from gca2.compat import enumerate_bruteforce, enumerate_fast
 from gca2.greedy import greedy_combinatorial, greedy_expand, greedy_recursive
 from gca2.laurent import LaurentPoly
 from gca2.multinom import compositions, multinomial
@@ -129,105 +126,14 @@ def test_criterion_06_laurent_phenomenon_contract():
 
 def test_criterion_07_combinatorics_lemma_suite():
     t0 = time.perf_counter()
-
-    # The shadow lemmas are checked for S2 only: their S1 side is the S2 side
-    # for S1 reversed on the transpose, and their grids are symmetric in
-    # (a1, a2), so they hold every transposed case.
-
     # shadow sizes: |sh(S2)| = min(a1,|S2|)
     assert verify.shadow_sizes(max_a=5, max_value=3) is None
-
-    # local shadows nest or are disjoint
-    for a1 in range(1, 5):
-        for a2 in range(1, 5):
-            path = DyckPath.build(a1, a2)
-            all_h = frozenset(EdgeRef("h", j) for j in range(1, a1 + 1))
-            for s2 in product(range(4), repeat=a2):
-                sets = []
-                for k in range(1, a2 + 1):
-                    sub = local_shadow_v(path, s2, k)
-                    sets.append(all_h if sub is compat.WHOLE_LOOP else frozenset(
-                        e for e in path.subpath_edges(sub) if e.kind == "h"))
-                for x in sets:
-                    for y in sets:
-                        assert not (x & y) or x <= y or y <= x, (a1, a2, s2)
-
-    # remote-shadow nonemptiness iff the criterion, sizes by the formula
-    for a1 in range(1, 5):
-        for a2 in range(1, 5):
-            path = DyckPath.build(a1, a2)
-            heights = {path.height(j) for j in range(1, a1 + 1)}
-            for s2 in product(range(4), repeat=a2):
-                rep = shadow_report_v(path, s2)
-                for k in range(1, a2 + 1):
-                    for ell in heights:
-                        if k == ell + 1:
-                            continue
-                        block = rep.rsh_partition.get((k, ell), ())
-                        try:
-                            size = rsh_block_size_v(path, s2, k, ell)
-                        except CriterionFails:
-                            assert block == (), (a1, a2, s2, k, ell)
-                        else:
-                            assert size == len(block) > 0, (a1, a2, s2, k, ell)
-
-    # f / phi* identity on all index pairs:
-    # f_{phi* S2}(v'_i-bar v'_j) = -f_{S2}(v_{a2-j}-bar v_{a2-i})
-    for a1, a2 in ((2, 2), (3, 2), (5, 2), (4, 3), (2, 3), (3, 3)):
-        path = DyckPath.build(a1, a2)
-        for s2 in product(range(4), repeat=a2):
-            for r in (3, 4):
-                if max(s2) > r or -(-a1 // a2) > r:
-                    continue
-                new_path, new_s2 = phi_pullback(path, s2, r)
-                for i in range(1, a2 + 1):
-                    for j in range(1, a2 + 1):
-                        lhs = fstat_v(new_path, new_s2,
-                                      Subpath(new_path.v(i), new_path.v(j),
-                                              include_start=False))
-                        rhs = fstat_v(path, s2,
-                                      Subpath(path.v(a2 - j), path.v(a2 - i),
-                                              include_start=False))
-                        assert lhs == -rhs, (a1, a2, s2, r, i, j)
-
-    # Omega: order within each block, magnitude, compatibility iff, and inverse
-    # back to D(a1, a2), exhaustive a2 <= 3, r <= 4
-    for a2 in range(1, 4):
-        for r in range(1, 5):
-            for a1 in range(0, r * a2 + 1):
-                if -(-a1 // a2) > r:
-                    continue
-                path = DyckPath.build(a1, a2)
-                for s2 in product(range(min(r, 3) + 1), repeat=a2):
-                    rep = shadow_report_v(path, s2)
-                    rsh_idx = sorted(e.index for e in rep.remote_shadow)
-                    if 4 ** len(rsh_idx) > 5000:
-                        continue
-                    new_path, new_s2, forth = omega(path, s2, r)
-                    back_path, _, back_of = omega(new_path, new_s2, r)
-                    # order-preserving blocks: label rsh(S2) 1..n left to right,
-                    # and each block's labels land left to right in the image
-                    labels = [0] * a1
-                    for n, j in enumerate(rsh_idx, 1):
-                        labels[j - 1] = n
-                    where = {n: i for i, n in enumerate(forth(tuple(labels))) if n}
-                    for edges in rep.rsh_partition.values():
-                        landed = [where[labels[h.index - 1]] for h in edges]
-                        assert landed == sorted(landed), (a1, a2, r, s2, edges)
-                    for vals in product(range(4), repeat=len(rsh_idx)):
-                        s1 = [0] * a1
-                        for j, val in zip(rsh_idx, vals):
-                            s1[j - 1] = val
-                        s1 = tuple(s1)
-                        case = (a1, a2, r, s1, s2)
-                        img = forth(s1)
-                        assert sum(img) == sum(s1), case
-                        assert is_compatible(path, s1, s2) == \
-                            is_compatible(new_path, img, new_s2), case
-                        back = back_of(img)
-                        assert back == s1, case
-                        assert (back_path.a1, back_path.a2) == (a1, a2), case
-
+    assert verify.local_shadows_nest(max_a=4, max_value=3) is None
+    assert verify.remote_blocks_match_formula(max_a=4, max_value=3) is None
+    assert verify.phi_pullback_negates_f(
+        paths=((2, 2), (3, 2), (5, 2), (4, 3), (2, 3), (3, 3)), max_value=3, orders=(3, 4)) is None
+    # exhaustive a2 <= 3, r <= 4; an S2 with over 5000 S1 on its remote shadow is skipped
+    assert verify.omega_is_a_block_bijection(max_a2=3, max_r=4, max_value=3, max_s1=5000) is None
     # grading bound and support region, all three region cases exercised
     degrees = list(product(range(4), repeat=2))
     assert verify.grading_and_support(sizes=range(5), degrees=degrees) is None

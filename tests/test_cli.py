@@ -125,14 +125,24 @@ def test_verify_failures_exit_1_with_fail_lines(monkeypatch, capsys):
     def crash(*args):
         raise RuntimeError("planted")
 
-    # a check that raises reports FAIL; the suite's other checks still run
-    monkeypatch.setattr(compat, "support_region", crash)
-    assert cli.main([*NUMERIC, "verify", "compat"]) == 1
-    assert capsys.readouterr().out.splitlines() == [
-        "PASS compat: fast enumeration equals brute force [a <= 3]",
-        "PASS compat: shadow sizes [a <= 4, values <= 2]",
-        "FAIL compat: grading bound and support region [a <= 3]",
+    # a check that raises reports FAIL; the suite's other checks still run.
+    # Each compat row reaches the library through `compat.`, so a crash planted
+    # there fails exactly the rows that call it.
+    rows = [
+        "compat: fast enumeration equals brute force [a <= 3]",
+        "compat: shadow sizes [a <= 4, values <= 2]",
+        "compat: grading bound and support region [a <= 3]",
+        "compat: local shadows nest or are disjoint [a <= 4, values <= 2]",
+        "compat: remote-shadow blocks match the size formula [a <= 3, values <= 3]",
+        "compat: phi* negates the f statistic [D(3,2), D(4,3), D(2,3), r = 3]",
+        "compat: Omega is an order-preserving block bijection [a2 <= 2, r <= 3, values <= 3]",
     ]
+    for name, failing in (("support_region", 2), ("rsh_block_size_v", 4), ("omega", 6)):
+        with monkeypatch.context() as m:
+            m.setattr(compat, name, crash)
+            assert cli.main([*NUMERIC, "verify", "compat"]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{'FAIL' if i == failing else 'PASS'} {row}" for i, row in enumerate(rows)], name
 
 
 def test_bench_stdout_is_deterministic():
@@ -417,6 +427,13 @@ def test_byte_identical_across_runs():
     v1 = run_interpreter([*NUMERIC, "verify", "dyckpath"])
     v2 = run_interpreter([*NUMERIC, "verify", "dyckpath"])
     assert v1[1] == v2[1]
+
+
+def test_only_the_verify_command_imports_verify():
+    # gca2.verify is the longest module that no other command needs
+    code = "import sys, gca2.cli; print('gca2.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_main_callable_directly(capsys):

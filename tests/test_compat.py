@@ -11,7 +11,7 @@ from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
                          enumerate_fast, fstat_v, is_compatible, local_shadow_v,
                          omega, phi_pullback, rsh_block_size_v,
                          shadow_report_v, support_region)
-from gca2.dyckpath import DyckPath, EdgeRef, Subpath
+from gca2.dyckpath import DyckPath, EdgeRef, IndexOutOfRange, Subpath
 from gca2.greedy import greedy_recursive
 
 D52 = DyckPath.build(5, 2)
@@ -342,6 +342,20 @@ def test_rsh_block_size_errors():
         rsh_block_size_v(T52, (0,) * 5, 5, 3)
     with pytest.raises(CriterionFails):
         rsh_block_size_v(T52, (0, 0, 0, 1, 2), 3, 2)  # k == ell + 1, j == d there
+
+
+def test_shadow_entry_points_refuse_a_grading_of_the_wrong_length():
+    # one value short and one too many on D(5,2), whose a2 is 2; before the
+    # check, local_shadow_v read pos_v[-1] and shadow_report_v zipped the
+    # grading against the path's tables, answering for a different grading
+    for s2 in ((3,), (0, 3, 1)):
+        for call in (lambda: shadow_report_v(D52, s2), lambda: local_shadow_v(D52, s2, 1),
+                     lambda: rsh_block_size_v(D52, s2, 2, 0), lambda: omega(D52, s2, 4)):
+            with pytest.raises(ValueError, match="grading length does not match the path"):
+                call()
+    for k in (0, 3):
+        with pytest.raises(IndexOutOfRange):
+            local_shadow_v(D52, (1, 2), k)
 
 
 def test_enumerate_examples():

@@ -78,11 +78,6 @@ UNREAD_BUT_KEPT = {
         "perfbench/tracer.py wraps it for cluster.probe",
     "compat.compatible_structure_h": "perfbench/tracer.py wraps it for compat.structure",
     "laurent.lp_eval_univariate": "perfbench/tracer.py wraps it for laurent.eval",
-    "compat.is_compatible": "the paper's compatibility; criterion 07 checks Omega against it",
-    "compat.omega": "the paper's block bijection Omega, which criterion 07 checks",
-    "compat.local_shadow_v": "the paper's local shadow; criterion 07 checks that they nest",
-    "compat.rsh_block_size_v": "the paper's block-size formula, which criterion 07 checks",
-    "dyckpath.DyckPath.subpath_edges": "criterion 07 reads the local shadows' edges with it",
     "dyckpath.DyckPath.full_loop": "the paper's full loop, which the subpath tests build",
     "greedy.pair_weight": "the paper's pair weight, which the greedy definition oracle sums",
     "cli._Parser.error": "argparse calls it on each parse error, to print one error line",
