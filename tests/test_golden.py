@@ -9,7 +9,10 @@ Laurent multiply was added; that multiply has since been removed again.
 `verify_num23_all_text.out` has since lost one line, `PASS coeffring: exact
 division round trip [300 cases]`, when `CoeffPoly` division was deleted:
 every exchange polynomial has constant term 1, so nothing divides one
-coefficient by another.  The two `pairs_num10_1_3_1` cases (d1 = 10, so
+coefficient by another.  It has since gained four `compat` lines, after
+`grading bound and support region`, when the paper's shadow, remote-shadow
+block, f/phi* and Omega statements moved from acceptance criterion 07 into
+`gca2.verify`; its other lines kept their bytes and their order.  The two `pairs_num10_1_3_1` cases (d1 = 10, so
 S1 values and m1 reach two digits) were captured before `pairs` rendered
 its blocks by a prefix-sharing walk.  The eight `greedy_*_clusters_<lo>_<hi>`
 cases (ranges that walk both ways, only up, only down or not at all) were
