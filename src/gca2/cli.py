@@ -9,10 +9,11 @@
 
 Output on stdout is deterministic byte-for-byte across runs; bench writes
 its wall-clock timings to stderr so the stdout report stays stable.  Usage
-and input errors, argparse's included, print one line to stderr and exit 2;
-an expand input outside the algebra and verification failures exit 1.  A
-reader that closes stdout early (`| head`) ends the command with exit 141,
-128 + SIGPIPE, and nothing on stderr.
+and input errors, argparse's included, raise UsageError; main alone prints
+it as one line on stderr and returns 2, in process as well.  An expand
+input outside the algebra and verification failures exit 1.  A reader that
+closes stdout early (`| head`) ends the command with exit 141, 128 +
+SIGPIPE, and nothing on stderr.
 Integers print and parse at any length, for the command only.
 """
 
@@ -30,50 +31,35 @@ from .cluster import AlgebraContext
 from .coeffring import CoefficientMode, coeff_to_json
 
 
+class UsageError(Exception):
+    """A usage or input error: main prints it as one error line and returns 2."""
+
+
 def _parse_coeff_list(text: str, flag: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise SystemExit(_usage_error(f"{flag} expects comma-separated integers"))
-
-
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
+        raise UsageError(f"{flag} expects comma-separated integers")
 
 
 def _build_mode(args) -> CoefficientMode:
     numeric = args.p1 is not None or args.p2 is not None
     symbolic = args.d1 is not None or args.d2 is not None
     if numeric and symbolic:
-        raise SystemExit(_usage_error("--p1/--p2 and --d1/--d2 are mutually exclusive"))
-    if numeric:
-        if args.p1 is None or args.p2 is None:
-            raise SystemExit(_usage_error("numeric mode needs both --p1 and --p2"))
-        try:
-            return CoefficientMode.numeric(
-                _parse_coeff_list(args.p1, "--p1"),
-                _parse_coeff_list(args.p2, "--p2"))
-        except ValueError as exc:
-            raise SystemExit(_usage_error(str(exc)))
-    if symbolic:
-        if args.d1 is None or args.d2 is None:
-            raise SystemExit(_usage_error("symbolic mode needs both --d1 and --d2"))
-        try:
-            return CoefficientMode.symbolic(args.d1, args.d2)
-        except ValueError as exc:
-            raise SystemExit(_usage_error(str(exc)))
-    raise SystemExit(_usage_error("choose numeric (--p1/--p2) or symbolic (--d1/--d2) mode"))
-
-
-def _parse_clusters(text: str) -> tuple[int, int]:
+        raise UsageError("--p1/--p2 and --d1/--d2 are mutually exclusive")
+    if not (numeric or symbolic):
+        raise UsageError("choose numeric (--p1/--p2) or symbolic (--d1/--d2) mode")
+    if numeric and (args.p1 is None or args.p2 is None):
+        raise UsageError("numeric mode needs both --p1 and --p2")
+    if symbolic and (args.d1 is None or args.d2 is None):
+        raise UsageError("symbolic mode needs both --d1 and --d2")
     try:
-        lo, hi = (int(part) for part in text.split(".."))
-    except ValueError:
-        raise SystemExit(_usage_error("--clusters expects LO..HI"))
-    if lo > hi:
-        raise SystemExit(_usage_error(f"--clusters range {text} is empty (LO > HI)"))
-    return lo, hi
+        if numeric:
+            return CoefficientMode.numeric(_parse_coeff_list(args.p1, "--p1"),
+                                           _parse_coeff_list(args.p2, "--p2"))
+        return CoefficientMode.symbolic(args.d1, args.d2)
+    except ValueError as exc:  # the mode's own refusals
+        raise UsageError(str(exc))
 
 
 def _emit_poly(f, mode, args, extra: dict | None = None) -> None:
@@ -98,11 +84,16 @@ def cmd_var(args, mode) -> int:
 
 def cmd_greedy(args, mode) -> int:
     if args.method == "recursive" and not mode.is_numeric:
-        return _usage_error("--method recursive needs numeric mode")
+        raise UsageError("--method recursive needs numeric mode")
     if args.clusters is not None:
         if not mode.is_numeric:
-            return _usage_error("--clusters positivity probe needs numeric mode")
-        lo, hi = _parse_clusters(args.clusters)
+            raise UsageError("--clusters positivity probe needs numeric mode")
+        try:
+            lo, hi = (int(part) for part in args.clusters.split(".."))
+        except ValueError:
+            raise UsageError("--clusters expects LO..HI")
+        if lo > hi:
+            raise UsageError(f"--clusters range {args.clusters} is empty (LO > HI)")
     if args.method == "recursive":
         f = greedy.greedy_recursive(mode, args.a1, args.a2).to_laurent()
     else:
@@ -118,7 +109,7 @@ def cmd_greedy(args, mode) -> int:
 
 def cmd_pairs(args, mode) -> int:
     if args.a1 < 0 or args.a2 < 0:
-        return _usage_error("pairs expects nonnegative sizes A1 A2")
+        raise UsageError("pairs expects nonnegative sizes A1 A2")
     a1, d1, json_out = args.a1, mode.d1, args.format == "json"
     head = '{"s1":[' if json_out else "s1=" if a1 else "s1=-"
     zeros = ",".join("0" * a1)  # the text of S1 = 0; h_j's value is at 2j - 2
@@ -175,13 +166,13 @@ def cmd_expand(args, mode) -> int:
         with open(args.file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        return _usage_error(f"cannot read {args.file}: {exc.strerror}")
+        raise UsageError(f"cannot read {args.file}: {exc.strerror}")
     except (RecursionError, ValueError) as exc:  # RecursionError: nested too deep
-        return _usage_error(f"{args.file} is not valid JSON: {exc}")
+        raise UsageError(f"{args.file} is not valid JSON: {exc}")
     try:
         f = laurent.from_json(data, mode)
     except (KeyError, TypeError, ValueError) as exc:
-        return _usage_error(f"{args.file} is not a Laurent polynomial: {exc}")
+        raise UsageError(f"{args.file} is not a Laurent polynomial: {exc}")
     try:
         expansion = greedy.greedy_expand(mode, f)
     except greedy.NotInAlgebra as exc:
@@ -205,9 +196,8 @@ def cmd_verify(args, mode) -> int:
     try:
         lines, ok = verify.run_suites([args.suite])
     except KeyError:
-        return _usage_error(
-            f"unknown suite {args.suite!r}; choose from "
-            f"{', '.join(list(verify.SUITES) + ['all'])}")
+        raise UsageError(f"unknown suite {args.suite!r}; choose from "
+                         f"{', '.join(list(verify.SUITES) + ['all'])}")
     for line in lines:
         print(line)
     return 0 if ok else 1
@@ -228,14 +218,17 @@ _BENCH_MAX_EDGES = 256
 _BENCH_MAX_WORK = 100 * 2 ** 20
 
 
-def _bench_fits(a1: int, a2: int, d1: int, d2: int) -> bool:
-    """(d1+1)**a1 * (d2+1)**a2 <= _BENCH_MAX_PAIRS < 2**21, each exponent capped at 21."""
-    return (d1 + 1) ** min(a1, 21) * (d2 + 1) ** min(a2, 21) <= _BENCH_MAX_PAIRS
-
-
-def _bench_work_fits(a1: int, a2: int, d1: int, d2: int) -> bool:
-    """Grading pairs times a1 * a2 <= _BENCH_MAX_WORK, for a cell _bench_fits accepts."""
-    return (d1 + 1) ** a1 * (d2 + 1) ** a2 * a1 * a2 <= _BENCH_MAX_WORK
+def _bench_refusal(a1: int, a2: int, d1: int, d2: int) -> str | None:
+    """The error of the first budget the cell a1 x a2 breaks, or None.  The
+    pairs count caps its exponents at 21 (its budget is below 2**21) and the
+    edge budget comes before the work's full powers: a long path builds none."""
+    if (d1 + 1) ** min(a1, 21) * (d2 + 1) ** min(a2, 21) > _BENCH_MAX_PAIRS:
+        return f"cell {a1}x{a2} has over {_BENCH_MAX_PAIRS} grading pairs"
+    if a1 + a2 > _BENCH_MAX_EDGES:
+        return f"cell {a1}x{a2} has over {_BENCH_MAX_EDGES} edges"
+    if (d1 + 1) ** a1 * (d2 + 1) ** a2 * a1 * a2 > _BENCH_MAX_WORK:
+        return f"cell {a1}x{a2} has over {_BENCH_MAX_WORK} brute-force steps"
+    return None
 
 
 def cmd_bench(args, mode) -> int:
@@ -246,13 +239,9 @@ def cmd_bench(args, mode) -> int:
             if a1 < 0 or a2 < 0:
                 raise ValueError("negative cell size")
         except ValueError:
-            return _usage_error("--cells expects entries like 8x3")
-        if not _bench_fits(a1, a2, mode.d1, mode.d2):
-            return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_PAIRS} grading pairs")
-        if a1 + a2 > _BENCH_MAX_EDGES:
-            return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_EDGES} edges")
-        if not _bench_work_fits(a1, a2, mode.d1, mode.d2):
-            return _usage_error(f"cell {a1}x{a2} has over {_BENCH_MAX_WORK} brute-force steps")
+            raise UsageError("--cells expects entries like 8x3")
+        if refusal := _bench_refusal(a1, a2, mode.d1, mode.d2):
+            raise UsageError(refusal)
         cells.append((a1, a2))
     for a1, a2 in cells:
         t0 = time.perf_counter()
@@ -282,7 +271,7 @@ class _Parser(argparse.ArgumentParser):
             rest = _mode_flags(_Parser(add_help=False)).parse_known_args(self.argv)[1]
             if rest[0].startswith("-"):
                 message = f"unrecognized arguments: {rest[0]}"
-        raise SystemExit(_usage_error(message))
+        raise UsageError(message)
 
 
 def _mode_flags(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -344,6 +333,9 @@ def main(argv=None) -> int:
         code = args.func(args, _build_mode(args))
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code
+    except UsageError as exc:  # the one place a usage or input error is printed
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so that the flush at
         # exit has nowhere to fail, and exit as a shell reports SIGPIPE

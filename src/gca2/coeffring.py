@@ -418,8 +418,7 @@ _DECIMAL = re.compile(r"[-+]?[0-9]+")
 def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
     if not isinstance(records, list):
         raise ValueError(f"coefficient {records!r} is not a list of records")
-    total: Coeff = 0 if mode.is_numeric else CoeffPoly()
-    seen = set()
+    terms: dict[Mono, int] = {}  # one record per monomial
     for rec in records:
         n = rec["n"]
         # type(...) is int: JSON true/false load as bool, which int() accepts
@@ -438,16 +437,18 @@ def coeff_from_json(records: list, mode: CoefficientMode) -> Coeff:
                 raise ValueError(f"{family} exponent array {arr!r} holds a non-integer")
         if mode.is_numeric and any(any(arr) for _, arr, _ in families):
             raise ValueError("symbolic coefficient in numeric mode")
-        mono = CoeffPoly.const(1)
-        for (_, arr, _), p in zip(families, mode.polys):
+        # rho_t and rho_{d-t} are one generator: merge their exponents
+        exps: dict[GeneratorId, int] = {}
+        for family, arr, d in families:
             for t, e in enumerate(arr, start=1):
+                if e < 0:
+                    raise ValueError("negative power of a CoeffPoly")
                 if e:
-                    mono = mono * p[t] ** e
-        # rho_t and rho_{d-t} are one generator, so compare the products
-        (key,) = mono.terms
-        if key in seen:
+                    g = GeneratorId.canonical(family, t, d)
+                    exps[g] = exps.get(g, 0) + e
+        key = tuple(sorted(exps.items()))
+        if key in terms:
             raise ValueError(f"two records of one coefficient give the monomial "
-                             f"{mono.render()}")
-        seen.add(key)
-        total = total + (n if mode.is_numeric else mono * n)
-    return total
+                             f"{CoeffPoly._wrap({key: 1}).render()}")
+        terms[key] = n
+    return sum(terms.values()) if mode.is_numeric else CoeffPoly(terms)

@@ -46,8 +46,9 @@ D(a1, a2) backwards with East and North swapped gives D(a2, a1)
 (DyckPath.transpose): h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k},
 so HGC for S1 on the path is VGC for S1 reversed on the transpose.  The
 statistic, local shadows, shadow report and block sizes of S1 are those
-_v functions on the transpose, and only compatible_structure_h, which the
-greedy sum needs, maps an answer back.
+_v functions on the transpose, and compatible_structure_h maps an answer
+back.  The greedy sum builds the transposed path itself, so only the
+benchmark's tracer wraps compatible_structure_h.
 """
 
 from __future__ import annotations
@@ -130,9 +131,15 @@ def _first_zero(path: DyckPath, s: Grading, kind: str, i: int) -> int | None:
 
 # -- compatibility -----------------------------------------------------------
 
-def is_compatible(path: DyckPath, s1: Grading, s2: Grading) -> bool:
-    if len(s1) != path.a1 or len(s2) != path.a2:
+def _check_length(s: Grading, size: int) -> None:
+    """Refuse a grading that is not one value per edge; compatible_structure skips it."""
+    if len(s) != size:
         raise ValueError("grading length does not match the path")
+
+
+def is_compatible(path: DyckPath, s1: Grading, s2: Grading) -> bool:
+    _check_length(s1, path.a1)
+    _check_length(s2, path.a2)
     if path.a1 == 0 or path.a2 == 0:
         return True
     fz1 = [_first_zero(path, s1, HORIZONTAL, j) for j in range(1, path.a1 + 1)]
@@ -236,8 +243,7 @@ def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
 
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
     """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
-    if len(s2) != path.a2:
-        raise ValueError("grading length does not match the path")
+    _check_length(s2, path.a2)
     if not 1 <= k <= path.a2:
         raise IndexOutOfRange(f"v_{k} on a path with a2={path.a2}")
     t = _first_zero(path, s2, VERTICAL, k)
@@ -248,8 +254,7 @@ def local_shadow_v(path: DyckPath, s2: Grading, k: int):
 
 
 def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
-    if len(s2) != path.a2:
-        raise ValueError("grading length does not match the path")
+    _check_length(s2, path.a2)
     per_v, _, bits = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh = [j for j, bit in bits if remote & bit]
@@ -291,8 +296,7 @@ def _between(a: int, lo: int, hi: int) -> list[int]:
 def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
     """|rsh(S2)_{k;ell}| for 0 <= ell < a2, 0 < k <= a2, k != ell + 1."""
     a2 = path.a2
-    if len(s2) != a2:
-        raise ValueError("grading length does not match the path")
+    _check_length(s2, a2)
     if not (0 <= ell < a2 and 1 <= k <= a2) or k == ell + 1:
         raise CriterionFails(f"no block at (k={k}, ell={ell})")
     vl = path.v(ell if ell >= 1 else a2)
@@ -442,6 +446,7 @@ def phi_pullback(path: DyckPath, s2: Grading, r: int) -> tuple[DyckPath, Grading
     a1, a2 = path.a1, path.a2
     if a2 < 1:
         raise ValueError("phi_pullback needs at least one vertical edge")
+    _check_length(s2, a2)
     need = max(max(s2, default=0), -(-a1 // a2))
     if r < need:
         raise RTooSmall(f"r={r} below required {need}")
@@ -475,6 +480,7 @@ def omega(path: DyckPath, s2: Grading, r: int):
                if EdgeRef(HORIZONTAL, j) not in report.remote_shadow]
 
     def transport(s1: Grading) -> Grading:
+        _check_length(s1, a1)
         for j in outside:
             if s1[j - 1] > 0:
                 raise NotInRemoteSupport(f"h_{j} carries weight outside rsh(S2)")

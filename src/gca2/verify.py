@@ -231,9 +231,10 @@ def phi_pullback_negates_f(*, paths, max_value, orders):
     for a1, a2 in paths:
         path = DyckPath.build(a1, a2)
         for s2, r in product(product(range(max_value + 1), repeat=a2), orders):
-            if max(s2) > r or -(-a1 // a2) > r:
+            try:
+                new_path, new_s2 = compat.phi_pullback(path, s2, r)
+            except compat.RTooSmall:
                 continue
-            new_path, new_s2 = compat.phi_pullback(path, s2, r)
             for i, j in product(range(1, a2 + 1), repeat=2):
                 lhs = Subpath(new_path.v(i), new_path.v(j), include_start=False)
                 rhs = Subpath(path.v(a2 - j), path.v(a2 - i), include_start=False)

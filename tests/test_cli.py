@@ -21,7 +21,7 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # --help, which argparse ends itself
             code = exc.code
     return code, out.getvalue(), err.getvalue()
 
@@ -163,15 +163,18 @@ def test_bench_refuses_a_cell_over_its_budget_before_any_work():
     code, out, err = run_cli([*ones, "bench", "--cells", "3x2,10x11"])
     assert time.perf_counter() - t0 < 0.1
     assert (code, out) == (2, "")
-    assert err == f"error: cell 10x11 has over {cli._BENCH_MAX_PAIRS} grading pairs\n"
-    assert cli._bench_fits(10, 10, 1, 1) and not cli._bench_fits(10, 11, 1, 1)
+    pairs = f"has over {cli._BENCH_MAX_PAIRS} grading pairs"
+    assert err == f"error: cell 10x11 {pairs}\n"
+    assert cli._bench_refusal(10, 10, 1, 1) is None
+    assert cli._bench_refusal(10, 11, 1, 1) == f"cell 10x11 {pairs}"
     # the default cells on (2,3): 8x3 has 3**8 * 4**3 = 419,904 pairs
-    assert all(cli._bench_fits(a1, a2, 2, 3) for a1, a2 in ((4, 2), (6, 3), (8, 3)))
-    # the predicate is the exact count against the budget, huge cells included
+    assert all(cli._bench_refusal(a1, a2, 2, 3) is None for a1, a2 in ((4, 2), (6, 3), (8, 3)))
+    # the pairs budget is the exact count, huge cells included, and comes first
     for d1, d2 in ((0, 0), (0, 3), (1, 1), (2, 3), (5, 1)):
         for a1, a2 in product(range(0, 45, 3), range(0, 45, 4)):
             want = (d1 + 1) ** a1 * (d2 + 1) ** a2 <= cli._BENCH_MAX_PAIRS
-            assert cli._bench_fits(a1, a2, d1, d2) == want, (d1, d2, a1, a2)
+            refusal = cli._bench_refusal(a1, a2, d1, d2)
+            assert (refusal != f"cell {a1}x{a2} {pairs}") == want, (d1, d2, a1, a2)
     t0 = time.perf_counter()
     assert run_cli([*ones, "bench", "--cells", f"{10 ** 9}x1"])[0] == 2
     assert time.perf_counter() - t0 < 0.1
@@ -205,11 +208,15 @@ def test_bench_refuses_a_cell_over_its_work_budget_before_any_work():
         code, out, err = run_cli([*argv, f"3x2,{cell}"])
         assert time.perf_counter() - t0 < 0.1
         assert (code, out) == (2, "") and err.startswith(f"error: cell {cell} ")
-    assert cli._bench_fits(236, 20, 0, 1) and 236 + 20 <= cli._BENCH_MAX_EDGES
-    assert cli._bench_work_fits(236, 14, 0, 1) and not cli._bench_work_fits(236, 15, 0, 1)
+    # 236x20 passes the pairs and edge budgets, so the work budget refuses it
+    work = f"has over {cli._BENCH_MAX_WORK} brute-force steps"
+    assert 236 + 20 <= cli._BENCH_MAX_EDGES
+    assert cli._bench_refusal(236, 20, 0, 1) == f"cell 236x20 {work}"
+    assert cli._bench_refusal(236, 14, 0, 1) is None
+    assert cli._bench_refusal(236, 15, 0, 1) == f"cell 236x15 {work}"
     # the largest cell of the pair budget and the default cells stay accepted
-    assert cli._bench_work_fits(10, 10, 1, 1)
-    assert all(cli._bench_work_fits(a1, a2, 2, 3) for a1, a2 in ((4, 2), (6, 3), (8, 3)))
+    assert cli._bench_refusal(10, 10, 1, 1) is None
+    assert all(cli._bench_refusal(a1, a2, 2, 3) is None for a1, a2 in ((4, 2), (6, 3), (8, 3)))
 
 
 def test_a_closed_stdout_exits_141_with_nothing_on_stderr():

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+from itertools import product
 
 import pytest
 
@@ -165,6 +166,20 @@ def test_json_roundtrip():
     assert coeff_from_json(json.loads(coeff_to_json(42, 1, 1, {})), num_mode) == 42
     # omitted arrays mean all-zero exponents
     assert coeff_from_json([{"n": "3"}], mode) == 3
+
+
+def test_json_roundtrip_of_a_coefficient_with_thousands_of_records():
+    # 13**3 = 2,197 monomials in rho1, vrho1 and vrho2 of D(3, 4), one record each
+    mode = CoefficientMode.symbolic(3, 4)
+    gens = (GeneratorId("rho", 1), GeneratorId("vrho", 1), GeneratorId("vrho", 2))
+    poly = CoeffPoly({tuple((g, e) for g, e in zip(gens, exps) if e): (-1) ** sum(exps) * (1 + i)
+                      for i, exps in enumerate(product(range(13), repeat=3))})
+    data = json.loads(coeff_to_json(poly, 3, 4, {}))
+    assert len(data) == len(poly.terms) == 2197
+    assert coeff_from_json(data, mode) == poly
+    # rho_2 is rho_1 when d1 = 3: a record may write its exponent in either slot
+    data[-1]["rho"] = data[-1]["rho"][::-1]
+    assert coeff_from_json(data, mode) == poly
 
 
 # -- the core shared by CoeffPoly and LaurentPoly -----------------------------

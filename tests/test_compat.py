@@ -347,12 +347,20 @@ def test_rsh_block_size_errors():
 def test_shadow_entry_points_refuse_a_grading_of_the_wrong_length():
     # one value short and one too many on D(5,2), whose a2 is 2; before the
     # check, local_shadow_v read pos_v[-1] and shadow_report_v zipped the
-    # grading against the path's tables, answering for a different grading
+    # grading against the path's tables, answering for a different grading,
+    # phi_pullback dropped an extra value and omega's transport an extra S1
+    # value, and both raised a bare IndexError on a short one
+    _, _, transport = omega(D52, (0, 3), 3)
+    assert transport((0, 0, 1, 0, 0)) == (1,)
+    calls = [lambda: transport((0, 0, 1, 0, 0, 7)), lambda: transport((0, 0, 1))]
     for s2 in ((3,), (0, 3, 1)):
-        for call in (lambda: shadow_report_v(D52, s2), lambda: local_shadow_v(D52, s2, 1),
-                     lambda: rsh_block_size_v(D52, s2, 2, 0), lambda: omega(D52, s2, 4)):
-            with pytest.raises(ValueError, match="grading length does not match the path"):
-                call()
+        calls += [lambda s2=s2: shadow_report_v(D52, s2),
+                  lambda s2=s2: local_shadow_v(D52, s2, 1),
+                  lambda s2=s2: rsh_block_size_v(D52, s2, 2, 0),
+                  lambda s2=s2: omega(D52, s2, 4), lambda s2=s2: phi_pullback(D52, s2, 3)]
+    for call in calls:
+        with pytest.raises(ValueError, match="grading length does not match the path"):
+            call()
     for k in (0, 3):
         with pytest.raises(IndexOutOfRange):
             local_shadow_v(D52, (1, 2), k)

@@ -61,16 +61,17 @@ CASES = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
 
 
 def run_case(argv) -> tuple[int, bytes, str]:
-    """(exit status, stdout, stderr) of cli.main(argv), run in golden/."""
+    """(exit status, stdout, stderr) of cli.main(argv), run in golden/.
+
+    A usage error returns 2 from main, as every other outcome returns its
+    status, so nothing is caught here: a case that raises fails.
+    """
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(GOLDEN)
     try:
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:  # usage errors exit from inside main
-                code = exc.code
+            code = cli.main(argv)
     finally:
         os.chdir(cwd)
     return code, out.getvalue().encode("utf-8"), err.getvalue()
@@ -87,6 +88,17 @@ def test_golden_corpus_replays_byte_identically():
             not_one_line.append(case["name"])
     assert not differ, f"stdout or exit code changed: {differ}"
     assert not not_one_line, f"exit 2 without one error line: {not_one_line}"
+
+
+def test_usage_errors_return_2_from_main_in_process():
+    # each exit-2 case, run in this process: main returns 2, raising nothing,
+    # with nothing on stdout and one error line on stderr
+    usage = [case for case in CASES if case["exit"] == 2]
+    assert len(usage) == 18
+    for case in usage:
+        code, out, err = run_case(case["argv"])
+        assert (code, out) == (2, b""), case["name"]
+        assert err.startswith("error: ") and err.count("\n") == 1, (case["name"], err)
 
 
 def test_json_outputs_are_compact_canonical_json():

@@ -80,7 +80,7 @@ UNREAD_BUT_KEPT = {
     "laurent.lp_eval_univariate": "perfbench/tracer.py wraps it for laurent.eval",
     "dyckpath.DyckPath.full_loop": "the paper's full loop, which the subpath tests build",
     "greedy.pair_weight": "the paper's pair weight, which the greedy definition oracle sums",
-    "cli._Parser.error": "argparse calls it on each parse error, to print one error line",
+    "cli._Parser.error": "argparse calls it on each parse error, to raise one UsageError",
 }
 
 
@@ -140,3 +140,33 @@ def test_every_public_name_is_read_in_the_library():
             if not read:
                 unread.add(f"{stem}.{name}")
     assert unread == set(UNREAD_BUT_KEPT)
+
+
+def error_lines(node: ast.AST, where: str = "") -> list[str]:
+    """The innermost function around each string that starts an `error:`
+    line under node, as Class.method or function, "" at module level."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += error_lines(child, f"{where}.{child.name}".lstrip("."))
+        elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+              and child.value.startswith("error:")):
+            found.append(where)
+        else:
+            found += error_lines(child, where)
+    return found
+
+
+def test_the_cli_refuses_input_in_main_only():
+    """cli.py has one refusal path: a usage or input error raises UsageError
+    and main alone prints it.  No SystemExit is raised or named, sys.exit
+    is called at module level only, and the only other `error:` line is
+    expand's exit-1 line for an input outside the algebra."""
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "SystemExit" not in names and "_usage_error" not in names
+    exits = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "exit"]
+    top = [node for stmt in tree.body if isinstance(stmt, ast.If) for node in ast.walk(stmt)]
+    assert exits and all(node in top for node in exits)
+    assert sorted(error_lines(tree)) == ["cmd_expand", "main"]

@@ -36,9 +36,11 @@ NOT_REACHED = {
     "coeffring.CoeffPoly.__repr__": VALUE,
     "coeffring.CoeffPoly.eval": VERIFY,
     "coeffring.CoeffPoly.generators": VERIFY,
+    "coeffring.SparsePoly.__pow__": VERIFY,
     "coeffring.SparsePoly.__rsub__": VALUE,
     "compat._WholeLoop.__repr__": VALUE,
     "compat._between": VERIFY,
+    "compat._check_length": VERIFY,
     "compat._partition": VERIFY,
     "compat.compatible_structure_h": TRACER,
     "compat.fstat_v": VERIFY,
