@@ -2,8 +2,8 @@
 
 from .cluster import AlgebraContext
 from .coeffring import CoeffPoly, CoefficientMode, GeneratorId, MissingGenerator
-from .compat import (ShadowReport, WHOLE_LOOP, enumerate_bruteforce,
-                     enumerate_fast, is_compatible, support_region)
+from .compat import (ShadowReport, enumerate_bruteforce, enumerate_fast,
+                     is_compatible, support_region)
 from .dyckpath import DyckPath, EdgeRef, Subpath
 from .greedy import (NotInAlgebra, greedy_combinatorial, greedy_expand,
                      greedy_recursive, pair_weight, reflect_params)
@@ -15,7 +15,7 @@ __all__ = [
     "AlgebraContext", "CoeffPoly", "CoefficientMode", "DyckPath", "EdgeRef",
     "GeneratorId", "LaurentPoly", "MissingGenerator",
     "NotDivisible", "NotInAlgebra", "NotLaurent", "NotPointed", "PointedForm",
-    "ShadowReport", "Subpath", "SymbolicModeUnsupported", "WHOLE_LOOP",
+    "ShadowReport", "Subpath", "SymbolicModeUnsupported",
     "enumerate_bruteforce", "enumerate_fast", "greedy_combinatorial",
     "greedy_expand", "greedy_recursive", "is_compatible", "lp_is_positive",
     "lp_to_pointed", "pair_weight", "reflect_params", "support_region",

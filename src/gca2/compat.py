@@ -38,17 +38,19 @@ distance and the remote-shadow cut for each value of S2(v_k); per h_j the
 edges after it.  They are kept on the path, built on its first use; as
 DyckPath.build makes a new path on every call, they last for one greedy
 element or one s2_structures loop.  shadow_report_v reads its shadow from
-the same tables and states the rest as the paper defines it: the block of a
-remote edge is owned by the nearest v_k whose local shadow holds it.
+the same tables and states the rest as the paper defines it, in h-edge
+indices as compatible_structure's lists are: the block of a remote edge is
+owned by the nearest v_k whose local shadow holds it.  local_shadow_v
+returns a Subpath, the whole loop ending at v_k when its walk has no zero.
 
-The horizontal side is the vertical side run on the transpose.  Reading
-D(a1, a2) backwards with East and North swapped gives D(a2, a1)
-(DyckPath.transpose): h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k},
-so HGC for S1 on the path is VGC for S1 reversed on the transpose.  The
-statistic, local shadows, shadow report and block sizes of S1 are those
-_v functions on the transpose, and compatible_structure_h maps an answer
-back.  The greedy sum builds the transposed path itself, so only the
-benchmark's tracer wraps compatible_structure_h.
+The horizontal side is the vertical side run on the transposed path.
+Reading D(a1, a2) backwards with East and North swapped gives D(a2, a1):
+h_j becomes v_{a1+1-j} and v_k becomes h_{a2+1-k}, so HGC for S1 on the
+path is VGC for S1 reversed on D(a2, a1).  The statistic, local shadows,
+shadow report and block sizes of S1 are those _v functions on D(a2, a1),
+and compatible_structure_h maps an answer back.  The greedy sum builds the
+transposed path itself, so only the benchmark's tracer wraps
+compatible_structure_h.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .dyckpath import HORIZONTAL, VERTICAL, DyckPath, EdgeRef, IndexOutOfRange, Subpath
+from .dyckpath import HORIZONTAL, VERTICAL, DyckPath, IndexOutOfRange, Subpath
 
 
 class CriterionFails(ValueError):
@@ -71,15 +73,6 @@ class NotInRemoteSupport(ValueError):
     """omega's transport applied to a grading not supported inside rsh(S2)."""
 
 
-class _WholeLoop:
-    """Sentinel: a local shadow that needs more than one full loop."""
-
-    def __repr__(self) -> str:
-        return "WHOLE_LOOP"
-
-
-WHOLE_LOOP = _WholeLoop()
-
 Grading = tuple
 
 
@@ -87,13 +80,14 @@ Grading = tuple
 class ShadowReport:
     shadow: frozenset
     remote_shadow: frozenset
-    rsh_partition: dict      # (k, height) -> tuple of EdgeRef
+    rsh_partition: dict      # (k, height) -> tuple of h-edge indices
 
 
 # -- shadow statistics ------------------------------------------------------
 
 def fstat_v(path: DyckPath, s2: Grading, sub: Subpath) -> int:
     """f_{S2}(sub) = sum of S2 over vertical edges minus horizontal count."""
+    _check_length(s2, path.a2)
     total = 0
     for p in path.positions(sub):
         if path.kinds[p] == VERTICAL:
@@ -140,8 +134,6 @@ def _check_length(s: Grading, size: int) -> None:
 def is_compatible(path: DyckPath, s1: Grading, s2: Grading) -> bool:
     _check_length(s1, path.a1)
     _check_length(s2, path.a2)
-    if path.a1 == 0 or path.a2 == 0:
-        return True
     fz1 = [_first_zero(path, s1, HORIZONTAL, j) for j in range(1, path.a1 + 1)]
     fz2 = [_first_zero(path, s2, VERTICAL, k) for k in range(1, path.a2 + 1)]
     return _pairs_ok(path, fz1, fz2, range(1, path.a1 + 1), range(1, path.a2 + 1))
@@ -242,14 +234,14 @@ def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
 
 
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
-    """Minimal path e..v_k with zero statistic, or WHOLE_LOOP."""
+    """Minimal path e..v_k with zero statistic, or the whole loop ending at v_k."""
     _check_length(s2, path.a2)
     if not 1 <= k <= path.a2:
         raise IndexOutOfRange(f"v_{k} on a path with a2={path.a2}")
     t = _first_zero(path, s2, VERTICAL, k)
-    if t is None:
-        return WHOLE_LOOP
     end = path.pos_v[k - 1]
+    if t is None:
+        return path.full_loop(path.edge_at(end + 1))
     return Subpath(path.edge_at(end - t), path.edge_at(end))
 
 
@@ -258,8 +250,7 @@ def shadow_report_v(path: DyckPath, s2: Grading) -> ShadowReport:
     per_v, _, bits = _walks(path)
     fz, shadow, remote = _shadow(per_v, s2, path.n)
     rsh = [j for j, bit in bits if remote & bit]
-    return ShadowReport(frozenset([EdgeRef(HORIZONTAL, j) for j, bit in bits if shadow & bit]),
-                        frozenset([EdgeRef(HORIZONTAL, j) for j in rsh]),
+    return ShadowReport(frozenset([j for j, bit in bits if shadow & bit]), frozenset(rsh),
                         _partition(path, rsh, fz))
 
 
@@ -278,20 +269,11 @@ def _partition(path, remote, fz) -> dict:
         ph = path.pos_h[j - 1]
         _, owner = min((d, k) for k, d in enumerate([(pv - ph) % n for pv in path.pos_v], 1)
                        if d <= fz[k - 1])
-        blocks.setdefault((owner, path.height(j)), []).append(EdgeRef(HORIZONTAL, j))
+        blocks.setdefault((owner, path.height(j)), []).append(j)
     return {key: tuple(edges) for key, edges in blocks.items()}
 
 
 # -- remote shadow block sizes (closed formula) -------------------------------
-
-def _between(a: int, lo: int, hi: int) -> list[int]:
-    """Canonical indices strictly between lo and hi walking forward mod a.
-
-    When lo and hi name the same edge the walk spans the whole loop, which
-    is how the wrapped paths of the block criteria are read on the torus.
-    """
-    return [(lo + t - 1) % a + 1 for t in range(1, (hi - lo - 1) % a + 1)]
-
 
 def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
     """|rsh(S2)_{k;ell}| for 0 <= ell < a2, 0 < k <= a2, k != ell + 1."""
@@ -299,11 +281,10 @@ def rsh_block_size_v(path: DyckPath, s2: Grading, k: int, ell: int) -> int:
     _check_length(s2, a2)
     if not (0 <= ell < a2 and 1 <= k <= a2) or k == ell + 1:
         raise CriterionFails(f"no block at (k={k}, ell={ell})")
-    vl = path.v(ell if ell >= 1 else a2)
-    vk = path.v(k)
-    between = [EdgeRef(VERTICAL, t) for t in _between(a2, ell, k)]
+    vl, vk = path.v(ell), path.v(k)  # v_0 is v_{a2}
     vals = []
-    for v in between:
+    # v_{ell+1}..v_{k-1} forward, the whole loop round when k == ell
+    for v in map(path.v, range(ell + 1, ell + (k - ell - 1) % a2 + 1)):
         neg_f_from_l = -fstat_v(path, s2, Subpath(vl, v, include_start=False))
         f_to_k = fstat_v(path, s2, Subpath(v, vk, include_start=False))
         if not (neg_f_from_l > 0 and f_to_k > 0):
@@ -397,10 +378,12 @@ def compatible_structure_h(path: DyckPath, s1: Grading, d2: int):
     """Mirror of compatible_structure: {S2 : (S1, S2) compatible} for one S1.
 
     Returns (free, rsh, valid) over vertical edge indices, computed on the
-    transpose; valid keeps product order, and edges in sh(S1) - rsh(S1) are 0.
+    transposed path D(a2, a1); valid keeps product order, and edges in
+    sh(S1) - rsh(S1) are 0.
     """
+    _check_length(s1, path.a1)
     a2 = path.a2
-    free, rsh_idx, valid = compatible_structure(path.transpose(), s1[::-1], d2)
+    free, rsh_idx, valid = compatible_structure(DyckPath(a2, path.a1), s1[::-1], d2)
     return ([a2 + 1 - i for i in reversed(free)],
             [a2 + 1 - i for i in reversed(rsh_idx)],
             sorted(vals[::-1] for vals in valid))
@@ -475,9 +458,8 @@ def omega(path: DyckPath, s2: Grading, r: int):
             raise AssertionError(
                 f"block size mismatch at (k={k}, ell={ell}): "
                 f"{len(edges)} vs {len(target)}")
-        moves.extend((h.index - 1, h2.index - 1) for h, h2 in zip(edges, target))
-    outside = [j for j in range(1, a1 + 1)
-               if EdgeRef(HORIZONTAL, j) not in report.remote_shadow]
+        moves.extend((j - 1, j2 - 1) for j, j2 in zip(edges, target))
+    outside = [j for j in range(1, a1 + 1) if j not in report.remote_shadow]
 
     def transport(s1: Grading) -> Grading:
         _check_length(s1, a1)

@@ -8,9 +8,10 @@ height of h_j is floor((j-1)a2/a1) and the depth of v_j is ceil(j*a1/a2).
 
 The two endpoints are identified, so the path is a closed loop and edge
 subscripts are read modulo a1 (resp. a2).  A Subpath records a start edge,
-an end edge and two inclusion flags; it wraps through the identified corner
-whenever the start lies North-East of the end, covers each edge at most
-once, and can represent the full loop (end = predecessor of start).
+an end edge and whether the start is included; it wraps through the
+identified corner whenever the start lies North-East of the end, covers each
+edge at most once, and can represent the full loop (end = predecessor of
+start).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class Subpath:
     start: EdgeRef
     end: EdgeRef
     include_start: bool = True
-    include_end: bool = True
 
 
 class DyckPath:
@@ -80,14 +80,6 @@ class DyckPath:
     @classmethod
     def build(cls, a1: int, a2: int) -> "DyckPath":
         return cls(a1, a2)
-
-    def transpose(self) -> "DyckPath":
-        """D(a2, a1): this path read backwards with East and North swapped.
-
-        The edge at position p lands at position n-1-p, h_j becomes
-        v_{a1+1-j} and v_k becomes h_{a2+1-k}.
-        """
-        return DyckPath(self.a2, self.a1)
 
     # -- edge geometry -------------------------------------------------
 
@@ -134,8 +126,6 @@ class DyckPath:
         length = (q - p) % self.n + 1
         if not sub.include_start:
             p = (p + 1) % self.n
-            length -= 1
-        if not sub.include_end:
             length -= 1
         if length <= 0:
             return None

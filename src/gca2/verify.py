@@ -183,7 +183,8 @@ def grading_and_support(*, sizes, degrees):
 
 
 # The shadow lemmas are checked for S2 only: their S1 side is the S2 side for
-# S1 reversed on the transpose, and their grids are symmetric in (a1, a2).
+# S1 reversed on D(a2, a1), the path read backwards with East and North
+# swapped, and their grids are symmetric in (a1, a2).
 
 def shadow_sizes(*, max_a, max_value):
     """|sh(S2)| = min(a1, |S2|)."""
@@ -199,9 +200,8 @@ def local_shadows_nest(*, max_a, max_value):
     for a1, a2 in square(1, max_a):
         path = DyckPath.build(a1, a2)
         for s2 in product(range(max_value + 1), repeat=a2):
-            subs = [compat.local_shadow_v(path, s2, k) for k in range(1, a2 + 1)]
-            sets = [set(range(1, a1 + 1)) if sub is compat.WHOLE_LOOP else
-                    {e.index for e in path.subpath_edges(sub) if e.kind == "h"} for sub in subs]
+            sets = [{e.index for e in path.subpath_edges(compat.local_shadow_v(path, s2, k))
+                     if e.kind == "h"} for k in range(1, a2 + 1)]
             if any(x & y and not (x <= y or y <= x) for x, y in product(sets, repeat=2)):
                 return a1, a2, s2
 
@@ -254,7 +254,7 @@ def omega_is_a_block_bijection(*, max_a2, max_r, max_value, max_s1):
             path = DyckPath.build(a1, a2)
             for s2 in product(range(min(r, max_value) + 1), repeat=a2):
                 report = compat.shadow_report_v(path, s2)
-                rsh = sorted(e.index for e in report.remote_shadow)
+                rsh = sorted(report.remote_shadow)
                 if len(span) ** len(rsh) > max_s1:
                     continue
                 new_path, new_s2, forth = compat.omega(path, s2, r)
@@ -263,7 +263,7 @@ def omega_is_a_block_bijection(*, max_a2, max_r, max_value, max_s1):
                 labels = tuple(rsh.index(j) + 1 if j in rsh else 0 for j in range(1, a1 + 1))
                 where = {n: i for i, n in enumerate(forth(labels)) if n}
                 for edges in report.rsh_partition.values():
-                    landed = [where[labels[h.index - 1]] for h in edges]
+                    landed = [where[labels[j - 1]] for j in edges]
                     if landed != sorted(landed):
                         return a1, a2, r, s2, edges
                 for s1 in product(*[span if j in rsh else (0,) for j in range(1, a1 + 1)]):

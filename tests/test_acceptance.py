@@ -182,7 +182,9 @@ def test_criterion_09_basis_roundtrip():
 
 def test_criterion_10_determinism_and_performance():
     t0 = time.perf_counter()
-    # equality on the exhaustive grid: equal pair lists render to equal bytes
+    # equality on the exhaustive grid; `pairs` renders by its own block walk,
+    # which test_cli::test_pairs_block_templates_match_record_oracle checks
+    # on the same grid (a1, a2 <= 4, d1, d2 <= 3)
     degrees = list(product(range(4), repeat=2))
     assert verify.fast_equals_brute(max_a=4, degrees=degrees) is None
 

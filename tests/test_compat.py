@@ -5,20 +5,19 @@ import pytest
 
 from gca2 import compat, verify
 from gca2.coeffring import CoefficientMode
-from gca2.compat import (WHOLE_LOOP, CriterionFails, NotInRemoteSupport,
-                         RTooSmall, compatible_structure,
+from gca2.compat import (CriterionFails, NotInRemoteSupport, RTooSmall, compatible_structure,
                          compatible_structure_h, enumerate_bruteforce,
                          enumerate_fast, fstat_v, is_compatible, local_shadow_v,
                          omega, phi_pullback, rsh_block_size_v,
                          shadow_report_v, support_region)
-from gca2.dyckpath import DyckPath, EdgeRef, IndexOutOfRange, Subpath
+from gca2.dyckpath import DyckPath, IndexOutOfRange, Subpath
 from gca2.greedy import greedy_recursive
 
 D52 = DyckPath.build(5, 2)
 # D(2,5): D(5,2) read backwards with East and North swapped, h_j becoming
 # v_{6-j} and v_k becoming h_{3-k}.  A statement about S1 on D(5,2) is one
 # about S1 reversed, as S2, on T52, and the paper's S1 examples live here.
-T52 = D52.transpose()
+T52 = DyckPath.build(2, 5)
 
 
 def brute_compatible(path, s1, s2):
@@ -94,7 +93,7 @@ def test_is_compatible_transpose_symmetry():
     for a1 in range(5):
         for a2 in range(5):
             path = DyckPath.build(a1, a2)
-            tp = path.transpose()
+            tp = DyckPath.build(a2, a1)
             for s1 in product(range(3), repeat=a1):
                 for s2 in product(range(3), repeat=a2):
                     assert is_compatible(path, s1, s2) == \
@@ -149,13 +148,9 @@ def test_compatible_structure_matches_definition_oracle():
 
 def local_h_edges(path, s2):
     """local[k-1] is the set of h-edge indices on the local subpath of
-    local_shadow_v at v_k, every h-edge when it is WHOLE_LOOP."""
-    local = []
-    for k in range(1, path.a2 + 1):
-        sub = local_shadow_v(path, s2, k)
-        local.append(set(range(1, path.a1 + 1)) if sub is WHOLE_LOOP else
-                     {e.index for e in path.subpath_edges(sub) if e.kind == "h"})
-    return local
+    local_shadow_v at v_k."""
+    return [{e.index for e in path.subpath_edges(local_shadow_v(path, s2, k)) if e.kind == "h"}
+            for k in range(1, path.a2 + 1)]
 
 
 def set_shadow(path, s2, local=None):
@@ -234,7 +229,7 @@ def test_compatible_structure_matches_all_pairs_check():
 
 def test_compatible_structure_reuses_one_path():
     # one path object serves S2 in shuffled order with interleaved d1, and
-    # its transpose serves compatible_structure_h in between: every answer
+    # compatible_structure_h's transposed path serves in between: every answer
     # equals the one from a fresh path.  a1 = 0, a2 = 0, and a2 > a1, where
     # vertical runs are longer than one, are included.
     rng = random.Random(5)
@@ -254,7 +249,8 @@ def test_compatible_structure_reuses_one_path():
 
 def test_local_shadow_examples():
     # S1 = (2, 1, 0, 0, 0) at h_1 of D(5,2)
-    assert local_shadow_v(T52, (0, 0, 0, 1, 2), 5) is WHOLE_LOOP
+    # has no zero: the whole loop ending at v_5, from h_1
+    assert local_shadow_v(T52, (0, 0, 0, 1, 2), 5) == T52.full_loop(T52.h(1))
     # S1 = (0, 1, 0, 0, 0) at h_2, the path h_2..v_1 of D(5,2)
     sub = local_shadow_v(T52, (0, 0, 0, 1, 0), 4)
     # S(e) = 0 gives the single-edge path ee: S1 = (0, 1, 0, 0, 0) at h_3
@@ -271,16 +267,16 @@ def test_shadow_report_examples():
 
     # S1 = (2, 1, 0, 0, 0) on D(5,2) shadows v_1 and v_2 there
     rep = shadow_report_v(T52, (0, 0, 0, 1, 2))
-    assert rep.shadow == frozenset({EdgeRef("h", 2), EdgeRef("h", 1)})
+    assert rep.shadow == frozenset({2, 1})
     assert len(rep.shadow) == min(2, 3)
 
     rep = shadow_report_v(D52, (1, 0))
-    assert rep.shadow == frozenset({EdgeRef("h", 3)})
+    assert rep.shadow == frozenset({3})
     assert rep.remote_shadow == frozenset()
 
     rep = shadow_report_v(D52, (0, 3))
-    assert rep.shadow == frozenset({EdgeRef("h", 3), EdgeRef("h", 4), EdgeRef("h", 5)})
-    assert rep.remote_shadow == frozenset({EdgeRef("h", 3)})
+    assert rep.shadow == frozenset({3, 4, 5})
+    assert rep.remote_shadow == frozenset({3})
 
 
 def test_shadow_core_is_the_report_shadow():
@@ -298,7 +294,7 @@ def test_shadow_core_is_the_report_shadow():
             per_v = compat._walks(path)[0]
             for s2 in product(range(4), repeat=a2):
                 rep = shadow_report_v(path, s2)
-                got = [{e.index for e in edges} for edges in (rep.shadow, rep.remote_shadow)]
+                got = [set(rep.shadow), set(rep.remote_shadow)]
                 local = local_h_edges(path, s2)
                 shadow, remote = set_shadow(path, s2, local)
                 assert got == [shadow, remote], (a1, a2, s2)
@@ -309,7 +305,7 @@ def test_shadow_core_is_the_report_shadow():
                 for j in sorted(remote):
                     owner = min((k for k in range(1, a2 + 1) if j in local[k - 1]),
                                 key=lambda k: (path.pos_v[k - 1] - path.pos_h[j - 1]) % path.n)
-                    want.setdefault((owner, path.height(j)), []).append(EdgeRef("h", j))
+                    want.setdefault((owner, path.height(j)), []).append(j)
                 assert list(rep.rsh_partition.items()) == \
                     [(key, tuple(edges)) for key, edges in want.items()], (a1, a2, s2)
 
@@ -322,8 +318,9 @@ def test_remote_shadow_partition_properties():
         assert set(seen) == set(rep.remote_shadow)
         # blocks come in order of their first edge, and edges in path order
         blocks = list(rep.rsh_partition.values())
-        assert all(list(edges) == sorted(edges, key=path.pos) for edges in blocks)
-        firsts = [path.pos(edges[0]) for edges in blocks]
+        assert all(list(edges) == sorted(edges, key=lambda j: path.pos_h[j - 1])
+                   for edges in blocks)
+        firsts = [path.pos_h[edges[0] - 1] for edges in blocks]
         assert firsts == sorted(firsts)
 
     # the grid is symmetric in (a1, a2), so it holds the S1 side: the reports
@@ -349,10 +346,16 @@ def test_shadow_entry_points_refuse_a_grading_of_the_wrong_length():
     # check, local_shadow_v read pos_v[-1] and shadow_report_v zipped the
     # grading against the path's tables, answering for a different grading,
     # phi_pullback dropped an extra value and omega's transport an extra S1
-    # value, and both raised a bare IndexError on a short one
+    # value, and both raised a bare IndexError on a short one; so did fstat_v,
+    # and compatible_structure_h answered for another S1 either way
     _, _, transport = omega(D52, (0, 3), 3)
     assert transport((0, 0, 1, 0, 0)) == (1,)
+    assert compatible_structure_h(D52, (0, 0, 1, 0, 0), 2) == ([2], [], [()])
     calls = [lambda: transport((0, 0, 1, 0, 0, 7)), lambda: transport((0, 0, 1))]
+    calls += [lambda s1=s1: compatible_structure_h(D52, s1, 2)
+              for s1 in ((0, 0, 1, 0, 0, 9), (0, 0, 1))]
+    calls += [lambda s2=s2: fstat_v(D52, s2, Subpath(D52.v(1), D52.v(2)))
+              for s2 in ((1, 2, 7), (1,))]
     for s2 in ((3,), (0, 3, 1)):
         calls += [lambda s2=s2: shadow_report_v(D52, s2),
                   lambda s2=s2: local_shadow_v(D52, s2, 1),

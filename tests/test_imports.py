@@ -78,7 +78,6 @@ UNREAD_BUT_KEPT = {
         "perfbench/tracer.py wraps it for cluster.probe",
     "compat.compatible_structure_h": "perfbench/tracer.py wraps it for compat.structure",
     "laurent.lp_eval_univariate": "perfbench/tracer.py wraps it for laurent.eval",
-    "dyckpath.DyckPath.full_loop": "the paper's full loop, which the subpath tests build",
     "greedy.pair_weight": "the paper's pair weight, which the greedy definition oracle sums",
     "cli._Parser.error": "argparse calls it on each parse error, to raise one UsageError",
 }

@@ -38,8 +38,6 @@ NOT_REACHED = {
     "coeffring.CoeffPoly.generators": VERIFY,
     "coeffring.SparsePoly.__pow__": VERIFY,
     "coeffring.SparsePoly.__rsub__": VALUE,
-    "compat._WholeLoop.__repr__": VALUE,
-    "compat._between": VERIFY,
     "compat._check_length": VERIFY,
     "compat._partition": VERIFY,
     "compat.compatible_structure_h": TRACER,
@@ -59,12 +57,11 @@ NOT_REACHED = {
     "dyckpath.DyckPath.count_h": VERIFY,
     "dyckpath.DyckPath.count_v": VERIFY,
     "dyckpath.DyckPath.edge_at": VERIFY,
-    "dyckpath.DyckPath.full_loop": ORACLE,
+    "dyckpath.DyckPath.full_loop": VERIFY,
     "dyckpath.DyckPath.h": VERIFY,
     "dyckpath.DyckPath.pos": VERIFY,
     "dyckpath.DyckPath.positions": VERIFY,
     "dyckpath.DyckPath.subpath_edges": VERIFY,
-    "dyckpath.DyckPath.transpose": TRACER,  # compatible_structure_h's path
     "dyckpath.DyckPath.v": VERIFY,
     "greedy.pair_weight": ORACLE,
     "greedy.reflect_params": VERIFY,
