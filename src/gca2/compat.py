@@ -234,7 +234,8 @@ def _shadow(per_v: tuple, s2: Grading, n: int) -> tuple[list, int, int]:
 
 
 def local_shadow_v(path: DyckPath, s2: Grading, k: int):
-    """Minimal path e..v_k with zero statistic, or the whole loop ending at v_k."""
+    """Minimal path e..v_k with zero statistic, or the whole loop ending at v_k,
+    which is also a zero's path at t = n - 1: `fstat_v(...) == 0` tells them apart."""
     _check_length(s2, path.a2)
     if not 1 <= k <= path.a2:
         raise IndexOutOfRange(f"v_{k} on a path with a2={path.a2}")

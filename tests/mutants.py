@@ -2,8 +2,7 @@
 
 Run from anywhere, stdlib only (pytest must be importable):
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 Each entry of MUTANTS names a file under src/gca2, one exact snippet of it,
 the snippet's replacement and the pytest node ids that must fail.  For each
@@ -154,15 +153,10 @@ def run(mutant: Mutant, scratch: Path) -> tuple[bool, str]:
     return True, f"fails {len(mutant.tests)} of {len(mutant.tests)}"
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
+def main() -> int:
     survivors = errors = 0
     with tempfile.TemporaryDirectory(prefix="gca2-mutants-") as tmp:
-        for mutant in chosen:
+        for mutant in MUTANTS:
             try:
                 killed, detail = run(mutant, Path(tmp))
             except (ValueError, RuntimeError) as exc:
@@ -171,9 +165,9 @@ def main(names: list[str]) -> int:
                 continue
             survivors += not killed
             print(f"{'killed' if killed else 'SURVIVED'} {mutant.name}: {detail}", flush=True)
-    print(f"{len(chosen)} mutants: {survivors} survived, {errors} errors")
+    print(f"{len(MUTANTS)} mutants: {survivors} survived, {errors} errors")
     return 1 if survivors or errors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
