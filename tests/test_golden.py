@@ -36,7 +36,11 @@ captured before `bench` refused cells over its budget.
 `greedy_sym53_comb_2_3_text`, `greedy_sym11_comb_3_2_json` (symbolic with
 no generator) and `greedy_num101_comb_3_3_text` (a zero inner coefficient)
 were captured before `greedy_combinatorial` summed on packed integer keys;
-they pin its generator order and coefficient types.  `expand` cases read
+they pin its generator order and coefficient types.  `var_sym45_m1_text`,
+`var_sym45_4_text` and `var_sym53_m1_json` (three or more generators, with
+product and division slices) were captured before symbolic exchange steps
+ran on packed integer keys; they pin render order and monomial form there.
+`expand` cases read
 their input from `golden/` by a relative path.
 
 Refactors must leave this corpus unchanged.  Only a deliberate change of
