@@ -25,16 +25,34 @@ subclasses' own bodies: each is a different kernel, and the benchmark's
 tracer wraps it by reading the class __dict__.  CoeffPoly has no division:
 every exchange polynomial has constant term 1, so nothing needs one.
 
+uni_mul is the engine's one univariate product: it multiplies two lists of
+(key, coefficient) pairs whose keys add, exponents or packed keys (below).
 An ExchangePoly is an exchange polynomial's coefficient tuple, low degree
 first, checked once when built: constant term 1, nonzero leading term.  Its
-power(k) returns P**k as a dense tuple, built on demand by repeated products
-with P by uni_mul, the engine's one univariate product, which
-laurent.lp_substitute_ratio calls too, and kept in its table of powers.
+power(k) returns P**k as a dense tuple, and its packed_power(k), for a P
+whose coefficients are all CoeffPolys, returns P**k as packed (key, int)
+pairs; each is built on demand by repeated products with P by uni_mul,
+which laurent.lp_substitute_ratio calls too, and kept in a table of powers.
 CoefficientMode.polys holds one per P, read by every greedy element and
 cluster-walk step of the mode.  A table grows by replacing an immutable
 tuple whole, so a thread reads the old table or the grown one and never a
 half-built one; two threads that grow it at once each build a correct
 table, one of them kept.
+
+Packed keys (Monagan and Pearce, packed exponent vectors, CASC 2007) carry
+one term of a univariate polynomial over the generators, its int kept
+beside it: FIELD_BITS-bit fields, field 0 the degree in the variable, then
+field 2i - 1 the exponent of rho_i and field 2i that of vrho_i.  A
+generator's offset depends on its GeneratorId alone, so any two keys add as
+their terms multiply.  pack_coeff packs a coefficient at a degree;
+unpack_rows turns packed terms back into one CoeffPoly per degree, each
+distinct generator key decoded once per call into the sorted
+(GeneratorId, exponent) tuple that a product of CoeffPolys builds.  No
+field carries into the next while every degree and exponent stays below
+2**FIELD_BITS, and nothing checks that as keys add: check_fields raises
+OverflowError on a bound of every field that does not fit, and a caller
+checks one before it multiplies or divides (laurent.lp_substitute_ratio
+derives its bound from its slices and P).
 
 JSON form of a coefficient: a list of monomial records
     {"rho": [e1..e_{d1-1}], "vrho": [e1..e_{d2-1}], "n": "<decimal integer>"}
@@ -298,15 +316,79 @@ def _mono_sort_key(m: Mono):
 
 # -- exchange polynomials and the coefficient mode -------------------------
 
-def uni_mul(terms: Iterable[tuple[int, Coeff]], b: Sequence) -> dict[int, Coeff]:
-    """{exponent: coefficient} of terms, (exponent, coefficient) pairs, times
-    the dense b, low degree first; zero sums are kept, and keys ascend if terms do."""
+def uni_mul(a: Iterable[tuple[int, Coeff]], b: Sequence[tuple[int, Coeff]]) -> dict[int, Coeff]:
+    """{key: coefficient} of the product of a and b, each (key, coefficient)
+    pairs whose keys add under multiplication: exponents, or packed keys.
+    Zero sums are kept; keys ascend if those of a and b do and b is dense."""
     out: dict[int, Coeff] = {}
     get = out.get
-    for e, c in terms:
-        for k, cb in enumerate(b, e):
-            out[k] = get(k, 0) + c * cb
+    for ka, ca in a:
+        for kb, cb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
     return out
+
+
+# -- packed keys -----------------------------------------------------------
+
+FIELD_BITS = 32
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+def _shift(g: GeneratorId) -> int:
+    """Bit offset of g's field: rho_i in field 2i - 1, vrho_i in field 2i."""
+    return FIELD_BITS * (2 * g.index - (g.family == RHO))
+
+
+def pack_coeff(c: Coeff, row: int, keys: dict) -> list[tuple[int, int]]:
+    """(packed key, int) pairs of c at row, the value of field 0; keys maps
+    each monomial to its generator fields, filled as monomials are met."""
+    if not isinstance(c, CoeffPoly):
+        return [(row, c)]
+    out = []
+    for m, n in c.terms.items():
+        k = keys.get(m)
+        if k is None:
+            k = keys[m] = sum(e << _shift(g) for g, e in m)
+        out.append((row + k, n))
+    return out
+
+
+def max_exponent(monos: Iterable[Mono]) -> int:
+    """The largest generator exponent of any of monos, 0 if none has one."""
+    return max((e for m in monos for _, e in m), default=0)
+
+
+def check_fields(top: int) -> None:
+    """Raise OverflowError unless top, a bound on every field, fits one."""
+    if top >> FIELD_BITS:
+        raise OverflowError(f"{top} does not fit a {FIELD_BITS}-bit key field")
+
+
+def unpack_rows(terms: Iterable[tuple[int, int]], monos: dict) -> dict[int, CoeffPoly]:
+    """{field 0: CoeffPoly} of packed (key, int) terms with distinct keys,
+    zero ints dropped; monos maps each generator key, the key shifted past
+    field 0, to its monomial, filled as keys are met."""
+    rows: dict[int, dict] = {}
+    for k, n in terms:
+        if n:
+            g = k >> FIELD_BITS
+            m = monos.get(g)
+            if m is None:
+                m = monos[g] = _key_mono(g)
+            rows.setdefault(k & FIELD_MASK, {})[m] = n
+    return {r: CoeffPoly._wrap(t) for r, t in rows.items()}
+
+
+def _key_mono(g: int) -> Mono:
+    """The monomial of generator key g, in GeneratorId order: every rho_i
+    (even fields of g), then every vrho_i (odd fields)."""
+    fields = []
+    while g:
+        fields.append(g & FIELD_MASK)
+        g >>= FIELD_BITS
+    return tuple((GeneratorId(family, i), e) for family, first in ((RHO, 0), (VRHO, 1))
+                 for i, e in enumerate(fields[first::2], 1) if e)
 
 
 class ExchangePoly(tuple):
@@ -319,6 +401,7 @@ class ExchangePoly(tuple):
             raise ValueError("an exchange polynomial needs constant term 1 and a "
                              "nonzero leading coefficient")
         self._pows = ((self[0],),)  # P**0, the 1 of P's coefficient type
+        self._packed = None  # P**0 and P packed, on first use
         return self
 
     def power(self, k: int) -> tuple:
@@ -326,9 +409,27 @@ class ExchangePoly(tuple):
         table = self._pows
         if k >= len(table):
             grown = list(table)
+            pairs = tuple(enumerate(self))
             while len(grown) <= k:  # a loop, not recursion: k may exceed 1000
-                grown.append(tuple(uni_mul(enumerate(grown[-1]), self).values()))
+                grown.append(tuple(uni_mul(enumerate(grown[-1]), pairs).values()))
             self._pows = table = tuple(grown)
+        return table[k]
+
+    def packed_power(self, k: int) -> tuple:
+        """P**k as (packed key, int) pairs, field 0 the degree: P's
+        coefficients must be CoeffPolys, and the caller guards the fields."""
+        table = self._packed
+        if table is None:
+            keys: dict = {}
+            table = ((0, 1),), tuple(t for q, c in enumerate(self)
+                                     for t in pack_coeff(c, q, keys))
+        if k >= len(table):
+            grown = list(table)
+            while len(grown) <= k:
+                grown.append(tuple((key, n) for key, n in uni_mul(grown[-1], grown[1]).items()
+                                   if n))
+            table = tuple(grown)
+        self._packed = table
         return table[k]
 
 

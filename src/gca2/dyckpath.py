@@ -109,9 +109,14 @@ class DyckPath:
         return EdgeRef(VERTICAL, (j - 1) % self.a2 + 1)
 
     def pos(self, e: EdgeRef) -> int:
-        if e.kind == HORIZONTAL:
-            return self.pos_h[e.index - 1]
-        return self.pos_v[e.index - 1]
+        """Position of e on the path; its index is not reduced, as h and v do."""
+        if e.kind not in (HORIZONTAL, VERTICAL):
+            raise ValueError(f"edge kind {e.kind!r} is neither 'h' nor 'v'")
+        table = self.pos_h if e.kind == HORIZONTAL else self.pos_v
+        if not 1 <= e.index <= len(table):
+            raise IndexOutOfRange(f"{e.kind}_{e.index} on a path with a1={self.a1}, "
+                                  f"a2={self.a2}")
+        return table[e.index - 1]
 
     def edge_at(self, p: int) -> EdgeRef:
         p %= self.n

@@ -19,23 +19,40 @@ lp_substitute_ratio substitutes x_var -> p(x_other) / y, where p is an
 exchange polynomial, low degree first.  It returns the result in cluster
 order, x_other in slot var and y in the other, so a step of the cluster
 walk needs no swap.  The slice of f with x_var-exponent e >= 0 is
-multiplied by p**e, and one with e < 0 divided by p**-e, each dense power
-read from p.power: the walk passes the mode's coeffring.ExchangePolys, so
+multiplied by p**e, and one with e < 0 divided by p**-e, each power read
+from p's tables: the walk passes the mode's coeffring.ExchangePolys, so
 all its steps read one table per P, and a plain tuple becomes an
-ExchangePoly once per call.  The dict loop that multiplies a slice by p**e
-is coeffring.uni_mul, the engine's one univariate product, which also
-builds the powers.  When every coefficient of f and p is a plain int, a
-slice's product can instead be one big-int multiply (Kronecker
-substitution; Harvey, "Faster polynomial multiplication via multipoint
-Kronecker substitution", arXiv:0712.4046).  p is packed once into nb-byte
-slots as the int P, and the powers P**e are built by repeated int
-multiplies, never unpacked.  Each slice is then one product pack(slice_e) *
-P**e, unpacked once: slot k holds coefficient k.  One nb serves the whole
-call, sized from the bound max over e >= 0 of |slice_e|_1 * |p|_1**e plus a
-sign bit, since no coefficient of a product exceeds the product of its
-factors' 1-norms; so no slot carries into the next.  _pack and _unpack
-shift signed coefficients by half a slot, an offset of repeated bytes, so
-every slot reads nonnegative with no division.
+ExchangePoly once per call.
+
+When every coefficient of p is a CoeffPoly, as in a symbolic mode, the
+whole substitution runs on coeffring's packed keys, with p's packed powers:
+each slice becomes (key, int) pairs, field 0 the exponent above the slice's
+lowest.  A slice with e >= 0 is multiplied by p**e in coeffring.uni_mul.
+One with e < 0 is divided exactly, row by row in field 0: quotient row i is
+what is left in row i once the rows before it, times p**-e, are subtracted,
+so, p's constant term being 1, no coefficient is divided.  Each output row
+becomes one CoeffPoly, so a symbolic step makes no CoeffPoly product.
+Before any slice is multiplied or divided, one bound on every field is
+checked: a product's rows reach the slice's span plus e*deg(p), and its
+exponents f's largest plus e times p's largest; quotient row i of a
+division by p**k, and what it subtracts, at most f's largest plus (i+1)*k
+times p's largest, each row adding at most k times p's largest to those
+before it, and i stays below the slice's span.  A bound too wide for a
+field raises OverflowError, never a wrong answer.
+
+Otherwise the dict loop that multiplies a slice by the dense p**e is
+coeffring.uni_mul, which also builds the powers.  When every coefficient
+of f and p is a plain int, a slice's product can instead be one big-int
+multiply (Kronecker substitution; Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", arXiv:0712.4046).
+p is packed once into nb-byte slots as the int P, and the powers P**e are
+built by repeated int multiplies, never unpacked.  Each slice is then one
+product pack(slice_e) * P**e, unpacked once: slot k holds coefficient k.
+One nb serves the whole call, sized from the bound max over e >= 0 of
+|slice_e|_1 * |p|_1**e plus a sign bit, since no coefficient of a product
+exceeds the product of its factors' 1-norms; so no slot carries into the
+next.  _pack and _unpack shift signed coefficients by half a slot, an
+offset of repeated bytes, so every slot reads nonnegative with no division.
 
 lp_substitute_ratio_is_positive is lp_is_positive of the substitution.
 When every coefficient of f and p is a plain int and p >= 0, as in every
@@ -54,10 +71,11 @@ dense power that the dict loop walks; the product's other e*deg(p) slots
 stand for p**e, which the dict loop holds too.  So slices spread over a wide
 exponent range, and sparse ones, stay on the dict loop, and no huge buffer
 is allocated.  Slices with e < 0 stay on exact univariate division, which
-the constant term 1 keeps free of coefficient division, and CoeffPoly
-coefficients stay on the dict loop: they do not fit in slots.  Nothing is
-divided packed: a Kronecker division would need big-int division, which is
-quadratic on CPython 3.11 (one exchange-step division took 364 s that way).
+the constant term 1 keeps free of coefficient division, and a CoeffPoly
+coefficient of f under an all-int p, or a p that mixes ints and CoeffPolys,
+stays on the dict loop.  Nothing is divided in big-int slots: a Kronecker
+division would need big-int division, which is quadratic on CPython 3.11
+(one exchange-step division took 364 s that way).
 
 Exact division eliminates the remainder's *minimal* monomial under the
 graded-lex order (degree first, then e1), found by min(): only `verify`
@@ -83,8 +101,9 @@ from dataclasses import dataclass
 from itertools import chain, compress, count, repeat
 from typing import Sequence
 
-from .coeffring import (CoeffPoly, CoefficientMode, ExchangePoly, SparsePoly,
-                        coeff_from_json, coeff_to_json, format_term, uni_mul)
+from .coeffring import (FIELD_MASK, CoeffPoly, CoefficientMode, ExchangePoly, SparsePoly,
+                        check_fields, coeff_from_json, coeff_to_json, format_term,
+                        max_exponent, pack_coeff, uni_mul, unpack_rows)
 
 
 class NotDivisible(ArithmeticError):
@@ -251,9 +270,12 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
     p is the coefficient tuple of a univariate polynomial, low degree first,
     with constant term 1 and a nonzero leading coefficient, as an exchange
     polynomial has; anything else raises ValueError.  Each slice of f with
-    x_var-exponent e picks up p**e, e ascending: a packed big-int product or
-    the dict loop for e >= 0 (see the module docstring), an exact univariate
-    division for e < 0, which raises NotLaurent naming x_var and e if it fails.
+    x_var-exponent e picks up p**e, e ascending (see the module docstring):
+    on packed keys when every coefficient of p is a CoeffPoly, else by a
+    packed big-int product or the dict loop for e >= 0 and an exact
+    univariate division for e < 0.  A division that fails raises NotLaurent
+    naming x_var and e; a call whose packed keys would overflow a field
+    raises OverflowError before any slice is multiplied or divided.
     """
     if var not in (1, 2):
         raise ValueError("variable must be 1 or 2")
@@ -264,7 +286,9 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
         slices.setdefault(e[sel], {})[e[oth]] = c
     deg = len(p) - 1
     nb = None
-    if all(type(c) is int for c in chain(p, f.terms.values())):
+    if symbolic := all(isinstance(c, CoeffPoly) for c in p):
+        packed, monos = _pack_slices(slices, p), {}  # monos: for unpack_rows
+    elif all(type(c) is int for c in chain(p, f.terms.values())):
         # |coefficient of slice_e * p**e| <= |slice_e|_1 * |p|_1**e, and p
         # itself goes into the same slots
         norm = sum(map(abs, p))
@@ -281,9 +305,14 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
             try:
                 if m - 1 < -e * deg:  # checked before p**-e is built
                     raise NotLaurent("slice shorter than the divisor")
-                exps, coeffs = count(lo), _uni_exact_div(sl, p.power(-e))
+                if symbolic:
+                    q = _packed_exact_div(packed[e], p.packed_power(-e), m)
+                else:
+                    exps, coeffs = count(lo), _uni_exact_div(sl, p.power(-e))
             except NotLaurent as exc:
                 raise NotLaurent(f"substituting x{var}, slice e={e}: {exc}") from exc
+        elif symbolic:
+            q = uni_mul(packed[e], p.packed_power(e)).items()
         elif nb and _packing_pays(m, nb, len(sl) * (e * deg + 1)):
             if e != pw_e:
                 big_p = big_p or _pack(enumerate(p), deg + 1, nb)
@@ -292,12 +321,59 @@ def lp_substitute_ratio(f: LaurentPoly, var: int, p: Sequence) -> LaurentPoly:
             q = _pack(((i - lo, c) for i, c in sl.items()), m, nb) * pw
             exps, coeffs = count(lo), _unpack(q, m + e * deg, nb)
         else:
-            q = uni_mul(sl.items(), p.power(e))
+            q = uni_mul(sl.items(), tuple(enumerate(p.power(e))))
             exps, coeffs = q.keys(), q.values()
+        if symbolic:
+            q = unpack_rows(q, monos)
+            exps, coeffs = map(lo.__add__, q), q.values()
         row = repeat(-e)
         keys = zip(exps, row) if var == 1 else zip(row, exps)
         out.update(compress(zip(keys, coeffs), coeffs))
     return LaurentPoly._wrap(out)
+
+
+def _pack_slices(slices: dict, p: ExchangePoly) -> dict[int, list]:
+    """{e: slice e as (packed key, int) pairs, field 0 the exponent above
+    the slice's lowest}, once every field that substituting by p can fill
+    is shown to fit (see the module docstring)."""
+    keys: dict = {}  # monomial -> generator fields, for pack_coeff
+    packed, rows, times = {}, 0, 0
+    deg = len(p) - 1
+    for e, sl in slices.items():
+        lo = min(sl)
+        span = max(sl) - lo
+        packed[e] = [t for j, c in sl.items() for t in pack_coeff(c, j - lo, keys)]
+        rows = max(rows, span + max(e, 0) * deg)
+        times = max(times, e if e >= 0 else -e * (span + 1))
+    check_fields(max(rows, max_exponent(keys)
+                     + times * max_exponent(m for c in p for m in c.terms)))
+    return packed
+
+
+def _packed_exact_div(terms: list, b: tuple, m: int) -> list:
+    """Exact quotient, as (packed key, int) pairs, of a slice of m rows, given
+    as packed terms, by b, a packed power of p with constant term 1.
+
+    Row i of the quotient is what is left in row i once the rows before it,
+    times b, are subtracted, so no coefficient is divided; a nonzero int
+    left in the last deg(b) rows raises NotLaurent.
+    """
+    rows: list[dict] = [{} for _ in range(m)]
+    for k, n in terms:
+        rows[k & FIELD_MASK][k] = n
+    rest = [(k & FIELD_MASK, k, -n) for k, n in b if k]  # b's constant term is key 0
+    top = max((r for r, _, _ in rest), default=0)
+    quot = []
+    for i in range(m - top):
+        for k, n in rows[i].items():
+            if n:
+                quot.append((k, n))
+                for r, kb, nb in rest:
+                    row = rows[i + r]
+                    row[k + kb] = row.get(k + kb, 0) + n * nb
+    if any(n for row in rows[m - top:] for n in row.values()):
+        raise NotLaurent("univariate division leaves a remainder")
+    return quot
 
 
 # the probe's substitutions are its own work, not lp_substitute_ratio's calls

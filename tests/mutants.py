@@ -33,6 +33,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 C07 = "tests/test_acceptance.py::test_criterion_07_combinatorics_lemma_suite"
 LENGTHS = "tests/test_compat.py::test_shadow_entry_points_refuse_a_grading_of_the_wrong_length"
+GOLDEN = "tests/test_golden.py::test_golden_corpus_replays_byte_identically"
+FIELDS = "tests/test_laurent.py::test_packed_fields_fill_exactly_and_refuse_one_more"
 
 
 class Mutant(NamedTuple):
@@ -115,6 +117,40 @@ MUTANTS = (
            "entry[key] = entry.get(key, 0) + 1",
            ("tests/test_greedy.py::test_orbit_tally_is_the_sum_over_compatible_pairs",
             "tests/test_greedy.py::test_greedy_combinatorial_is_the_sum_over_compatible_pairs")),
+    # the slots reversed, in offset and in decode order: monomials come out
+    # in the wrong generator order
+    Mutant("greedy-generator-slots-reversed", "greedy.py",
+           "for i, gid in enumerate(gens)}",
+           "for i, gid in enumerate(reversed(gens))}",
+           (GOLDEN, "tests/test_greedy.py::test_orbit_tally_is_the_sum_over_compatible_pairs",
+            "tests/test_greedy.py::test_greedy_combinatorial_is_the_sum_over_compatible_pairs")),
+    Mutant("greedy-degree-fields-swapped", "greedy.py",
+           "(0, w) if transposed else (w, 0)",
+           "(w, 0) if transposed else (0, w)",
+           ("tests/test_greedy.py::test_greedy_combinatorial_examples",
+            "tests/test_greedy.py::test_packed_degrees_fill_their_field_exactly",
+            "tests/test_greedy.py::test_greedy_combinatorial_is_the_sum_over_compatible_pairs")),
+    # exact division eliminates the remainder's maximal monomial
+    Mutant("exact-div-eliminates-max", "laurent.py",
+           "_, e1, e2 = min((e1 + e2, e1, e2) for e1, e2 in rem)",
+           "_, e1, e2 = max((e1 + e2, e1, e2) for e1, e2 in rem)",
+           ("tests/test_laurent.py::test_exact_div_examples",
+            "tests/test_laurent.py::test_exact_div_roundtrip_random",
+            "tests/test_laurent.py::test_exact_div_of_oracle_products")),
+    # the packed keys of a symbolic exchange step
+    Mutant("packed-guard-one-bit-short", "coeffring.py",
+           "if top >> FIELD_BITS:",
+           "if top >> FIELD_BITS - 1:",
+           (FIELDS,)),
+    Mutant("packed-decode-order-swapped", "coeffring.py",
+           "((RHO, 0), (VRHO, 1))",
+           "((VRHO, 1), (RHO, 0))",
+           (GOLDEN, "tests/test_laurent.py::test_symbolic_substitute_ratio_matches_sympy",
+            "tests/test_cluster.py::test_symbolic_cluster_variables")),
+    Mutant("packed-row-mask-one-bit-short", "coeffring.py",
+           "rows.setdefault(k & FIELD_MASK, {})",
+           "rows.setdefault(k & FIELD_MASK >> 1, {})",
+           (FIELDS,)),
 )
 
 TIMEOUT_S = 1800

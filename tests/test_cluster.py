@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import prod
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from conftest import ALL_ONES, chebyshev_u, expected_x3, expected_x4, expected_x5
 from gca2 import cluster, coeffring, laurent, verify
 from gca2.cluster import AlgebraContext
-from gca2.coeffring import CoefficientMode
+from gca2.coeffring import CoeffPoly, CoefficientMode
 from gca2.compat import support_region
 from gca2.greedy import greedy_combinatorial, reflect_params
 from gca2.laurent import LaurentPoly, NotLaurent, lp_is_positive, lp_to_pointed
@@ -328,14 +329,16 @@ def test_cluster_variable_names_the_failing_cluster_step():
 
 
 def test_walks_on_one_mode_share_its_tables_of_powers(monkeypatch):
-    # every step divides by powers of P read from the mode's own tables, so
-    # a second walk to the same x_k, through a fresh context, builds none
+    # every step reads powers of P from the mode's own tables, so a second
+    # walk to the same x_k, through a fresh context, builds none.  uni_mul
+    # builds both tables: dense powers for a numeric P, packed powers, with
+    # int coefficients, for a symbolic one
     built = []
     uni_mul = coeffring.uni_mul
 
     def spy(a, b):
         a = list(a)
-        built.append(len(a))
+        built.append(all(type(c) is int for _, c in chain(a, b)))
         return uni_mul(a, b)
 
     monkeypatch.setattr(coeffring, "uni_mul", spy)
@@ -344,10 +347,29 @@ def test_walks_on_one_mode_share_its_tables_of_powers(monkeypatch):
         for k in (7, -4):
             del built[:]
             first = AlgebraContext(mode).cluster_variable(k)
-            assert built, (mode, k)  # the first walk builds powers of P
+            assert built and all(built), (mode, k)  # the first walk builds powers of P
             del built[:]
             assert AlgebraContext(mode).cluster_variable(k) == first
             assert built == [], (mode, k)
+
+
+def test_symbolic_walks_make_no_coeffpoly_product(monkeypatch, sym23):
+    # a symbolic exchange step multiplies and divides on packed keys only
+    calls = []
+
+    def spy(real):
+        def wrapped(self, other):
+            calls.append(real.__name__)
+            return real(self, other)
+        return wrapped
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(CoeffPoly, name, spy(CoeffPoly.__dict__[name]))
+    ctx = AlgebraContext(sym23)
+    x8, x_5 = ctx.cluster_variable(8), ctx.cluster_variable(-5)
+    assert calls == []
+    assert len(x8.terms) > 100 and len(x_5.terms) > 100
+    assert all(isinstance(c, CoeffPoly) for c in chain(x8.terms.values(), x_5.terms.values()))
 
 
 def test_apply_reflection_examples(mode23):

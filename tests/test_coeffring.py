@@ -10,7 +10,7 @@ import pytest
 from gca2 import verify
 from gca2.coeffring import (CoeffPoly, CoefficientMode, GeneratorId,
                             MissingGenerator, SparsePoly, coeff_from_json,
-                            coeff_to_json)
+                            coeff_to_json, pack_coeff, uni_mul, unpack_rows)
 from gca2.laurent import LaurentPoly
 
 R1 = CoeffPoly.rho(1, 3)
@@ -106,6 +106,36 @@ def test_poly_power_is_the_power_of_p():
         # a mode whose tables are built still pickles
         copy = pickle.loads(pickle.dumps(mode))
         assert copy == mode and copy.polys[1].power(9) == mode.polys[1].power(9)
+
+
+def test_packed_keys_round_trip_and_multiply_as_coeffpolys():
+    # pack_coeff and unpack_rows are inverse, each monomial coming back in
+    # GeneratorId order, and uni_mul of two packed coefficients is the
+    # CoeffPoly product, row by row
+    rng = random.Random(77)
+    gens = [GeneratorId(family, i) for family in ("rho", "vrho") for i in (1, 2, 3)]
+
+    def random_coeff():
+        return CoeffPoly({tuple(sorted((g, rng.randint(1, 5)) for g in rng.sample(gens, k))):
+                          rng.randint(-9, 9) for k in (0, 1, 2, 3, 6)})
+
+    keys, monos = {}, {}
+    for _ in range(100):
+        a, b = random_coeff(), random_coeff()
+        ra, rb = rng.randint(0, 40), rng.randint(0, 40)
+        assert unpack_rows(pack_coeff(a, ra, keys), monos) == ({ra: a} if a else {})
+        got = unpack_rows(uni_mul(pack_coeff(a, ra, keys), pack_coeff(b, rb, keys)).items(), {})
+        assert got == ({ra + rb: a * b} if a * b else {})
+        assert all(list(m) == sorted(m) for c in got.values() for m in c.terms)
+    assert unpack_rows(pack_coeff(7, 3, keys), monos) == {3: CoeffPoly.const(7)}
+
+
+def test_packed_powers_are_the_powers_of_p():
+    for i, p in enumerate(CoefficientMode.symbolic(4, 5).polys):
+        for k in (0, 1, 3, 2, 6):
+            rows = unpack_rows(p.packed_power(k), {})
+            assert as_laurent([rows.get(q, 0) for q in range(max(rows) + 1)]) == \
+                as_laurent(p) ** k, (i, k)
 
 
 def test_poly_power_table_is_safe_to_share_between_threads():

@@ -169,3 +169,18 @@ def test_wraparound_indexing():
     assert path.h(0) == path.h(5)
     assert path.v(3) == path.v(1)
     assert path.v(0) == path.v(2)
+
+
+def test_pos_refuses_an_edge_the_path_does_not_have():
+    # h and v reduce a subscript; a hand-built EdgeRef is checked instead
+    path = DyckPath.build(5, 2)
+    assert [path.pos(EdgeRef("h", j)) for j in range(1, 6)] == [0, 1, 2, 4, 5]
+    assert [path.pos(EdgeRef("v", j)) for j in (1, 2)] == [3, 6]
+    with pytest.raises(IndexOutOfRange, match="v_0"):
+        path.pos(EdgeRef("v", 0))
+    with pytest.raises(ValueError, match="'x'"):
+        path.pos(EdgeRef("x", 1))
+    with pytest.raises(IndexOutOfRange, match="h_6"):
+        path.pos(EdgeRef("h", 6))
+    with pytest.raises(IndexOutOfRange):  # so a Subpath through one is refused too
+        path.subpath_edges(Subpath(EdgeRef("h", 0), EdgeRef("v", 0)))

@@ -2,14 +2,15 @@ import json
 import random
 import subprocess
 import sys
-from math import comb, isqrt
+from itertools import chain
+from math import comb, isqrt, prod
 
 import pytest
 
 from conftest import expected_x3, padd, pmul, ppow
 from gca2 import coeffring, laurent, verify
 from gca2.cluster import AlgebraContext
-from gca2.coeffring import CoeffPoly
+from gca2.coeffring import CoeffPoly, CoefficientMode
 from gca2.laurent import (LaurentPoly, NotDivisible, NotLaurent, NotPointed,
                           SymbolicModeUnsupported, from_json,
                           lp_eval_univariate, lp_is_positive,
@@ -459,6 +460,96 @@ def test_substitute_ratio_exponents_beyond_the_recursion_limit():
         lp_substitute_ratio(LaurentPoly.monomial(-1100, 0), 1, (1, 1))
     got = lp_substitute_ratio(LaurentPoly.monomial(0, 1100), 2, (1, 1))
     assert got.terms == {(-1100, j): comb(1100, j) for j in range(1101)}
+
+
+def sympy_substitution_case(rng, sp, mode, var):
+    """(f, p, want, to_ring): f over the mode's generators with slices e in
+    [-3, 4] and p one of the mode's ExchangePolys; want is the substitution
+    as sympy expands it, times u**2 * y**4 to clear denominators, in a sympy
+    ring over u (x_other), y and the generators, and to_ring maps a
+    coefficient into that ring.  A slice with e < 0 is a random Q times
+    p(u)**-e, and its row of want is Q times y**-e."""
+    gens = sorted({g for c in chain(*mode.polys) for g in c.generators()})
+    ring, u, y, *syms = sp.ring(["u", "y"] + [f"{g.family}{g.index}" for g in gens], sp.ZZ)
+    to_sym = dict(zip(gens, syms))
+
+    def to_ring(c):
+        if isinstance(c, int):
+            return ring(c)
+        return sum((n * prod((to_sym[g] ** e for g, e in m), start=ring(1))
+                    for m, n in c.terms.items()), ring(0))
+
+    p = mode.polys[rng.randrange(2)]
+    pu = sum((to_ring(c) * u ** q for q, c in enumerate(p)), ring(0))
+    terms, want = {}, ring(0)
+    for e in rng.sample(range(-3, 5), rng.randint(1, 4)):
+        lo = rng.randint(-2, 2)
+        q = sum((rng.randint(-5, 5) * prod((s ** rng.randint(0, 2) for s in syms), start=ring(1))
+                 * u ** (lo + 2 + i)
+                 for i in range(rng.randint(1, 4)) for _ in range(rng.randint(1, 3))), ring(0))
+        if not q:
+            continue
+        want += q * (y ** (4 - e) if e < 0 else pu ** e * y ** (4 - e))
+        for (j, _, *exps), n in (q * pu ** -e if e < 0 else q).terms():
+            row = terms.setdefault((e, j - 2) if var == 1 else (j - 2, e), {})
+            row[tuple((g, a) for g, a in zip(gens, exps) if a)] = int(n)
+    return LaurentPoly({k: CoeffPoly(t) for k, t in terms.items()}), p, want, (ring, u, y, to_ring)
+
+
+def test_symbolic_substitute_ratio_matches_sympy():
+    # the packed route against sympy's expansion, over up to two generators
+    # per family: x_other in slot var of the result, y in the other slot
+    sp = pytest.importorskip("sympy")
+    rng = random.Random(4151)
+    for d1, d2 in ((2, 3), (4, 5), (5, 4), (3, 0), (1, 2), (0, 0)):
+        mode = CoefficientMode.symbolic(d1, d2)
+        for var in (1, 2):
+            for _ in range(6):
+                f, p, want, (ring, u, y, to_ring) = sympy_substitution_case(rng, sp, mode, var)
+                got = lp_substitute_ratio(f, var, p)
+                # CoeffPolys whose monomials list generators in GeneratorId order
+                assert all(isinstance(c, CoeffPoly) and all(list(m) == sorted(m) for m in c.terms)
+                           for c in got.terms.values())
+                rows = {(k[var - 1], k[2 - var]): c for k, c in got.terms.items()}  # (u, y)
+                assert sum((to_ring(c) * u ** (a + 2) * y ** (b + 4)
+                            for (a, b), c in rows.items()), ring(0)) == want, (d1, d2, var, f, p)
+
+
+def test_packed_fields_fill_exactly_and_refuse_one_more():
+    # P = 1 + rho1*z + z^2 squared: rows reach 4 above a slice's lowest and
+    # each exponent of rho1 rises by 2; at 2**FIELD_BITS - 1 a field is full
+    top = 2 ** coeffring.FIELD_BITS - 1
+    p = CoefficientMode.symbolic(2, 3).polys[0]
+    rho1 = p[1]
+    g = next(iter(rho1.generators()))
+
+    def power_of_rho1(n):
+        return CoeffPoly({((g, n),): 1})
+
+    for var in (1, 2):
+        # a generator field: rho1**(top - 2) * x_var**2 reaches rho1**top
+        f = sliced(var, {2: in_var(var, {0: power_of_rho1(top - 2)})})
+        got = lp_substitute_ratio(f, var, p)
+        row = {(k[var - 1], k[2 - var]): c for k, c in got.terms.items()}  # (x_other, y)
+        assert row[2, -2] == power_of_rho1(top) + 2 * power_of_rho1(top - 2)
+        assert row[3, -2] == 2 * power_of_rho1(top - 1)
+        f = sliced(var, {2: in_var(var, {0: power_of_rho1(top - 1)})})
+        with pytest.raises(OverflowError):
+            lp_substitute_ratio(f, var, p)
+        # field 0: a slice spanning top - 4 rows reaches row top; every row
+        # is the row of a short slice, shifted
+        short = lp_substitute_ratio(sliced(var, {2: in_var(var, {0: 1, 5: rho1})}), var, p)
+        f = sliced(var, {2: in_var(var, {0: 1, top - 4: rho1})})
+        got = lp_substitute_ratio(f, var, p)
+        shift = top - 4 - 5
+        assert got == LaurentPoly({
+            ((e1 + shift if e1 >= 5 else e1, e2) if var == 1
+             else (e1, e2 + shift if e2 >= 5 else e2)): c
+            for (e1, e2), c in short.terms.items()})
+        assert max(k[var - 1] for k in got.terms) == top
+        f = sliced(var, {2: in_var(var, {0: 1, top - 3: rho1})})
+        with pytest.raises(OverflowError):
+            lp_substitute_ratio(f, var, p)
 
 
 def verdict_or_error(fn, *args):

@@ -38,6 +38,7 @@ NOT_REACHED = {
     "coeffring.CoeffPoly.generators": VERIFY,
     "coeffring.SparsePoly.__pow__": VERIFY,
     "coeffring.SparsePoly.__rsub__": VALUE,
+    "coeffring.SparsePoly.__sub__": VALUE,
     "compat._check_length": VERIFY,
     "compat._partition": VERIFY,
     "compat.compatible_structure_h": TRACER,
