@@ -368,9 +368,9 @@ def _packed_exact_div(terms: list, b: tuple, m: int) -> list:
         for k, n in rows[i].items():
             if n:
                 quot.append((k, n))
-                for r, kb, nb in rest:
+                for r, kb, cb in rest:
                     row = rows[i + r]
-                    row[k + kb] = row.get(k + kb, 0) + n * nb
+                    row[k + kb] = row.get(k + kb, 0) + n * cb
     if any(n for row in rows[m - top:] for n in row.values()):
         raise NotLaurent("univariate division leaves a remainder")
     return quot

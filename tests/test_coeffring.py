@@ -98,14 +98,22 @@ def as_laurent(coeffs) -> LaurentPoly:
 
 def test_poly_power_is_the_power_of_p():
     # against SparsePoly powers, built by LaurentPoly products; k out of
-    # order, so the table is grown and then read back
-    for mode in (CoefficientMode.symbolic(2, 3), CoefficientMode(2, 3, (1, 2, 3), (1, 1, 0, 2))):
+    # order, so the table is grown and then read back.  A symbolic P has
+    # a packed table too, one CoeffPoly per degree once unpacked
+    for mode in (CoefficientMode.symbolic(2, 3), CoefficientMode.symbolic(4, 5),
+                 CoefficientMode(2, 3, (1, 2, 3), (1, 1, 0, 2))):
         for i, p in enumerate(mode.polys):
             for k in (0, 1, 2, 7, 3, 12):
-                assert as_laurent(p.power(k)) == as_laurent(p) ** k, (mode, i, k)
+                want = as_laurent(p) ** k
+                assert as_laurent(p.power(k)) == want, (mode, i, k)
+                if not mode.is_numeric:
+                    rows = unpack_rows(p.packed_power(k), {})
+                    assert as_laurent(rows.get(q, 0) for q in range(max(rows) + 1)) == want
         # a mode whose tables are built still pickles
         copy = pickle.loads(pickle.dumps(mode))
         assert copy == mode and copy.polys[1].power(9) == mode.polys[1].power(9)
+        if not mode.is_numeric:
+            assert copy.polys[1].packed_power(9) == mode.polys[1].packed_power(9)
 
 
 def test_packed_keys_round_trip_and_multiply_as_coeffpolys():
@@ -128,14 +136,6 @@ def test_packed_keys_round_trip_and_multiply_as_coeffpolys():
         assert got == ({ra + rb: a * b} if a * b else {})
         assert all(list(m) == sorted(m) for c in got.values() for m in c.terms)
     assert unpack_rows(pack_coeff(7, 3, keys), monos) == {3: CoeffPoly.const(7)}
-
-
-def test_packed_powers_are_the_powers_of_p():
-    for i, p in enumerate(CoefficientMode.symbolic(4, 5).polys):
-        for k in (0, 1, 3, 2, 6):
-            rows = unpack_rows(p.packed_power(k), {})
-            assert as_laurent([rows.get(q, 0) for q in range(max(rows) + 1)]) == \
-                as_laurent(p) ** k, (i, k)
 
 
 def test_poly_power_table_is_safe_to_share_between_threads():
